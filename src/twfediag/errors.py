@@ -69,6 +69,10 @@ class CollinearTreatment(TwfeDiagError):
     """Treatment is (numerically) spanned by the fixed effects."""
 
 
+class NonFiniteOutcome(TwfeDiagError):
+    """An outcome in the estimation sample is nan or infinite."""
+
+
 class UnbalancedPanel(TwfeDiagError):
     pass
 

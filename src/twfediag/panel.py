@@ -4,6 +4,7 @@ absorbing binary treatment, CSV ingestion, and structural validation."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -132,13 +133,15 @@ def load_panel_csv(
     outcome_col: str,
     treatment_col: Optional[str] = None,
 ) -> PanelDataset:
-    """Read a long-format panel from a UTF-8 CSV with a header row.
+    """Read a long-format panel from a UTF-8 CSV with a header row; a
+    leading byte-order mark is skipped.
 
-    Empty outcome cells are kept as missing. Without a treatment column all
-    rows start untreated, pending apply_adoption_schedule.
+    Empty outcome cells are kept as missing; nan and infinite outcomes are
+    rejected. Without a treatment column all rows start untreated, pending
+    apply_adoption_schedule.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as f:
+    with path.open(newline="", encoding="utf-8-sig") as f:
         reader = csv.DictReader(f)
         header = reader.fieldnames or []
         needed = [unit_col, period_col, outcome_col]
@@ -163,6 +166,8 @@ def load_panel_csv(
                     outcome = float(raw)
                 except ValueError:
                     raise ParseError(rownum, outcome_col, f"not a number: {raw!r}")
+                if not math.isfinite(outcome):
+                    raise ParseError(rownum, outcome_col, f"not a finite number: {raw!r}")
             if treatment_col is None:
                 treated = 0
             else:
@@ -192,13 +197,14 @@ def write_panel_csv(
 
 
 def load_schedule_csv(path: str | Path) -> AdoptionSchedule:
-    """Read an adoption schedule: columns unit,adoption_period.
+    """Read an adoption schedule: columns unit,adoption_period, UTF-8 with
+    an optional byte-order mark.
 
     The token 'never' (case-insensitive) marks a never-treated unit.
     """
     path = Path(path)
     entries: dict[str, Optional[int]] = {}
-    with path.open(newline="", encoding="utf-8") as f:
+    with path.open(newline="", encoding="utf-8-sig") as f:
         reader = csv.DictReader(f)
         header = reader.fieldnames or []
         for col in ("unit", "adoption_period"):

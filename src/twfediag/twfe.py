@@ -4,27 +4,24 @@ partialled-out (residualized-treatment) weight representation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import nan
+from math import nan, sqrt
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     CollinearTreatment,
     DegenerateTreatment,
     DimensionMismatch,
+    NonFiniteOutcome,
     UnbalancedPanel,
     ZeroVariance,
 )
-from .lsq import (
-    DesignMatrix,
-    classical_covariance,
-    cluster_robust_covariance,
-    solve_least_squares,
-    t_test,
-)
+from .lsq import t_test
 from .panel import PanelDataset
 
 COLLINEARITY_TOL = 1e-12
+EXACT_FIT_TOL = 1e-20  # residual spread below this, relative to sum(y**2), is round-off
 NEGATIVE_WEIGHT_TOL = -1e-12  # weights below this count as negative
 
 
@@ -32,7 +29,7 @@ NEGATIVE_WEIGHT_TOL = -1e-12  # weights below this count as negative
 class TwfeFit:
     beta: float
     se: float
-    p_value: float  # nan when the fit is exact (zero standard error)
+    p_value: float  # nan when the standard error is zero (an exact fit)
     dof: int
     n_obs: int
     n_treated: int
@@ -76,100 +73,150 @@ def _check_sample(units, periods, d, require_both_groups: bool = True):
         raise DegenerateTreatment("estimation sample is all-treated or all-untreated")
 
 
-def _fe_design(units, periods, u, p) -> DesignMatrix:
-    """Intercept plus unit and period dummies (first category of each dropped)."""
-    n = len(u)
-    cols = [np.ones(n)]
-    labels = ["intercept"]
-    for i, unit in enumerate(units[1:], start=1):
-        cols.append((u == i).astype(float))
-        labels.append(f"unit:{unit}")
-    for j, period in enumerate(periods[1:], start=1):
-        cols.append((p == j).astype(float))
-        labels.append(f"period:{period}")
-    return DesignMatrix(np.column_stack(cols), tuple(labels))
+def _check_outcomes(y, index):
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        unit, period = index[bad[0]]
+        raise NonFiniteOutcome(
+            f"outcome {float(y[bad[0]])} for unit {unit!r}, period {period} is not finite"
+        )
 
 
-def _residualize(design: DesignMatrix, v: np.ndarray) -> np.ndarray:
-    return solve_least_squares(design, v).residuals
+def _count_components(linked: np.ndarray) -> int:
+    """Connected components of the bipartite graph with biadjacency `linked`
+    (rows x columns, every row and column linked at least once)."""
+    unseen = np.ones(linked.shape[1], dtype=bool)
+    count = 0
+    while unseen.any():
+        count += 1
+        cols = np.zeros_like(unseen)
+        cols[np.argmax(unseen)] = True
+        while True:
+            grown = linked[linked[:, cols].any(axis=1)].any(axis=0)
+            if np.array_equal(grown, cols):
+                break
+            cols = grown
+        unseen &= ~cols
+    return count
+
+
+class _WithinCore:
+    """Least squares on the unit and period dummies of one estimation sample.
+
+    The normal equations of both dummy sets are reduced to the smaller set
+    by eliminating the larger one (a Schur complement of the dummy
+    cross-product), which one small exact solve then handles. The dummy
+    block has rank U + T - C, with C the connected components of the
+    unit-period graph; each component leaves one free level, which the
+    minimum-norm solve fixes.
+    """
+
+    def __init__(self, u: np.ndarray, p: np.ndarray, n_units: int, n_periods: int):
+        cells = np.bincount(u * n_periods + p, minlength=n_units * n_periods)
+        cells = cells.reshape(n_units, n_periods).astype(float)
+        self.u, self.p = u, p
+        self.rank = n_units + n_periods - _count_components(cells > 0)
+        # eliminate the larger dummy set (a), solve on the smaller (b)
+        self._units_eliminated = n_units >= n_periods
+        if not self._units_eliminated:
+            cells = cells.T
+        self._cells = cells
+        self._count_a = cells.sum(axis=1)
+        self._schur = np.diag(cells.sum(axis=0)) - cells.T @ (cells / self._count_a[:, None])
+
+    def fit(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(residuals, unit effects, period effects) of each column of v (N x k)."""
+        a, b = (self.u, self.p) if self._units_eliminated else (self.p, self.u)
+        n_a, n_b = self._cells.shape
+        sum_a = np.column_stack([np.bincount(a, c, n_a) for c in v.T])
+        sum_b = np.column_stack([np.bincount(b, c, n_b) for c in v.T])
+        mean_a = sum_a / self._count_a[:, None]
+        eff_b = scipy.linalg.lstsq(self._schur, sum_b - self._cells.T @ mean_a)[0]
+        eff_a = mean_a - (self._cells @ eff_b) / self._count_a[:, None]
+        eff_u, eff_p = (eff_a, eff_b) if self._units_eliminated else (eff_b, eff_a)
+        return v - eff_u[self.u] - eff_p[self.p], eff_u, eff_p
 
 
 def fit_twfe(dataset: PanelDataset, inference: str = "cluster_by_unit") -> TwfeFit:
     """OLS of outcome on treatment plus full unit and period dummy sets.
 
-    Also runs the two auxiliary regressions (treatment on the fixed effects,
-    outcome on the fixed effects) to populate the residualized vectors and
-    the per-observation weights behind the coefficient.
+    Fitted by Frisch-Waugh-Lovell: the treatment and the outcome are
+    residualized on the fixed effects, and the coefficient is the slope of
+    one residual on the other. The residualized treatment also gives the
+    per-observation weights behind the coefficient.
+
+    The standard error is zero, and the p-value nan, when the spread it is
+    computed from is round-off: the residual sum of squares (classical), or
+    the sum of squared cluster scores (clustered; zero whenever the
+    residuals are, and for any two-unit balanced panel), at most
+    EXACT_FIT_TOL relative to the outcome's scale.
     """
     if inference not in ("cluster_by_unit", "classical"):
         raise ValueError(f"unknown inference kind {inference!r}")
     units, periods, u, p, y, d, index = _estimation_arrays(dataset)
     _check_sample(units, periods, d)
+    _check_outcomes(y, index)
 
-    fe = _fe_design(units, periods, u, p)
-    d_resid = _residualize(fe, d)
+    core = _WithinCore(u, p, len(units), len(periods))
+    resid, eff_u, eff_p = core.fit(np.column_stack([d, y]))
+    d_resid, y_resid = resid[:, 0], resid[:, 1]
     ssd = float(d_resid @ d_resid)
     if ssd < COLLINEARITY_TOL * len(d):
         raise CollinearTreatment("treatment is collinear with the fixed effects")
-    y_resid = _residualize(fe, y)
+    beta = float(d_resid @ y_resid) / ssd
+    e = y_resid - beta * d_resid
+    rss = float(e @ e)
 
-    X = DesignMatrix(
-        np.column_stack([fe.values, d]), fe.labels + ("treatment",)
-    )
-    fit = solve_least_squares(X, y)
-    t_col = X.k - 1
-    if t_col in fit.dropped:  # pragma: no cover - guarded by the ssd check
-        raise CollinearTreatment("treatment column dropped as dependent")
-    beta = float(fit.coefficients[t_col])
-
-    if fit.dof_residual == 0:
-        # saturated design: an exact fit with no residual degrees of freedom
-        se = 0.0
-        dof = len(np.unique(u)) - 1 if inference == "cluster_by_unit" else 0
-    elif inference == "cluster_by_unit":
-        cov = cluster_robust_covariance(fit, X, u)
-        dof = cov.clusters - 1
-        se = float(cov.standard_errors()[t_col])
+    n, k, clusters = len(y), core.rank + 1, len(units)
+    yy = float(y @ y)
+    if inference == "cluster_by_unit":
+        dof = clusters - 1
+        scores = np.bincount(u, d_resid * e, clusters)
+        spread, scale = float(scores @ scores), ssd * yy  # spread <= ssd * rss
     else:
-        cov = classical_covariance(fit, X)
-        dof = fit.dof_residual
-        se = float(cov.standard_errors()[t_col])
+        dof = n - k
+        spread, scale = rss, yy
+    if n == k or spread <= EXACT_FIT_TOL * scale:
+        se = 0.0
+    elif inference == "cluster_by_unit":
+        c = (clusters / (clusters - 1)) * ((n - 1) / (n - k))
+        se = sqrt(c * spread) / ssd
+    else:
+        se = sqrt(spread / (n - k) / ssd)
     p_value = t_test(beta, se, dof)[1] if se > 0 else nan
 
-    coefs = fit.coefficients
-    intercept = float(coefs[0])
-    unit_effects = {units[0]: intercept}
-    period_effects = {periods[0]: 0.0}
-    for k, label in enumerate(X.labels):
-        if label.startswith("unit:"):
-            unit_effects[label[5:]] = intercept + float(coefs[k])
-        elif label.startswith("period:"):
-            period_effects[int(label[7:])] = float(coefs[k])
-
-    weights = d_resid / ssd
+    # effects of y - beta*d, with the first period's effect set to 0 (on a
+    # disconnected panel the other components' levels stay arbitrary)
+    alpha = eff_u[:, 1] - beta * eff_u[:, 0]
+    gamma = eff_p[:, 1] - beta * eff_p[:, 0]
+    alpha, gamma = alpha + gamma[0], gamma - gamma[0]
     return TwfeFit(
         beta=beta,
         se=se,
         p_value=p_value,
         dof=dof,
-        n_obs=len(y),
+        n_obs=n,
         n_treated=int(d.sum()),
         residualized_treatment=d_resid,
         residualized_outcome=y_resid,
-        weights=weights,
+        weights=d_resid / ssd,
         treatment=d.astype(int),
-        unit_effects=unit_effects,
-        period_effects=period_effects,
+        unit_effects=dict(zip(units, alpha.tolist())),
+        period_effects=dict(zip(periods, gamma.tolist())),
         sample_index=index,
         inference=inference,
     )
+
+
+def _residualize(units, periods, u, p, v) -> np.ndarray:
+    return _WithinCore(u, p, len(units), len(periods)).fit(v[:, None])[0][:, 0]
 
 
 def residualize_treatment(dataset: PanelDataset) -> np.ndarray:
     """Residuals of the treatment dummy on unit and period fixed effects."""
     units, periods, u, p, _, d, _ = _estimation_arrays(dataset)
     _check_sample(units, periods, d, require_both_groups=False)
-    d_resid = _residualize(_fe_design(units, periods, u, p), d)
+    d_resid = _residualize(units, periods, u, p, d)
     if float(d_resid @ d_resid) < COLLINEARITY_TOL * len(d):
         raise CollinearTreatment("treatment is collinear with the fixed effects")
     return d_resid
@@ -177,9 +224,10 @@ def residualize_treatment(dataset: PanelDataset) -> np.ndarray:
 
 def residualize_outcome(dataset: PanelDataset) -> np.ndarray:
     """Residuals of the outcome on unit and period fixed effects."""
-    units, periods, u, p, y, d, _ = _estimation_arrays(dataset)
+    units, periods, u, p, y, d, index = _estimation_arrays(dataset)
     _check_sample(units, periods, d, require_both_groups=False)
-    return _residualize(_fe_design(units, periods, u, p), y)
+    _check_outcomes(y, index)
+    return _residualize(units, periods, u, p, y)
 
 
 def balanced_weights_closed_form(dataset: PanelDataset) -> np.ndarray:

@@ -15,6 +15,13 @@ def normal_equations_ols(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.solve(X.T @ X, X.T @ y)
 
 
+def _normal_equations_inverse(X: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse of X'X. A disconnected panel's dummy design has one
+    dependent column per extra component; the treatment coefficient stays
+    identified and this inverse gives it."""
+    return np.linalg.pinv(X.T @ X, rcond=1e-10, hermitian=True)
+
+
 def dummy_design(dataset):
     """Full dummy expansion (intercept, unit dummies, period dummies,
     treatment) over the estimation sample, built independently."""
@@ -36,7 +43,38 @@ def dummy_design(dataset):
 def dummy_ols_beta(dataset) -> float:
     """Treatment coefficient from the dummy expansion via normal equations."""
     X, y = dummy_design(dataset)
-    return float(normal_equations_ols(X, y)[-1])
+    return float((_normal_equations_inverse(X) @ (X.T @ y))[-1])
+
+
+def cluster_sandwich(dataset, inference: str = "cluster_by_unit"):
+    """(standard error, dof, fitted values) of the treatment coefficient
+    from the dummy expansion.
+
+    Normal equations for the coefficients; K is the numerical rank of the
+    design. Classical: RSS / (N - K) times the bread. Clustered by unit:
+    the sandwich with per-cluster scores summed by a plain loop and the
+    factor [G/(G-1)] * [(N-1)/(N-K)], on G - 1 degrees of freedom.
+    """
+    X, y = dummy_design(dataset)
+    clusters = [o.unit for o in dataset.observations if o.outcome is not None]
+    bread = _normal_equations_inverse(X)
+    fitted = X @ (bread @ (X.T @ y))
+    residuals = y - fitted
+    n, k = X.shape[0], int(np.linalg.matrix_rank(X))
+    G = len(set(clusters))
+    dof = n - k if inference == "classical" else G - 1
+    if n == k:  # saturated: the fit is exact
+        return 0.0, dof, fitted
+    if inference == "classical":
+        rss = sum(r * r for r in residuals)
+        return math.sqrt(rss / (n - k) * bread[-1, -1]), dof, fitted
+    scores = {}
+    for row, r, g in zip(X, residuals, clusters):
+        scores[g] = scores.get(g, 0.0) + row * r
+    meat = sum(np.outer(s, s) for s in scores.values())
+    c = (G / (G - 1)) * ((n - 1) / (n - k))
+    cov = c * bread @ meat @ bread
+    return math.sqrt(max(cov[-1, -1], 0.0)), dof, fitted
 
 
 def hc_sandwich(X: np.ndarray, residuals: np.ndarray, scale: float) -> np.ndarray:

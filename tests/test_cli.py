@@ -102,6 +102,17 @@ class TestEstimate:
                      "--treatment", "d"])
         assert code == 1
 
+    def test_non_finite_outcome_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "panel.csv"
+        data.write_text(
+            "unit,period,outcome,treated\nA,1,1.0,0\nA,2,inf,1\n"
+            "B,1,2.0,0\nB,2,0.5,0\n",
+            encoding="utf-8",
+        )
+        assert main(["estimate", *data_args(data)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: row 3, column 'outcome': not a finite number: 'inf'\n"
+
     def test_needs_treatment_or_schedule(self, panel_files):
         _, data, _ = panel_files
         assert main(["estimate", *data_args(data, treatment=False)]) == 1

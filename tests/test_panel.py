@@ -54,6 +54,19 @@ class TestLoadPanelCsv:
         with pytest.raises(ParseError):
             load_panel_csv(f, "c", "y", "out")
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity"])
+    def test_non_finite_outcome(self, tmp_path, cell):
+        f = write_csv(tmp_path / "p.csv", f"c,y,out\nA,2000,1.0\nA,2001,{cell}\n")
+        with pytest.raises(ParseError) as exc:
+            load_panel_csv(f, "c", "y", "out")
+        assert exc.value.row == 3 and exc.value.column == "out"
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_bytes(b"\xef\xbb\xbfunit,y,out\nA,2000,1.0\n")
+        ds = load_panel_csv(f, "unit", "y", "out")
+        assert ds.observations == (Observation("A", 2000, 1.0, 0),)
+
     def test_bad_treatment(self, tmp_path):
         f = write_csv(tmp_path / "p.csv", "c,y,out,d\nA,2000,1.0,2\n")
         with pytest.raises(ParseError):
@@ -108,6 +121,11 @@ class TestAdoptionSchedule:
         f = write_csv(tmp_path / "s.csv", "unit,adoption_period\nA,2001\nB,NEVER\n")
         sched = load_schedule_csv(f)
         assert sched.entries == {"A": 2001, "B": None}
+
+    def test_schedule_byte_order_mark_skipped(self, tmp_path):
+        f = tmp_path / "s.csv"
+        f.write_bytes(b"\xef\xbb\xbfunit,adoption_period\nA,2001\nB,never\n")
+        assert load_schedule_csv(f).entries == {"A": 2001, "B": None}
 
     def test_schedule_duplicate_entry(self, tmp_path):
         f = write_csv(tmp_path / "s.csv", "unit,adoption_period\nA,2001\nA,2002\n")

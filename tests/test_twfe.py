@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from twfediag.errors import (
     CollinearTreatment,
     DegenerateTreatment,
     DimensionMismatch,
+    NonFiniteOutcome,
+    TwfeDiagError,
     UnbalancedPanel,
     ZeroVariance,
 )
@@ -108,6 +112,58 @@ class TestFitTwfe:
                 + fit.beta * obs.treated
             )
             assert pred == pytest.approx(y, abs=1e-8)
+
+
+    @pytest.mark.parametrize("inference", ["cluster_by_unit", "classical"])
+    def test_noiseless_fit_is_exact(self, inference):
+        fit = fit_twfe(homogeneous_panel(delta=3.0), inference)
+        assert fit.se == 0.0
+        assert math.isnan(fit.p_value)
+
+    @pytest.mark.parametrize("inference", ["cluster_by_unit", "classical"])
+    def test_fixed_effects_only_outcome_is_exact(self, inference):
+        # outcome = unit level + period shock, no treatment effect: the
+        # residuals are round-off relative to the outcome's large level
+        fit = fit_twfe(homogeneous_panel(delta=0.0), inference)
+        assert fit.beta == pytest.approx(0.0, abs=1e-10)
+        assert fit.se == 0.0
+        assert math.isnan(fit.p_value)
+
+    def test_two_unit_cluster_scores_cancel(self):
+        # balanced, two units: the two cluster scores are equal and sum to
+        # zero, so the clustered variance is 0 while the classical is not
+        ds = make_panel([("A", 1, 0.3, 0), ("A", 2, 1.9, 0), ("A", 3, -0.4, 1),
+                         ("B", 1, 1.1, 0), ("B", 2, 0.2, 1), ("B", 3, 2.5, 1)])
+        fit = fit_twfe(ds)
+        assert fit.se == 0.0 and math.isnan(fit.p_value)
+        assert fit_twfe(ds, "classical").se > 0
+
+    def test_noisy_fit_is_not_exact(self):
+        rng = np.random.default_rng(32)
+        _, ds = random_panel(rng, missing=True, noise_sd=1e-6)
+        fit = fit_twfe(ds)
+        assert fit.se > 0 and 0.0 <= fit.p_value <= 1.0
+
+    def test_disconnected_panel_degrees_of_freedom(self):
+        # two blocks sharing no unit and no period: K = U + T - 2 + 1
+        rng = np.random.default_rng(33)
+        rows = [(f"a{i}", t, float(rng.normal()), int(t >= 2 + i))
+                for i in range(3) for t in range(1, 5)]
+        rows += [(f"b{i}", t, float(rng.normal()), int(t >= 6 + i))
+                 for i in range(3) for t in range(5, 9)]
+        ds = make_panel(rows)
+        assert fit_twfe(ds, "classical").dof == 24 - (6 + 8 - 2 + 1)
+        assert fit_twfe(ds).dof == 5
+        assert fit_twfe(ds).beta == pytest.approx(dummy_ols_beta(ds), rel=1e-10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_outcome_rejected(self, bad):
+        ds = make_panel([("A", 1, 1.0, 0), ("A", 2, bad, 1),
+                         ("B", 1, 2.0, 0), ("B", 2, 0.0, 0)])
+        with pytest.raises(NonFiniteOutcome, match="unit 'A', period 2"):
+            fit_twfe(ds)
+        with pytest.raises(TwfeDiagError):
+            residualize_outcome(ds)
 
 
 class TestInvariances:
