@@ -47,6 +47,36 @@ SWEEP_HEADER = [
 ]
 
 
+def _checked(convert, accept, requirement: str):
+    """argparse type: convert the text, then refuse a value outside its range."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
+        return value
+
+    return parse
+
+
+def _parse_horizons(text: str) -> list[int]:
+    return [int(h) for h in text.split(",") if h.strip() != ""]
+
+
+LEVEL = _checked(float, lambda v: 0 < v < 1, "a confidence level in (0, 1)")
+BANDWIDTH = _checked(float, lambda v: 0 < v <= 1, "a bandwidth in (0, 1]")
+GRID_POINTS = _checked(int, lambda v: v >= 2, "an integer of at least 2")
+BINS = _checked(int, lambda v: v >= 1, "a positive integer")
+HORIZONS = _checked(
+    _parse_horizons,
+    lambda hs: len(hs) > 0 and min(hs) >= 0,
+    "a comma-separated list of non-negative integers",
+)
+
+
 def _add_data_args(p: argparse.ArgumentParser, need_outcome: bool = True):
     p.add_argument("--data", required=True, help="panel CSV (long format, header row)")
     p.add_argument("--unit", required=True, help="unit-identifier column")
@@ -260,8 +290,9 @@ def cmd_sweep_horizon(args) -> int:
     dataset, schedule, _ = _load(args)
     if schedule is None:
         schedule = schedule_from_data(dataset)
-    horizons = [int(h) for h in args.horizons.split(",") if h.strip() != ""]
-    sweep = sweep_post_horizon(dataset, schedule, horizons, _inference(args), level=args.level)
+    sweep = sweep_post_horizon(
+        dataset, schedule, args.horizons, _inference(args), level=args.level
+    )
     _sweep_csv(args.out, sweep)
     return 0
 
@@ -311,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weights", help="weight histogram and unit-by-period grid CSVs")
     _add_data_args(p)
     _add_inference_arg(p)
-    p.add_argument("--bins", type=int, default=DEFAULT_BINS)
+    p.add_argument("--bins", type=BINS, default=DEFAULT_BINS)
     p.add_argument("--out-hist", help="histogram CSV path")
     p.add_argument("--out-grid", help="grid CSV path")
     p.set_defaults(func=cmd_weights)
@@ -319,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scatter", help="residual scatter, fit lines, smoothed curves CSVs")
     _add_data_args(p)
     _add_inference_arg(p)
-    p.add_argument("--bandwidth", type=float, default=DEFAULT_BANDWIDTH)
-    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
+    p.add_argument("--bandwidth", type=BANDWIDTH, default=DEFAULT_BANDWIDTH)
+    p.add_argument("--grid-points", type=GRID_POINTS, default=DEFAULT_GRID_POINTS)
     p.add_argument("--out-prefix", required=True,
                    help="writes <prefix>_points.csv, <prefix>_lines.csv, <prefix>_smooth.csv")
     p.set_defaults(func=cmd_scatter)
@@ -331,13 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} robustness sweep CSV")
         _add_data_args(p)
         _add_inference_arg(p)
-        p.add_argument("--level", type=float, default=0.95, help="confidence level")
+        p.add_argument("--level", type=LEVEL, default=0.95, help="confidence level")
         p.add_argument("--out", required=True, help="sweep CSV path")
         if name == "sweep-endyear":
             p.add_argument("--first-end", type=int)
             p.add_argument("--last-end", type=int)
         if name == "sweep-horizon":
-            p.add_argument("--horizons", required=True,
+            p.add_argument("--horizons", required=True, type=HORIZONS,
                            help="comma-separated non-negative horizons, e.g. 0,1,2,5")
         p.set_defaults(func=func)
 

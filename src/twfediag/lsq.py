@@ -6,8 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.stats
 
 from .errors import (
     DimensionMismatch,
@@ -109,8 +107,8 @@ def solve_least_squares(X: DesignMatrix, y: np.ndarray) -> LsqFit:
     if not kept:
         raise EmptyDesign("all design columns are numerically zero")
     Xk = X.values[:, kept]
-    Q, R = scipy.linalg.qr(Xk, mode="economic")
-    beta_k = scipy.linalg.solve_triangular(R, Q.T @ y)
+    Q, R = np.linalg.qr(Xk)
+    beta_k = np.linalg.solve(R, Q.T @ y)
 
     coefficients = np.zeros(X.k)
     coefficients[kept] = beta_k
@@ -133,10 +131,10 @@ def solve_least_squares(X: DesignMatrix, y: np.ndarray) -> LsqFit:
 def _bread(X: DesignMatrix, kept: tuple[int, ...]) -> np.ndarray:
     """(X'X)^-1 over the retained columns, via the triangular factor."""
     Xk = X.values[:, kept]
-    R = scipy.linalg.qr(Xk, mode="r")[0][: len(kept), :]
+    R = np.linalg.qr(Xk, mode="r")
     if np.min(np.abs(np.diag(R))) <= RANK_TOL * max(1.0, np.max(np.abs(np.diag(R)))):
         raise SingularDesign("retained design columns are numerically singular")
-    Rinv = scipy.linalg.solve_triangular(R, np.eye(len(kept)))
+    Rinv = np.linalg.solve(R, np.eye(len(kept)))
     return Rinv @ Rinv.T
 
 
@@ -195,17 +193,30 @@ def cluster_robust_covariance(
     )
 
 
+# The t distribution is the only use of scipy. It is imported inside the two
+# functions below, so that only commands that compute a p-value or a
+# confidence interval pay for loading scipy.special. stdtr and stdtrit are
+# the ufuncs behind scipy.stats.t.sf and t.ppf, so the results are the same.
+
 def t_test(coefficient: float, standard_error: float, dof: int) -> tuple[float, float]:
     """Two-sided t test of a zero null; returns (t statistic, p-value)."""
     if standard_error <= 0:
         raise NonpositiveSE(f"standard error must be positive, got {standard_error}")
     if dof <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {dof}")
+    from scipy.special import stdtr
+
     t = coefficient / standard_error
-    p = 2.0 * scipy.stats.t.sf(abs(t), dof)
+    p = 2.0 * stdtr(dof, -abs(t))
     return t, float(min(p, 1.0))
 
 
 def t_critical(level: float, dof: int) -> float:
     """Two-sided critical value, e.g. level=0.95 gives the 97.5% quantile."""
-    return float(scipy.stats.t.ppf(0.5 + level / 2.0, dof))
+    if not 0 < level < 1:
+        raise ValueError(f"confidence level must lie in (0, 1), got {level}")
+    if dof <= 0:
+        raise ValueError(f"degrees of freedom must be positive, got {dof}")
+    from scipy.special import stdtrit
+
+    return float(stdtrit(dof, 0.5 + level / 2.0))

@@ -4,6 +4,7 @@ post-treatment horizons, and leave-one-unit-out re-estimation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import nan
 
 from .errors import NoFeasiblePoint, TwfeDiagError
 from .diagnostics import weight_report
@@ -34,8 +35,10 @@ class RobustnessSweep:
 
 
 def _point(label: str, fit: TwfeFit, level: float) -> SweepPoint:
+    """One sweep point; the interval is nan when the fit is exact (se == 0),
+    as its p-value is."""
     report = weight_report(fit)
-    half = t_critical(level, fit.dof) * fit.se
+    half = t_critical(level, fit.dof) * fit.se if fit.se > 0 else nan
     return SweepPoint(
         label=label,
         beta=fit.beta,

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from math import nan, sqrt
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CollinearTreatment,
@@ -131,7 +130,7 @@ class _WithinCore:
         sum_a = np.column_stack([np.bincount(a, c, n_a) for c in v.T])
         sum_b = np.column_stack([np.bincount(b, c, n_b) for c in v.T])
         mean_a = sum_a / self._count_a[:, None]
-        eff_b = scipy.linalg.lstsq(self._schur, sum_b - self._cells.T @ mean_a)[0]
+        eff_b = np.linalg.lstsq(self._schur, sum_b - self._cells.T @ mean_a, rcond=None)[0]
         eff_a = mean_a - (self._cells @ eff_b) / self._count_a[:, None]
         eff_u, eff_p = (eff_a, eff_b) if self._units_eliminated else (eff_b, eff_a)
         return v - eff_u[self.u] - eff_p[self.p], eff_u, eff_p

@@ -89,7 +89,8 @@ def hc_sandwich(X: np.ndarray, residuals: np.ndarray, scale: float) -> np.ndarra
 
 def t_pvalue_quadrature(t: float, dof: int) -> float:
     """Two-sided p-value by integrating the Student-t density directly."""
-    c = math.gamma((dof + 1) / 2) / (math.sqrt(dof * math.pi) * math.gamma(dof / 2))
+    # log-gamma, so that large dof do not overflow math.gamma
+    c = math.exp(math.lgamma((dof + 1) / 2) - math.lgamma(dof / 2)) / math.sqrt(dof * math.pi)
 
     def density(x):
         return c * (1 + x * x / dof) ** (-(dof + 1) / 2)

@@ -213,6 +213,40 @@ class TestSweeps:
         assert [r["label"] for r in rows] == [p.label for p in sweep.points]
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-horizon", "--horizons", "1,x"],
+            ["sweep-horizon", "--horizons", "-1"],
+            ["sweep-horizon", "--horizons", ","],
+            ["scatter", "--bandwidth", "-1"],
+            ["scatter", "--grid-points", "0"],
+            ["jackknife", "--level", "1.5"],
+            ["jackknife", "--level", "0"],
+            ["weights", "--bins", "0"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_out_of_range_value_exit_2(self, panel_files, tmp_path, capsys, argv):
+        _, data, _ = panel_files
+        command, *options = argv
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "out.csv"
+        outputs = {
+            "scatter": ["--out-prefix", str(out_dir / "s")],
+            "weights": ["--out-hist", str(out)],
+        }.get(command, ["--out", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *data_args(data), *options, *outputs])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "Traceback" not in err
+        assert list(out_dir.iterdir()) == []
+
+
 class TestSimulate:
     def test_byte_identical_reruns(self, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from twfediag.lsq import (
     DesignMatrix,
@@ -194,3 +195,26 @@ class TestTTest:
         crit = t_critical(0.95, 14)
         _, p = t_test(crit, 1.0, 14)
         assert p == pytest.approx(0.05, abs=1e-10)
+
+    @pytest.mark.parametrize("dof", [1, 2, 14, 299, 9800])
+    @pytest.mark.parametrize("t", [0.3, 2.2405, 7.0, 40.0])
+    def test_pvalue_equals_scipy_stats(self, t, dof):
+        _, p = t_test(t, 1.0, dof)
+        assert p == 2.0 * stats.t.sf(t, dof)
+
+    @pytest.mark.parametrize("dof", [1, 2, 14, 299, 9800])
+    @pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
+    def test_critical_value_equals_scipy_stats(self, level, dof):
+        assert t_critical(level, dof) == stats.t.ppf(0.5 + level / 2.0, dof)
+
+    def test_large_dof_against_quadrature(self):
+        _, p = t_test(2.2405, 1.0, 9800)
+        assert p == pytest.approx(t_pvalue_quadrature(2.2405, 9800), abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "level, dof",
+        [(0.95, 0), (0.95, -2), (0.0, 14), (1.0, 14), (1.5, 14), (float("nan"), 14)],
+    )
+    def test_critical_value_rejects_invalid_arguments(self, level, dof):
+        with pytest.raises(ValueError):
+            t_critical(level, dof)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,21 @@ class TestEndYearSweep:
         sweep = sweep_end_year(ds, ds.periods[0], ds.periods[-1])
         for point in sweep.points:
             assert point.ci_low <= point.beta <= point.ci_high
+
+    def test_saturated_classical_fit_has_nan_interval(self):
+        # 4 observations, 4 parameters: no residual degrees of freedom
+        sweep = sweep_end_year(canonical_2x2(), 1, 2, inference="classical")
+        for point in (sweep.baseline, *sweep.points):
+            assert point.beta == pytest.approx(5.0)
+            assert math.isnan(point.ci_low) and math.isnan(point.ci_high)
+
+    def test_exact_clustered_fit_has_nan_interval(self):
+        # noiseless: se == 0 with dof = G - 1 > 0, formerly [beta, beta]
+        ds = homogeneous_panel(delta=3.0)
+        assert fit_twfe(ds).se == 0.0
+        sweep = sweep_end_year(ds, ds.periods[0], ds.periods[-1])
+        for point in (sweep.baseline, *sweep.points):
+            assert math.isnan(point.ci_low) and math.isnan(point.ci_high)
 
     def test_constant_effect_stable(self):
         ds = homogeneous_panel(delta=3.0)
