@@ -367,6 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "sweep-endyear":
             p.add_argument("--first-end", type=int)
             p.add_argument("--last-end", type=int)
+            p.set_defaults(usage_error=p.error)
         if name == "sweep-horizon":
             p.add_argument("--horizons", required=True, type=HORIZONS,
                            help="comma-separated non-negative horizons, e.g. 0,1,2,5")
@@ -389,6 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "first_end", None) is not None and args.last_end is not None \
+            and args.first_end > args.last_end:
+        args.usage_error(f"--first-end {args.first_end} is after --last-end {args.last_end}")
     try:
         return args.func(args)
     except TwfeDiagError as exc:

@@ -18,7 +18,7 @@ from .lsq import (
     t_test,
 )
 from .panel import AdoptionSchedule
-from .twfe import NEGATIVE_WEIGHT_TOL, TwfeFit
+from .twfe import EXACT_FIT_TOL, NEGATIVE_WEIGHT_TOL, TwfeFit
 
 DEFAULT_BINS = 40
 DEFAULT_BANDWIDTH = 0.8
@@ -166,6 +166,11 @@ def homogeneity_test(fit: TwfeFit, inference: str = "classical") -> HomogeneityT
     the treated and comparison groups, contradicting a single homogeneous
     effect. The intercept is estimated (within-group means need not be zero)
     but not reported.
+
+    As in fit_twfe, an exact fit reports se = 0 and nan t statistics and
+    p-values: one whose residual sum of squares is at most EXACT_FIT_TOL
+    relative to the raw outcome's sum of squares, so that any spread left
+    is round-off.
     """
     if inference not in ("classical", "cluster_by_unit"):
         raise ValueError(f"unknown inference kind {inference!r}")
@@ -185,10 +190,11 @@ def homogeneity_test(fit: TwfeFit, inference: str = "classical") -> HomogeneityT
         cov = classical_covariance(ols, X)
         dof = ols.dof_residual
     ses = cov.standard_errors()
+    exact = ols.rss <= EXACT_FIT_TOL * float(fit.outcome @ fit.outcome)
 
     def row(k: int) -> CoefficientRow:
         est = float(ols.coefficients[k])
-        se = float(ses[k])
+        se = 0.0 if exact else float(ses[k])
         if se > 0:
             t, p = t_test(est, se, dof)
         else:

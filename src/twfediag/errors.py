@@ -87,3 +87,7 @@ class DegenerateGroup(TwfeDiagError):
 
 class NoFeasiblePoint(TwfeDiagError):
     """Every point of a robustness sweep was infeasible."""
+
+
+class InvalidSweep(TwfeDiagError, ValueError):
+    """A sweep's range is empty, or the panel is too small for the sweep."""

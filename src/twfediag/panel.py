@@ -1,20 +1,26 @@
-"""Panel data model: long-format unit-by-period observations with an
-absorbing binary treatment, CSV ingestion, and structural validation."""
+"""Panel data model: long-format unit-by-period rows with an absorbing
+binary treatment, held as encoded columns; CSV ingestion and structural
+validation as whole-column passes."""
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from .errors import DuplicateKey, MissingColumn, ParseError, UnknownUnit
+import numpy as np
+
+from .errors import DuplicateKey, MissingColumn, NonFiniteOutcome, ParseError, UnknownUnit
 
 
 @dataclass(frozen=True)
 class Observation:
+    """One row as a value: builds small panels (PanelDataset.from_observations)
+    and shows them row by row (PanelDataset.observations)."""
+
     unit: str
     period: int
     outcome: Optional[float]  # None = missing
@@ -25,70 +31,156 @@ class Observation:
             raise ValueError(f"treated must be 0 or 1, got {self.treated!r}")
 
 
-@dataclass(frozen=True)
-class PanelDataset:
-    """Immutable collection of observations.
+def first_appearance(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, renumbered): the distinct codes in order of first appearance,
+    and `codes` renumbered to positions in that order."""
+    present, first = np.unique(codes, return_index=True)
+    order = present[np.argsort(first)]
+    renumber = np.zeros(int(present[-1]) + 1 if len(present) else 0, dtype=np.int32)
+    renumber[order] = np.arange(len(order), dtype=np.int32)
+    return order, renumber[codes]
 
-    Units are ordered by first appearance; periods are sorted ascending.
-    Rows with missing outcome stay in the dataset but are excluded from
-    every estimation sample (listwise deletion).
+
+@dataclass(frozen=True, eq=False)
+class PanelDataset:
+    """Immutable long-format panel as columns, one entry per row in file order.
+
+    units: labels in order of first appearance in the rows, including units
+      whose outcomes are all missing; `unit` holds int32 codes into it.
+    period: int64. outcome: float64, NaN where missing. treated: int8, 0/1.
+
+    Rows with a missing outcome stay in the dataset but are excluded from
+    every estimation sample (listwise deletion). Outcomes are otherwise
+    finite, and no (unit, period) key repeats.
     """
 
-    observations: tuple[Observation, ...]
+    units: tuple[str, ...]
+    unit: np.ndarray
+    period: np.ndarray
+    outcome: np.ndarray
+    treated: np.ndarray
 
     def __post_init__(self):
-        seen = set()
-        for obs in self.observations:
-            key = (obs.unit, obs.period)
-            if key in seen:
-                raise DuplicateKey(obs.unit, obs.period)
-            seen.add(key)
+        for name, dtype in (("unit", np.int32), ("period", np.int64),
+                            ("outcome", np.float64), ("treated", np.int8)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        object.__setattr__(self, "units", tuple(self.units))
+        n = len(self.unit)
+        if any(c.shape != (n,) for c in (self.unit, self.period, self.outcome, self.treated)):
+            raise ValueError("panel columns must be 1-dimensional and of equal length")
+        if not ((self.treated == 0) | (self.treated == 1)).all():
+            raise ValueError("treated must be 0 or 1")
+        if len(set(self.units)) != len(self.units):
+            raise ValueError("unit labels must be distinct")
+        # codes number the labels by first appearance iff the running maximum
+        # starts at 0, grows by at most 1 per row and ends at the last label
+        if n:
+            reach = np.maximum.accumulate(self.unit)
+            canonical = (self.unit[0] == 0 and self.unit.min() >= 0
+                         and not (np.diff(reach) > 1).any() and reach[-1] == len(self.units) - 1)
+        else:
+            canonical = not self.units
+        if not canonical:
+            raise ValueError("unit codes must number the labels in order of first appearance")
+        infinite = np.flatnonzero(np.isinf(self.outcome))
+        if infinite.size:
+            row = infinite[0]
+            raise NonFiniteOutcome(
+                f"outcome {self.outcome[row]} for unit {self.units[self.unit[row]]!r}, "
+                f"period {self.period[row]} is not finite"
+            )
+        order = self._row_order
+        u, p = self.unit[order], self.period[order]
+        repeat = (u[1:] == u[:-1]) & (p[1:] == p[:-1])
+        if repeat.any():
+            # the sort is stable, so each run of equal keys starts at its earliest row
+            row = int(order[1:][repeat].min())
+            raise DuplicateKey(self.units[self.unit[row]], int(self.period[row]))
+
+    @classmethod
+    def encode(cls, labels: Iterable[str], period, outcome, treated) -> "PanelDataset":
+        """A panel from one unit label per row, coded by first appearance."""
+        codes: dict[str, int] = {}
+        unit = np.array([codes.setdefault(u, len(codes)) for u in labels], dtype=np.int32)
+        return cls(
+            tuple(codes),
+            unit,
+            np.asarray(period, dtype=np.int64),
+            np.asarray(outcome, dtype=np.float64),
+            np.asarray(treated, dtype=np.int8),
+        )
+
+    @classmethod
+    def from_observations(cls, observations: Iterable[Observation]) -> "PanelDataset":
+        """A panel from Observation rows, in the given order; a nan or
+        infinite outcome raises NonFiniteOutcome (a missing one is None)."""
+        rows = tuple(observations)
+        for o in rows:
+            if o.outcome is not None and not math.isfinite(o.outcome):
+                raise NonFiniteOutcome(
+                    f"outcome {float(o.outcome)} for unit {o.unit!r}, period {o.period} is not finite"
+                )
+        return cls.encode(
+            [o.unit for o in rows],
+            [o.period for o in rows],
+            [math.nan if o.outcome is None else o.outcome for o in rows],
+            [o.treated for o in rows],
+        )
 
     @cached_property
-    def units(self) -> tuple[str, ...]:
-        out, seen = [], set()
-        for obs in self.observations:
-            if obs.unit not in seen:
-                seen.add(obs.unit)
-                out.append(obs.unit)
-        return tuple(out)
+    def observations(self) -> tuple[Observation, ...]:
+        """The rows as Observation values, built on first access."""
+        labels = self.units
+        return tuple(
+            Observation(labels[u], p, None if math.isnan(y) else y, d)
+            for u, p, y, d in zip(self.unit.tolist(), self.period.tolist(),
+                                  self.outcome.tolist(), self.treated.tolist())
+        )
 
     @cached_property
     def periods(self) -> tuple[int, ...]:
-        return tuple(sorted({obs.period for obs in self.observations}))
+        """Distinct periods over all rows, ascending."""
+        return tuple(np.unique(self.period).tolist())
 
     @cached_property
-    def estimation_sample(self) -> tuple[Observation, ...]:
-        """Observations with non-missing outcome, in dataset order."""
-        return tuple(o for o in self.observations if o.outcome is not None)
+    def observed(self) -> np.ndarray:
+        """Row mask of non-missing outcomes: the estimation sample."""
+        return ~np.isnan(self.outcome)
+
+    @cached_property
+    def _row_order(self) -> np.ndarray:
+        """Row indices sorted by (unit code, period), stable."""
+        return np.lexsort((self.period, self.unit))
 
     def __len__(self) -> int:
-        return len(self.observations)
-
-    def lookup(self, unit: str, period: int) -> Optional[Observation]:
-        return self._index.get((unit, period))
-
-    @cached_property
-    def _index(self) -> dict[tuple[str, int], Observation]:
-        return {(o.unit, o.period): o for o in self.observations}
+        return len(self.period)
 
     def is_balanced(self) -> bool:
-        """True when every unit has a non-missing outcome in every period."""
-        sample_keys = {(o.unit, o.period) for o in self.estimation_sample}
-        return all((u, p) in sample_keys for u in self.units for p in self.periods)
+        """True when every unit has a non-missing outcome in every period.
 
-    def restrict(self, keep: Callable[[Observation], bool]) -> "PanelDataset":
-        """New dataset containing the observations for which keep() is true."""
-        return PanelDataset(tuple(o for o in self.observations if keep(o)))
+        Keys never repeat, so that is one observed row per unit-period cell.
+        """
+        return int(self.observed.sum()) == len(self.units) * len(self.periods)
+
+    def restrict(self, keep: np.ndarray) -> "PanelDataset":
+        """New dataset of the rows where the boolean row mask `keep` is true,
+        in the same order; units left without rows are dropped."""
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.shape != self.period.shape:
+            raise ValueError("restrict takes a boolean mask with one entry per row")
+        order, unit = first_appearance(self.unit[keep])
+        return PanelDataset(
+            tuple(self.units[i] for i in order.tolist()),
+            unit, self.period[keep], self.outcome[keep], self.treated[keep],
+        )
 
     def first_treated_periods(self) -> dict[str, Optional[int]]:
         """unit -> earliest period with treated=1, or None if never treated."""
-        out: dict[str, Optional[int]] = {u: None for u in self.units}
-        for obs in self.observations:
-            if obs.treated == 1:
-                cur = out[obs.unit]
-                if cur is None or obs.period < cur:
-                    out[obs.unit] = obs.period
+        out: dict[str, Optional[int]] = dict.fromkeys(self.units)
+        rows = self._row_order[self.treated[self._row_order] == 1]
+        codes, first = np.unique(self.unit[rows], return_index=True)
+        for code, period in zip(codes.tolist(), self.period[rows[first]].tolist()):
+            out[self.units[code]] = period
         return out
 
 
@@ -102,6 +194,15 @@ class AdoptionSchedule:
         if unit not in self.entries:
             raise UnknownUnit(unit)
         return self.entries[unit]
+
+    def by_row(self, dataset: PanelDataset) -> tuple[np.ndarray, np.ndarray]:
+        """(adopts, start) per row of dataset: whether the row's unit ever
+        adopts, and its adoption period (0 if never). UnknownUnit names the
+        first unit, in row order, that has no entry."""
+        adoption = [self.adoption(u) for u in dataset.units]
+        adopts = np.array([a is not None for a in adoption], dtype=bool)
+        start = np.array([0 if a is None else a for a in adoption], dtype=np.int64)
+        return adopts[dataset.unit], start[dataset.unit]
 
 
 @dataclass(frozen=True)
@@ -126,6 +227,62 @@ class ValidationReport:
         }
 
 
+_INT64 = range(-2**63, 2**63)
+
+
+class _BadCell(ValueError):
+    """A cell that does not parse; the message names the bad value."""
+
+
+def _parse_unit(cell: Optional[str]) -> str:
+    if cell is None:
+        raise _BadCell("missing value")
+    return cell
+
+
+def _parse_period(cell: Optional[str]) -> int:
+    try:
+        value = int(cell)
+    except (TypeError, ValueError):
+        raise _BadCell(f"not an integer: {cell!r}") from None
+    if value not in _INT64:
+        raise _BadCell(f"not a 64-bit integer: {cell!r}")
+    return value
+
+
+def _parse_outcome(cell: Optional[str]) -> float:
+    raw = (cell or "").strip()
+    if raw == "":
+        return math.nan  # missing
+    try:
+        value = float(raw)
+    except ValueError:
+        raise _BadCell(f"not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise _BadCell(f"not a finite number: {raw!r}")
+    return value
+
+
+def _parse_treated(cell: Optional[str]) -> int:
+    t = (cell or "").strip()
+    if t not in ("0", "1"):
+        raise _BadCell(f"treatment must be 0 or 1, got {t!r}")
+    return int(t)
+
+
+def _parse_column(cells: list, parse: Callable[[Optional[str]], object]):
+    """(values, None), or (None, (index of the first bad cell, message))."""
+    try:
+        return list(map(parse, cells)), None
+    except _BadCell:
+        for i, cell in enumerate(cells):
+            try:
+                parse(cell)
+            except _BadCell as exc:
+                return None, (i, str(exc))
+        raise
+
+
 def load_panel_csv(
     path: str | Path,
     unit_col: str,
@@ -134,49 +291,51 @@ def load_panel_csv(
     treatment_col: Optional[str] = None,
 ) -> PanelDataset:
     """Read a long-format panel from a UTF-8 CSV with a header row; a
-    leading byte-order mark is skipped.
+    leading byte-order mark is skipped, and so are blank lines.
 
     Empty outcome cells are kept as missing; nan and infinite outcomes are
     rejected. Without a treatment column all rows start untreated, pending
-    apply_adoption_schedule.
+    apply_adoption_schedule. A ParseError names the first bad row, counting
+    the header as row 1 and skipping blank lines. Cells a short row lacks
+    read as empty, and a missing unit cell is a ParseError.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as f:
-        reader = csv.DictReader(f)
-        header = reader.fieldnames or []
+        reader = csv.reader(f)
+        header = next(reader, [])
         needed = [unit_col, period_col, outcome_col]
         if treatment_col is not None:
             needed.append(treatment_col)
         for col in needed:
             if col not in header:
                 raise MissingColumn(col)
+        rows = [row for row in reader if row]
 
-        observations = []
-        for rownum, row in enumerate(reader, start=2):  # 1-based incl. header
-            unit = row[unit_col]
-            try:
-                period = int(row[period_col])
-            except (TypeError, ValueError):
-                raise ParseError(rownum, period_col, f"not an integer: {row[period_col]!r}")
-            raw = (row[outcome_col] or "").strip()
-            if raw == "":
-                outcome = None
-            else:
-                try:
-                    outcome = float(raw)
-                except ValueError:
-                    raise ParseError(rownum, outcome_col, f"not a number: {raw!r}")
-                if not math.isfinite(outcome):
-                    raise ParseError(rownum, outcome_col, f"not a finite number: {raw!r}")
-            if treatment_col is None:
-                treated = 0
-            else:
-                t = (row[treatment_col] or "").strip()
-                if t not in ("0", "1"):
-                    raise ParseError(rownum, treatment_col, f"treatment must be 0 or 1, got {t!r}")
-                treated = int(t)
-            observations.append(Observation(unit, period, outcome, treated))
-    return PanelDataset(tuple(observations))
+    position = {name: i for i, name in enumerate(header)}  # a repeated name: last one
+    width = max(position[col] for col in needed) + 1
+    if min(map(len, rows), default=width) < width:
+        rows = [row + [None] * (width - len(row)) for row in rows]
+
+    def cells(col: str) -> list:
+        i = position[col]
+        return [row[i] for row in rows]
+
+    specs = [(unit_col, _parse_unit), (period_col, _parse_period), (outcome_col, _parse_outcome)]
+    if treatment_col is not None:
+        specs.append((treatment_col, _parse_treated))
+    parsed, errors = [], []
+    for order, (col, parse) in enumerate(specs):
+        values, error = _parse_column(cells(col), parse)
+        parsed.append(values)
+        if error is not None:
+            errors.append((error[0], order, col, error[1]))
+    if errors:  # the first bad row; within it, the first bad column of specs
+        index, _, col, message = min(errors)
+        raise ParseError(index + 2, col, message)
+    labels, periods, outcomes, *treated = parsed
+    return PanelDataset.encode(
+        labels, periods, outcomes, treated[0] if treated else np.zeros(len(rows), dtype=np.int8)
+    )
 
 
 def write_panel_csv(
@@ -188,12 +347,17 @@ def write_panel_csv(
     treatment_col: str = "treated",
 ) -> None:
     """Write a dataset in the standard long CSV format (full float precision)."""
+    labels = dataset.units
+    outcomes = ["" if math.isnan(y) else repr(y) for y in dataset.outcome.tolist()]
     with Path(path).open("w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow([unit_col, period_col, outcome_col, treatment_col])
-        for o in dataset.observations:
-            out = "" if o.outcome is None else repr(float(o.outcome))
-            writer.writerow([o.unit, o.period, out, o.treated])
+        writer.writerows(zip(
+            [labels[u] for u in dataset.unit.tolist()],
+            dataset.period.tolist(),
+            outcomes,
+            dataset.treated.tolist(),
+        ))
 
 
 def load_schedule_csv(path: str | Path) -> AdoptionSchedule:
@@ -222,6 +386,8 @@ def load_schedule_csv(path: str | Path) -> AdoptionSchedule:
                     entries[unit] = int(raw)
                 except ValueError:
                     raise ParseError(rownum, "adoption_period", f"not an integer or 'never': {raw!r}")
+                if entries[unit] not in _INT64:
+                    raise ParseError(rownum, "adoption_period", f"not a 64-bit integer: {raw!r}")
     return AdoptionSchedule(entries)
 
 
@@ -236,17 +402,11 @@ def apply_adoption_schedule(
     its adoption period onward; otherwise from the following period.
     Idempotent: reapplying the same schedule changes nothing.
     """
-    out = []
-    for obs in dataset.observations:
-        adoption = schedule.adoption(obs.unit)
-        if adoption is None:
-            treated = 0
-        elif include_adoption_period:
-            treated = int(obs.period >= adoption)
-        else:
-            treated = int(obs.period > adoption)
-        out.append(Observation(obs.unit, obs.period, obs.outcome, treated))
-    return PanelDataset(tuple(out))
+    adopts, start = schedule.by_row(dataset)
+    on = dataset.period >= start if include_adoption_period else dataset.period > start
+    return PanelDataset(
+        dataset.units, dataset.unit, dataset.period, dataset.outcome, (adopts & on).astype(np.int8)
+    )
 
 
 def schedule_from_data(dataset: PanelDataset) -> AdoptionSchedule:
@@ -259,34 +419,31 @@ def validate(dataset: PanelDataset) -> ValidationReport:
     and the grouping of units by adoption period."""
     violations: list[tuple[str, str, Optional[int], str]] = []
 
-    for unit in dataset.units:
-        rows = sorted(
-            (o for o in dataset.observations if o.unit == unit),
-            key=lambda o: o.period,
+    # rows sorted by (unit, period); the running maximum of 2*unit + treated
+    # never carries over between units, so minus 2*unit it is the unit's own
+    # running maximum of treatment: 1 from its first treated row on
+    order = dataset._row_order
+    unit, treated = dataset.unit[order].astype(np.int64), dataset.treated[order]
+    ever = np.maximum.accumulate(2 * unit + treated) - 2 * unit
+    off = order[(ever == 1) & (treated == 0)]
+    for code, period in zip(dataset.unit[off].tolist(), dataset.period[off].tolist()):
+        label = dataset.units[code]
+        violations.append(
+            ("NonAbsorbing", label, period,
+             f"unit {label!r} switches treatment off at period {period}")
         )
-        on = False
-        for o in rows:
-            if on and o.treated == 0:
-                violations.append(
-                    ("NonAbsorbing", unit, o.period,
-                     f"unit {unit!r} switches treatment off at period {o.period}")
-                )
-            on = on or o.treated == 1
 
     if len(dataset.units) < 2:
         violations.append(("TooFewUnits", "", None, "dataset has fewer than 2 units"))
     if len(dataset.periods) < 2:
         violations.append(("TooFewPeriods", "", None, "dataset has fewer than 2 periods"))
 
-    first_treated = dataset.first_treated_periods()
-    timing_groups: dict[Optional[int], tuple[str, ...]] = {}
-    for adoption in sorted({v for v in first_treated.values() if v is not None}):
-        timing_groups[adoption] = tuple(
-            u for u in dataset.units if first_treated[u] == adoption
-        )
-    never = tuple(u for u in dataset.units if first_treated[u] is None)
-    if never:
-        timing_groups[None] = never
+    groups: dict[Optional[int], list[str]] = {}
+    for unit_label, adoption in dataset.first_treated_periods().items():
+        groups.setdefault(adoption, []).append(unit_label)
+    timing_groups = {a: tuple(groups[a]) for a in sorted(a for a in groups if a is not None)}
+    if None in groups:
+        timing_groups[None] = tuple(groups[None])
 
     return ValidationReport(
         is_valid=not violations,

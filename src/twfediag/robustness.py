@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import nan
 
-from .errors import NoFeasiblePoint, TwfeDiagError
+from .errors import InvalidSweep, NoFeasiblePoint, TwfeDiagError
 from .diagnostics import weight_report
 from .lsq import t_critical
 from .panel import AdoptionSchedule, PanelDataset
@@ -77,9 +77,9 @@ def sweep_end_year(
 ) -> RobustnessSweep:
     """Refit on samples truncated at each end period in [first_end, last_end]."""
     if first_end > last_end:
-        raise ValueError("first_end must not exceed last_end")
+        raise InvalidSweep(f"first end period {first_end} is after last end period {last_end}")
     subsamples = (
-        (str(end), dataset.restrict(lambda o, end=end: o.period <= end))
+        (str(end), dataset.restrict(dataset.period <= end))
         for end in range(first_end, last_end + 1)
     )
     return _run_sweep("end_year", dataset, inference, level, subsamples)
@@ -101,17 +101,10 @@ def sweep_post_horizon(
         raise ValueError("horizons must be non-empty")
     if any(h < 0 for h in horizons):
         raise ValueError("horizons must be non-negative")
-    for unit in dataset.units:
-        schedule.adoption(unit)  # raises UnknownUnit
-
-    def subsample(h: int) -> PanelDataset:
-        def keep(o):
-            adoption = schedule.entries[o.unit]
-            return adoption is None or o.period <= adoption + h
-
-        return dataset.restrict(keep)
-
-    subsamples = ((str(h), subsample(h)) for h in horizons)
+    adopts, start = schedule.by_row(dataset)  # raises UnknownUnit
+    subsamples = (
+        (str(h), dataset.restrict(~adopts | (dataset.period - start <= h))) for h in horizons
+    )
     return _run_sweep("post_horizon", dataset, inference, level, subsamples)
 
 
@@ -123,7 +116,7 @@ def leave_one_unit_out(
     """Refit dropping one unit at a time; points ordered by the dropped
     unit's adoption period (never-treated last), then unit name."""
     if len(dataset.units) < 3:
-        raise ValueError("leave-one-out needs at least 3 units")
+        raise InvalidSweep(f"leave-one-out needs at least 3 units, got {len(dataset.units)}")
     first_treated = dataset.first_treated_periods()
     order = sorted(
         dataset.units,
@@ -133,7 +126,6 @@ def leave_one_unit_out(
             u,
         ),
     )
-    subsamples = (
-        (unit, dataset.restrict(lambda o, unit=unit: o.unit != unit)) for unit in order
-    )
+    code = {unit: i for i, unit in enumerate(dataset.units)}
+    subsamples = ((unit, dataset.restrict(dataset.unit != code[unit])) for unit in order)
     return _run_sweep("leave_one_out", dataset, inference, level, subsamples)

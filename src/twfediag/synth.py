@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidSpec
-from .panel import AdoptionSchedule, Observation, PanelDataset
+from .panel import AdoptionSchedule, PanelDataset
 
 
 @dataclass(frozen=True)
@@ -117,26 +117,36 @@ class SyntheticSpec:
 
 
 def generate_panel(spec: SyntheticSpec) -> PanelDataset:
-    """Materialize the spec as a balanced panel; deterministic given the seed."""
-    cum = {}
+    """Materialize the spec as a balanced panel, rows by unit then period;
+    deterministic given the seed."""
+    cum = []
     total = 0.0
     for p in spec.periods:
         total += spec.shocks[p]
-        cum[p] = total
+        cum.append(total)
+    cum = np.array(cum)
+    periods = np.array(spec.periods, dtype=np.int64)
     rng = np.random.default_rng(spec.seed)
     noise = rng.normal(size=(len(spec.units), len(spec.periods)))
-    observations = []
+    outcome = np.empty((len(spec.units), len(spec.periods)))
+    treated = np.zeros(outcome.shape, dtype=np.int8)
     for i, u in enumerate(spec.units):
+        y = spec.baselines[u] + cum
         adoption = spec.schedule.entries[u]
-        for j, p in enumerate(spec.periods):
-            treated = int(adoption is not None and p >= adoption)
-            y = spec.baselines[u] + cum[p]
-            if treated:
-                y += spec.effect.effect(u, p - adoption)
-            if spec.noise_sd > 0:
-                y += spec.noise_sd * noise[i, j]
-            observations.append(Observation(u, p, float(y), treated))
-    return PanelDataset(tuple(observations))
+        if adoption is not None:
+            on = periods >= adoption
+            if on.any():
+                y[on] += spec.effect.effect(u, periods[on] - adoption)
+            treated[i] = on
+        if spec.noise_sd > 0:
+            y += spec.noise_sd * noise[i]
+        outcome[i] = y
+    return PanelDataset.encode(
+        [u for u in spec.units for _ in spec.periods],
+        np.tile(periods, len(spec.units)),
+        outcome.ravel(),
+        treated.ravel(),
+    )
 
 
 def true_effect_summary(spec: SyntheticSpec) -> EffectSummary:

@@ -12,12 +12,11 @@ from .errors import (
     CollinearTreatment,
     DegenerateTreatment,
     DimensionMismatch,
-    NonFiniteOutcome,
     UnbalancedPanel,
     ZeroVariance,
 )
 from .lsq import t_test
-from .panel import PanelDataset
+from .panel import PanelDataset, first_appearance
 
 COLLINEARITY_TOL = 1e-12
 EXACT_FIT_TOL = 1e-20  # residual spread below this, relative to sum(y**2), is round-off
@@ -36,6 +35,7 @@ class TwfeFit:
     residualized_outcome: np.ndarray
     weights: np.ndarray
     treatment: np.ndarray  # 0/1 over the estimation sample
+    outcome: np.ndarray  # the outcome over the estimation sample
     unit_effects: dict[str, float]
     period_effects: dict[int, float]
     sample_index: tuple[tuple[str, int], ...]
@@ -43,23 +43,18 @@ class TwfeFit:
 
 
 def _estimation_arrays(dataset: PanelDataset):
-    """Arrays over the estimation sample (non-missing outcomes), in dataset order."""
-    sample = dataset.estimation_sample
-    units = []
-    seen = set()
-    for o in sample:
-        if o.unit not in seen:
-            seen.add(o.unit)
-            units.append(o.unit)
-    periods = sorted({o.period for o in sample})
-    unit_idx = {u: i for i, u in enumerate(units)}
-    period_idx = {p: i for i, p in enumerate(periods)}
-    u = np.array([unit_idx[o.unit] for o in sample])
-    p = np.array([period_idx[o.period] for o in sample])
-    y = np.array([o.outcome for o in sample], dtype=float)
-    d = np.array([o.treated for o in sample], dtype=float)
-    index = tuple((o.unit, o.period) for o in sample)
-    return units, periods, u, p, y, d, index
+    """Arrays over the estimation sample (non-missing outcomes), in dataset
+    order; units in order of first appearance in the sample, periods
+    ascending."""
+    observed = dataset.observed
+    labels = dataset.units
+    order, u = first_appearance(dataset.unit[observed])
+    period = dataset.period[observed]
+    periods, p = np.unique(period, return_inverse=True)
+    y = dataset.outcome[observed]
+    d = dataset.treated[observed].astype(float)
+    index = tuple(zip([labels[i] for i in dataset.unit[observed].tolist()], period.tolist()))
+    return [labels[i] for i in order.tolist()], periods.tolist(), u.astype(np.intp), p, y, d, index
 
 
 def _check_sample(units, periods, d, require_both_groups: bool = True):
@@ -70,15 +65,6 @@ def _check_sample(units, periods, d, require_both_groups: bool = True):
         )
     if require_both_groups and d.sum() in (0, len(d)):
         raise DegenerateTreatment("estimation sample is all-treated or all-untreated")
-
-
-def _check_outcomes(y, index):
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        unit, period = index[bad[0]]
-        raise NonFiniteOutcome(
-            f"outcome {float(y[bad[0]])} for unit {unit!r}, period {period} is not finite"
-        )
 
 
 def _count_components(linked: np.ndarray) -> int:
@@ -154,7 +140,6 @@ def fit_twfe(dataset: PanelDataset, inference: str = "cluster_by_unit") -> TwfeF
         raise ValueError(f"unknown inference kind {inference!r}")
     units, periods, u, p, y, d, index = _estimation_arrays(dataset)
     _check_sample(units, periods, d)
-    _check_outcomes(y, index)
 
     core = _WithinCore(u, p, len(units), len(periods))
     resid, eff_u, eff_p = core.fit(np.column_stack([d, y]))
@@ -200,6 +185,7 @@ def fit_twfe(dataset: PanelDataset, inference: str = "cluster_by_unit") -> TwfeF
         residualized_outcome=y_resid,
         weights=d_resid / ssd,
         treatment=d.astype(int),
+        outcome=y,
         unit_effects=dict(zip(units, alpha.tolist())),
         period_effects=dict(zip(periods, gamma.tolist())),
         sample_index=index,
@@ -223,9 +209,8 @@ def residualize_treatment(dataset: PanelDataset) -> np.ndarray:
 
 def residualize_outcome(dataset: PanelDataset) -> np.ndarray:
     """Residuals of the outcome on unit and period fixed effects."""
-    units, periods, u, p, y, d, index = _estimation_arrays(dataset)
+    units, periods, u, p, y, d, _ = _estimation_arrays(dataset)
     _check_sample(units, periods, d, require_both_groups=False)
-    _check_outcomes(y, index)
     return _residualize(units, periods, u, p, y)
 
 

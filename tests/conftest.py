@@ -24,7 +24,7 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 def make_panel(rows) -> PanelDataset:
     """rows: iterable of (unit, period, outcome, treated)."""
-    return PanelDataset(tuple(Observation(u, p, y, d) for u, p, y, d in rows))
+    return PanelDataset.from_observations(Observation(u, p, y, d) for u, p, y, d in rows)
 
 
 def canonical_2x2() -> PanelDataset:
@@ -73,7 +73,7 @@ def with_missing(dataset: PanelDataset, rng: np.random.Generator, frac=0.15) -> 
             obs.append(Observation(o.unit, o.period, None, o.treated))
         else:
             obs.append(o)
-    return PanelDataset(tuple(obs))
+    return PanelDataset.from_observations(obs)
 
 
 def random_panel(rng: np.random.Generator, missing=False, effect=None, noise_sd=0.0):
@@ -87,7 +87,7 @@ def random_panel(rng: np.random.Generator, missing=False, effect=None, noise_sd=
             d_resid = residualize_treatment(dataset)
         except TwfeDiagError:
             continue
-        treated = np.array([o.treated for o in dataset.estimation_sample], dtype=bool)
+        treated = dataset.treated[dataset.observed].astype(bool)
         if not 0 < treated.sum() < len(treated):
             continue
         # keep the homogeneity regression identified: residual-treatment

@@ -110,3 +110,63 @@ def naive_weight_counts(weights, treated, tol=-1e-12):
         elif w > -tol:
             n_ctrl_pos += 1
     return n_treated, n_neg, n_ctrl_pos
+
+
+def first_repeated_key(observations):
+    """(unit, period) of the earliest row whose key an earlier row has, or None."""
+    seen = set()
+    for o in observations:
+        key = (o.unit, o.period)
+        if key in seen:
+            return key
+        seen.add(key)
+    return None
+
+
+def validate_reference(observations) -> dict:
+    """The validation report, as ValidationReport.to_dict() gives it, by
+    per-unit rescans of Observation rows: the row-object implementation
+    the columnar validate replaced, kept as its oracle."""
+    observations = tuple(observations)
+    units = list(dict.fromkeys(o.unit for o in observations))
+    periods = sorted({o.period for o in observations})
+
+    violations = []
+    for unit in units:
+        rows = sorted((o for o in observations if o.unit == unit), key=lambda o: o.period)
+        on = False
+        for o in rows:
+            if on and o.treated == 0:
+                violations.append(
+                    ("NonAbsorbing", unit, o.period,
+                     f"unit {unit!r} switches treatment off at period {o.period}")
+                )
+            on = on or o.treated == 1
+    if len(units) < 2:
+        violations.append(("TooFewUnits", "", None, "dataset has fewer than 2 units"))
+    if len(periods) < 2:
+        violations.append(("TooFewPeriods", "", None, "dataset has fewer than 2 periods"))
+
+    first_treated = {u: None for u in units}
+    for o in observations:
+        if o.treated == 1:
+            cur = first_treated[o.unit]
+            if cur is None or o.period < cur:
+                first_treated[o.unit] = o.period
+    timing_groups = {}
+    for adoption in sorted({v for v in first_treated.values() if v is not None}):
+        timing_groups[str(adoption)] = [u for u in units if first_treated[u] == adoption]
+    never = [u for u in units if first_treated[u] is None]
+    if never:
+        timing_groups["never"] = never
+
+    observed = {(o.unit, o.period) for o in observations if o.outcome is not None}
+    balanced = all((u, p) in observed for u in units for p in periods)
+    return {
+        "is_valid": not violations,
+        "violations": [
+            {"code": c, "unit": u, "period": p, "message": m} for c, u, p, m in violations
+        ],
+        "balance": "balanced" if balanced else "unbalanced",
+        "timing_groups": timing_groups,
+    }

@@ -154,7 +154,7 @@ def test_c07_fwl_identity_200_panels():
         _, ds = random_panel(rng, missing=True, noise_sd=2.0)
         fit = fit_twfe(ds)
         w = fwl_weights(residualize_treatment(ds))
-        y = np.array([o.outcome for o in ds.estimation_sample])
+        y = ds.outcome[ds.observed]
         err = abs(beta_from_weights(w, y) - fit.beta)
         if err > 1e-8 * (1 + abs(fit.beta)):
             failures.append(f"panel {i}: identity error {err}")
@@ -232,7 +232,7 @@ def test_c11_invariance_battery():
         beta = fit_twfe(ds).beta
 
         def refit(transform):
-            return fit_twfe(PanelDataset(tuple(transform))).beta
+            return fit_twfe(PanelDataset.from_observations(transform)).beta
 
         target_period = ds.periods[int(rng.integers(len(ds.periods)))]
         shock = refit(
@@ -261,6 +261,14 @@ def test_c11_invariance_battery():
         if abs(permuted - beta) > 1e-10:
             failures.append(f"panel {i}: row permutation moved beta by {permuted - beta}")
 
+        # new names whose sorted order reverses the old first-appearance order
+        names = {u: f"q{len(ds.units) - k:03d}" for k, u in enumerate(ds.units)}
+        relabelled = refit(
+            Observation(names[o.unit], o.period, o.outcome, o.treated) for o in ds.observations
+        )
+        if abs(relabelled - beta) > 1e-10:
+            failures.append(f"panel {i}: unit relabelling moved beta by {relabelled - beta}")
+
         a, b = 3.25, -11.0
         affine = refit(
             Observation(o.unit, o.period,
@@ -270,7 +278,8 @@ def test_c11_invariance_battery():
         )
         if abs(affine - a * beta) > 1e-10 * max(1.0, abs(a * beta)):
             failures.append(f"panel {i}: affine transform broke linearity")
-    _verdict("C11", "invariance battery (shocks, shifts, permutation, affine)", failures)
+    _verdict("C11", "invariance battery (shocks, shifts, permutation, relabelling, affine)",
+             failures)
 
 
 def test_c12_heterogeneity_bias_fixture(tmp_path):

@@ -225,6 +225,7 @@ class TestUsageErrors:
             ["jackknife", "--level", "1.5"],
             ["jackknife", "--level", "0"],
             ["weights", "--bins", "0"],
+            ["sweep-endyear", "--first-end", "5", "--last-end", "3"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -245,6 +246,37 @@ class TestUsageErrors:
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
         assert "Traceback" not in err
         assert list(out_dir.iterdir()) == []
+
+
+class TestDataConflicts:
+    """Options that clash with the data: exit 1 with one error line."""
+
+    @pytest.mark.parametrize(
+        "argv, two_units",
+        [
+            pytest.param(["sweep-endyear", "--first-end", "100000"], False,
+                         id="sweep-endyear --first-end past the last period"),
+            pytest.param(["sweep-endyear", "--last-end", "-5"], False,
+                         id="sweep-endyear --last-end before the first period"),
+            pytest.param(["jackknife"], True, id="jackknife on two units"),
+        ],
+    )
+    def test_conflict_exit_1(self, panel_files, tmp_path, capsys, argv, two_units):
+        _, data, _ = panel_files
+        if two_units:
+            data = tmp_path / "two_units.csv"
+            data.write_text(
+                "unit,period,outcome,treated\nA,1,1.0,0\nA,2,2.5,1\n"
+                "B,1,2.0,0\nB,2,0.5,0\n",
+                encoding="utf-8",
+            )
+        out = tmp_path / "out.csv"
+        command, *options = argv
+        assert main([command, *data_args(data), *options, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSimulate:

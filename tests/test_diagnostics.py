@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +172,31 @@ class TestHomogeneityTest:
     def test_degenerate_group(self):
         with pytest.raises(DegenerateGroup):
             homogeneity_test(fit_twfe(canonical_2x2()))
+
+    @pytest.mark.parametrize("inference", ["classical", "cluster_by_unit"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exact_fit_reports_no_inference(self, seed, inference):
+        # noiseless: the residuals are round-off, so no t or p-value
+        _, ds = random_panel(np.random.default_rng(seed))
+        fit = fit_twfe(ds, "classical")
+        assert fit.se == 0.0 and math.isnan(fit.p_value)
+        result = homogeneity_test(fit, inference)
+        assert abs(result.b_interaction.estimate) < 1e-8
+        for row in (result.b_resid_treatment, result.b_treat_group, result.b_interaction):
+            assert row.se == 0.0
+            assert math.isnan(row.t_stat) and math.isnan(row.p_value)
+
+    def test_noisy_rows_unchanged(self):
+        # pinned bit for bit: the exact-fit rule must leave noisy fits alone
+        doc = json.loads((Path(__file__).parent / "fixtures" / "homogeneity_noisy.json").read_text())
+        for case in doc["cases"]:
+            _, ds = random_panel(np.random.default_rng(case["seed"]), missing=True, noise_sd=1.0)
+            inference = case["inference"]
+            result = homogeneity_test(fit_twfe(ds, inference), inference)
+            got = [[row.estimate, row.se, row.t_stat, row.p_value]
+                   for row in (result.b_resid_treatment, result.b_treat_group, result.b_interaction)]
+            want = [[float.fromhex(v) for v in row] for row in case["rows"]]
+            assert got == want, (case["seed"], inference)
 
 
 class TestResidualScatter:

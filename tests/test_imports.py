@@ -19,7 +19,7 @@ from twfediag import Observation, PanelDataset, fit_twfe
 rows = [("A", 1, 0.0, 0), ("A", 2, 1.0, 0), ("A", 3, 1.5, 1),
         ("B", 1, 0.5, 0), ("B", 2, 0.9, 0), ("B", 3, 1.1, 0),
         ("C", 1, 0.2, 0), ("C", 2, 1.7, 1), ("C", 3, 2.9, 1)]
-fit = fit_twfe(PanelDataset(tuple(Observation(*r) for r in rows)))
+fit = fit_twfe(PanelDataset.from_observations(Observation(*r) for r in rows))
 assert fit.p_value == fit.p_value  # a p-value was computed
 """
 

@@ -49,6 +49,22 @@ class TestLoadPanelCsv:
             load_panel_csv(f, "c", "y", "out")
         assert exc.value.row == 2 and exc.value.column == "y"
 
+    def test_period_beyond_64_bits(self, tmp_path):
+        f = write_csv(tmp_path / "p.csv", "c,y,out\nA,2000,1.0\nA,-9223372036854775809,1.0\n")
+        with pytest.raises(ParseError) as exc:
+            load_panel_csv(f, "c", "y", "out")
+        assert exc.value.row == 3 and exc.value.column == "y"
+
+    def test_short_row_and_blank_lines(self, tmp_path):
+        # blank lines are skipped and not counted; a short row's missing
+        # cells read as empty
+        f = write_csv(tmp_path / "p.csv", "c,y,out,d\n\nA,2000,1.0,0\n\nA,2001\n")
+        ds = load_panel_csv(f, "c", "y", "out")
+        assert ds.observations == (Observation("A", 2000, 1.0, 0), Observation("A", 2001, None, 0))
+        with pytest.raises(ParseError) as exc:
+            load_panel_csv(f, "c", "y", "out", "d")
+        assert exc.value.row == 3 and exc.value.column == "d"
+
     def test_bad_outcome(self, tmp_path):
         f = write_csv(tmp_path / "p.csv", "c,y,out\nA,2000,abc\n")
         with pytest.raises(ParseError):
@@ -76,7 +92,10 @@ class TestLoadPanelCsv:
         f = write_csv(tmp_path / "p.csv", "c,y,out\nA,2000,\nA,2001,3.5\n")
         ds = load_panel_csv(f, "c", "y", "out")
         assert ds.observations[0].outcome is None
-        assert ds.estimation_sample == (Observation("A", 2001, 3.5, 0),)
+        assert [o for o in ds.observations if o.outcome is not None] == [
+            Observation("A", 2001, 3.5, 0)
+        ]
+        assert ds.observed.tolist() == [False, True]
 
     def test_no_treatment_column_defaults_untreated(self, tmp_path):
         f = write_csv(tmp_path / "p.csv", "c,y,out\nA,2000,1.0\n")
@@ -132,6 +151,12 @@ class TestAdoptionSchedule:
         with pytest.raises(ParseError):
             load_schedule_csv(f)
 
+    def test_schedule_period_beyond_64_bits(self, tmp_path):
+        f = write_csv(tmp_path / "s.csv", "unit,adoption_period\nA,2001\nB,99999999999999999999\n")
+        with pytest.raises(ParseError) as exc:
+            load_schedule_csv(f)
+        assert exc.value.row == 3 and exc.value.column == "adoption_period"
+
 
 class TestValidate:
     def test_balanced_2x2_valid(self):
@@ -168,6 +193,34 @@ class TestValidate:
         assert groups[None] == ("C",)
 
 
+class TestColumns:
+    def test_restrict_takes_a_row_mask(self):
+        ds = make_panel([("B", 2, 1.0, 0), ("A", 1, None, 0), ("B", 1, 2.0, 1), ("A", 2, 3.0, 1)])
+        sub = ds.restrict(ds.period == 1)
+        assert sub.units == ("A", "B")  # first appearance among the kept rows
+        assert sub.observations == (ds.observations[1], ds.observations[2])
+        with pytest.raises(ValueError):
+            ds.restrict(lambda o: o.period == 1)
+        with pytest.raises(ValueError):
+            ds.restrict(np.array([0, 1, 1, 0]))
+
+    def test_codes_must_follow_first_appearance(self):
+        with pytest.raises(ValueError):
+            PanelDataset(("A", "B"), [1, 0], [1, 1], [1.0, 2.0], [0, 0])
+        with pytest.raises(ValueError):
+            PanelDataset(("A", "B", "C"), [0, 1], [1, 1], [1.0, 2.0], [0, 0])
+
+    def test_columns_of_a_loaded_panel(self, tmp_path):
+        f = write_csv(tmp_path / "p.csv", "c,y,out,d\nB,2001,1.0,0\nA,2000,,1\nB,2000,2.5,1\n")
+        ds = load_panel_csv(f, "c", "y", "out", "d")
+        assert ds.units == ("B", "A")
+        assert ds.unit.dtype == np.int32 and ds.unit.tolist() == [0, 1, 0]
+        assert ds.period.dtype == np.int64 and ds.period.tolist() == [2001, 2000, 2000]
+        assert ds.outcome.dtype == np.float64 and np.isnan(ds.outcome[1])
+        assert ds.treated.dtype == np.int8 and ds.treated.tolist() == [0, 1, 1]
+        assert ds.periods == (2000, 2001)
+
+
 class TestRoundTrip:
     def test_csv_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -182,7 +235,7 @@ class TestRoundTrip:
         _, ds = random_panel(rng, noise_sd=1.0)
         beta = fit_twfe(ds).beta
         order = rng.permutation(len(ds.observations))
-        shuffled = PanelDataset(tuple(ds.observations[i] for i in order))
+        shuffled = PanelDataset.from_observations(ds.observations[i] for i in order)
         assert fit_twfe(shuffled).beta == pytest.approx(beta, abs=1e-10)
 
 
@@ -191,7 +244,7 @@ def test_replication_load_counts(replication_primary):
     assert replication_primary.periods[0] == 1981
     assert replication_primary.periods[-1] == 2015
     treated_nonmissing = sum(
-        o.treated for o in replication_primary.estimation_sample
+        o.treated for o in replication_primary.observations if o.outcome is not None
     )
     assert treated_nonmissing == 193
 

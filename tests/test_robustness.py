@@ -51,7 +51,7 @@ class TestEndYearSweep:
         sweep = sweep_end_year(ds, ds.periods[0], ds.periods[-1])
         for point in sweep.points:
             end = int(point.label)
-            sub = ds.restrict(lambda o: o.period <= end)
+            sub = ds.restrict(np.array([o.period <= end for o in ds.observations]))
             fit = fit_twfe(sub)
             report = weight_report(fit)
             assert point.beta == fit.beta
@@ -96,6 +96,11 @@ class TestPostHorizonSweep:
         assert sweep.points[0].beta == full.beta
         assert sweep.points[0].n_obs == full.n_obs
 
+    def test_horizon_beyond_64_bits_equals_full_sample(self):
+        ds = homogeneous_panel()
+        sweep = sweep_post_horizon(ds, homogeneous_schedule(), [10**20])
+        assert sweep.points[0].n_obs == fit_twfe(ds).n_obs
+
     def test_horizon_zero_one_treated_period_per_unit(self):
         ds = homogeneous_panel()
         sweep = sweep_post_horizon(ds, homogeneous_schedule(), [0])
@@ -105,10 +110,11 @@ class TestPostHorizonSweep:
     def test_never_treated_units_untouched(self):
         ds = homogeneous_panel()
         sweep = sweep_post_horizon(ds, homogeneous_schedule(), [0])
-        sub = ds.restrict(
-            lambda o: homogeneous_schedule().entries[o.unit] is None
+        sub = ds.restrict(np.array([
+            homogeneous_schedule().entries[o.unit] is None
             or o.period <= (homogeneous_schedule().entries[o.unit] or 0)
-        )
+            for o in ds.observations
+        ]))
         never_rows = [o for o in sub.observations if o.unit == "u3"]
         assert len(never_rows) == len(ds.periods)
 
@@ -167,7 +173,7 @@ class TestLeaveOneOut:
         _, ds = random_panel(rng, missing=True, noise_sd=1.0)
         sweep = leave_one_unit_out(ds)
         for point in sweep.points:
-            sub = ds.restrict(lambda o: o.unit != point.label)
+            sub = ds.restrict(np.array([o.unit != point.label for o in ds.observations]))
             fit = fit_twfe(sub)
             assert point.beta == fit.beta
             assert point.n_obs == fit.n_obs

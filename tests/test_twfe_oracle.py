@@ -62,7 +62,7 @@ def panels(draw):
 
 def _check_refusal(dataset, exc):
     """A refused fit must be one the oracle cannot identify either."""
-    sample = dataset.estimation_sample
+    sample = [o for o in dataset.observations if o.outcome is not None]
     n_units = len({o.unit for o in sample})
     n_periods = len({o.period for o in sample})
     if isinstance(exc, DegenerateTreatment):
@@ -104,7 +104,7 @@ def test_fit_matches_dummy_oracles(inference, dataset):
         assert 0.0 <= fit.p_value <= 1.0
 
     # the reported effects rebuild the oracle's fitted values
-    sample = dataset.estimation_sample
+    sample = [o for o in dataset.observations if o.outcome is not None]
     first_period = min(o.period for o in sample)
     assert fit.period_effects[first_period] == 0.0
     rebuilt = np.array([
