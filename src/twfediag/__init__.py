@@ -14,15 +14,7 @@ from .panel import (
     validate,
     write_panel_csv,
 )
-from .lsq import (
-    CovarianceEstimate,
-    DesignMatrix,
-    LsqFit,
-    classical_covariance,
-    cluster_robust_covariance,
-    solve_least_squares,
-    t_test,
-)
+from .lsq import t_test
 from .twfe import (
     TwfeFit,
     balanced_weights_closed_form,

@@ -10,13 +10,7 @@ from math import nan
 import numpy as np
 
 from .errors import DegenerateGroup, UnknownUnit
-from .lsq import (
-    DesignMatrix,
-    classical_covariance,
-    cluster_robust_covariance,
-    solve_least_squares,
-    t_test,
-)
+from .lsq import classical_vcov, cluster_vcov, qr_lstsq, t_test
 from .panel import AdoptionSchedule
 from .twfe import EXACT_FIT_TOL, NEGATIVE_WEIGHT_TOL, TwfeFit
 
@@ -32,7 +26,6 @@ class WeightReport:
     share_treated_negative: float
     n_control_positive: int
     histogram: tuple[tuple[float, float, int, int], ...]  # (lo, hi, treated, control)
-    per_observation: tuple[tuple[str, int, int, float], ...]  # (unit, period, treated, weight)
 
 
 @dataclass(frozen=True)
@@ -73,13 +66,20 @@ class ResidualScatter:
     treated: GroupCurve
 
 
+def negative_treated(fit: TwfeFit) -> tuple[int, int, float]:
+    """(treated cells, treated cells with a negative weight, their share)."""
+    treated = fit.treatment == 1
+    n_treated = int(treated.sum())
+    n_negative = int((treated & (fit.weights < NEGATIVE_WEIGHT_TOL)).sum())
+    return n_treated, n_negative, n_negative / n_treated if n_treated else 0.0
+
+
 def weight_report(fit: TwfeFit, bins: int = DEFAULT_BINS) -> WeightReport:
     """Counts and a histogram of the per-observation weights, split by
     treatment status."""
     w = fit.weights
     treated = fit.treatment == 1
-    n_treated = int(treated.sum())
-    n_treated_negative = int((treated & (w < NEGATIVE_WEIGHT_TOL)).sum())
+    n_treated, n_treated_negative, share = negative_treated(fit)
     n_control_positive = int((~treated & (w > -NEGATIVE_WEIGHT_TOL)).sum())
 
     lo, hi = float(w.min()), float(w.max())
@@ -92,56 +92,41 @@ def weight_report(fit: TwfeFit, bins: int = DEFAULT_BINS) -> WeightReport:
         (float(edges[i]), float(edges[i + 1]), int(treated_counts[i]), int(control_counts[i]))
         for i in range(bins)
     )
-    per_observation = tuple(
-        (unit, period, int(fit.treatment[i]), float(w[i]))
-        for i, (unit, period) in enumerate(fit.sample_index)
-    )
     return WeightReport(
         n_treated=n_treated,
         n_treated_negative=n_treated_negative,
-        share_treated_negative=n_treated_negative / n_treated if n_treated else 0.0,
+        share_treated_negative=share,
         n_control_positive=n_control_positive,
         histogram=histogram,
-        per_observation=per_observation,
     )
-
-
-def _classify(treated: int, weight: float) -> str:
-    if treated == 0:
-        return "untreated"
-    return "treated_negative" if weight < NEGATIVE_WEIGHT_TOL else "treated_positive"
 
 
 def weight_grid(fit: TwfeFit, schedule: AdoptionSchedule) -> WeightGrid:
     """Full unit-by-period rectangle of weight cells, rows sorted by adoption
     period (never-treated last), then unit name."""
-    sample_units = sorted({u for u, _ in fit.sample_index})
-    for u in sample_units:
-        if u not in schedule.entries:
+    entries = schedule.entries
+    for u in sorted(fit.units):
+        if u not in entries:
             raise UnknownUnit(u)
-    periods = tuple(sorted({p for _, p in fit.sample_index}))
-    units = tuple(
-        sorted(
-            sample_units,
-            key=lambda u: (
-                schedule.entries[u] is None,
-                schedule.entries[u] if schedule.entries[u] is not None else 0,
-                u,
-            ),
-        )
+    units = tuple(sorted(fit.units, key=lambda u: (entries[u] is None, entries[u] or 0, u)))
+    periods, p = np.unique(fit.period, return_inverse=True)
+    weight = np.full((len(fit.units), len(periods)), nan)
+    weight[fit.unit, p] = fit.weights
+    treated = np.full(weight.shape, -1, dtype=np.int8)  # -1: no observed outcome
+    treated[fit.unit, p] = fit.treatment
+    code = {u: i for i, u in enumerate(fit.units)}
+    rows = [code[u] for u in units]
+    weight, treated = weight[rows], treated[rows]
+    status = np.select(
+        [treated == -1, treated == 0, weight < NEGATIVE_WEIGHT_TOL],
+        ["missing", "untreated", "treated_negative"],
+        "treated_positive",
     )
-    by_key = {
-        (u, p): (int(fit.treatment[i]), float(fit.weights[i]))
-        for i, (u, p) in enumerate(fit.sample_index)
-    }
-    cells: dict[tuple[str, int], tuple[str, float]] = {}
-    for u in units:
-        for p in periods:
-            if (u, p) in by_key:
-                treated, w = by_key[(u, p)]
-                cells[(u, p)] = (_classify(treated, w), w)
-            else:
-                cells[(u, p)] = ("missing", nan)
+    periods = tuple(periods.tolist())
+    cells = dict(zip(
+        [(u, q) for u in units for q in periods],
+        zip(status.ravel().tolist(), weight.ravel().tolist()),
+    ))
     return WeightGrid(units=units, periods=periods, cells=cells)
 
 
@@ -176,24 +161,19 @@ def homogeneity_test(fit: TwfeFit, inference: str = "classical") -> HomogeneityT
         raise ValueError(f"unknown inference kind {inference!r}")
     d, y, treated = _groups(fit)
     g = treated.astype(float)
-    X = DesignMatrix(
-        np.column_stack([np.ones(len(d)), d, g, g * d]),
-        ("intercept", "resid_treatment", "treat_group", "interaction"),
-    )
-    ols = solve_least_squares(X, y)
+    X = np.column_stack([np.ones(len(d)), d, g, g * d])  # intercept, d, group, interaction
+    beta, resid, R = qr_lstsq(X, y)
     if inference == "cluster_by_unit":
-        uniq = {u: i for i, u in enumerate(dict.fromkeys(u for u, _ in fit.sample_index))}
-        unit_ids = np.array([uniq[u] for u, _ in fit.sample_index])
-        cov = cluster_robust_covariance(ols, X, unit_ids)
-        dof = cov.clusters - 1
+        cov, clusters = cluster_vcov(X, R, resid, fit.unit)
+        dof = clusters - 1
     else:
-        cov = classical_covariance(ols, X)
-        dof = ols.dof_residual
-    ses = cov.standard_errors()
-    exact = ols.rss <= EXACT_FIT_TOL * float(fit.outcome @ fit.outcome)
+        cov = classical_vcov(R, resid)
+        dof = len(y) - X.shape[1]
+    ses = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    exact = float(resid @ resid) <= EXACT_FIT_TOL * float(fit.outcome @ fit.outcome)
 
     def row(k: int) -> CoefficientRow:
-        est = float(ols.coefficients[k])
+        est = float(beta[k])
         se = 0.0 if exact else float(ses[k])
         if se > 0:
             t, p = t_test(est, se, dof)
@@ -211,9 +191,8 @@ def homogeneity_test(fit: TwfeFit, inference: str = "classical") -> HomogeneityT
 
 
 def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    X = DesignMatrix(np.column_stack([np.ones(len(x)), x]), ("intercept", "x"))
-    fit = solve_least_squares(X, y)
-    return float(fit.coefficients[1]), float(fit.coefficients[0])
+    beta = qr_lstsq(np.column_stack([np.ones(len(x)), x]), y)[0]
+    return float(beta[1]), float(beta[0])
 
 
 def _local_linear(

@@ -43,15 +43,7 @@ class DimensionMismatch(TwfeDiagError):
     pass
 
 
-class EmptyDesign(TwfeDiagError):
-    pass
-
-
 class SingularDesign(TwfeDiagError):
-    pass
-
-
-class TooFewClusters(TwfeDiagError):
     pass
 
 

@@ -1,196 +1,69 @@
-"""Dense linear least squares with rank-revealing column selection,
-classical and cluster-robust covariance, and t-based inference."""
+"""Dense least squares by QR on plain arrays: classical and cluster-robust
+covariance, and t-based inference."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyDesign,
-    NonpositiveSE,
-    SingularDesign,
-    TooFewClusters,
-)
+from .errors import NonpositiveSE, SingularDesign
 
-RANK_TOL = 1e-10  # relative to the largest column norm
+SINGULAR_TOL = 1e-10  # |R diagonal| at most this, relative to the largest (or 1), is singular
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    values: np.ndarray  # (N, K)
-    labels: tuple[str, ...]
+def qr_lstsq(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(coefficients, residuals, R) of the OLS of y on the columns of X,
+    from the reduced QR factorization X = QR.
 
-    def __post_init__(self):
-        if self.values.ndim != 2:
-            raise DimensionMismatch("design matrix must be 2-dimensional")
-        if self.values.shape[1] != len(self.labels):
-            raise DimensionMismatch("label count does not match column count")
-        if self.values.size and not np.all(np.isfinite(self.values)):
-            raise ValueError("design matrix contains non-finite entries")
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class LsqFit:
-    coefficients: np.ndarray  # length K; zeros for dropped columns
-    residuals: np.ndarray
-    fitted: np.ndarray
-    rss: float
-    rank: int
-    dof_residual: int
-    kept: tuple[int, ...]      # retained column indices, original order
-    dropped: tuple[int, ...]   # dropped column indices (dependent columns)
-
-
-@dataclass(frozen=True)
-class CovarianceEstimate:
-    matrix: np.ndarray  # (K, K); zero rows/cols for dropped columns
-    kind: str           # "classical" | "cluster_robust"
-    clusters: int | None
-    small_sample_factor: float
-
-    def standard_errors(self) -> np.ndarray:
-        return np.sqrt(np.clip(np.diag(self.matrix), 0.0, None))
-
-
-def _select_columns(X: np.ndarray) -> tuple[list[int], list[int]]:
-    """Greedy left-to-right rank-revealing pass.
-
-    Keeps a column iff it is numerically independent of the columns kept so
-    far, so dependent columns later in the ordering are dropped first. Uses
-    orthogonal projection with one reorthogonalization step.
+    Raises SingularDesign when the columns are numerically dependent.
     """
-    n, k = X.shape
-    col_norms = np.linalg.norm(X, axis=0)
-    threshold = RANK_TOL * (col_norms.max() if k else 0.0)
-    kept: list[int] = []
-    dropped: list[int] = []
-    Q = np.empty((n, 0))
-    for j in range(k):
-        v = X[:, j].astype(float)
-        if Q.shape[1]:
-            v = v - Q @ (Q.T @ v)
-            v = v - Q @ (Q.T @ v)
-        norm = np.linalg.norm(v)
-        if norm > threshold:
-            kept.append(j)
-            Q = np.hstack([Q, (v / norm)[:, None]])
-        else:
-            dropped.append(j)
-    return kept, dropped
+    X = np.asfortranarray(X)  # column-major, as LAPACK factors it
+    Q, R = np.linalg.qr(X)
+    diag = np.abs(np.diag(R))
+    if diag.min() <= SINGULAR_TOL * max(1.0, diag.max()):
+        raise SingularDesign("design columns are numerically singular")
+    beta = np.linalg.solve(R, Q.T @ y)
+    return beta, y - X @ beta, R
 
 
-def solve_least_squares(X: DesignMatrix, y: np.ndarray) -> LsqFit:
-    """Minimum-norm-free OLS via QR on the independent columns.
-
-    Rank deficiency is resolved deterministically: a column is dropped when
-    it is spanned by earlier columns (tolerance RANK_TOL relative to the
-    largest column norm), and its coefficient is reported as zero.
-    """
-    y = np.asarray(y, dtype=float)
-    if X.k == 0 or X.n == 0:
-        raise EmptyDesign("design matrix has no rows or no columns")
-    if y.shape != (X.n,):
-        raise DimensionMismatch(f"y has shape {y.shape}, expected ({X.n},)")
-
-    kept, dropped = _select_columns(X.values)
-    if not kept:
-        raise EmptyDesign("all design columns are numerically zero")
-    Xk = X.values[:, kept]
-    Q, R = np.linalg.qr(Xk)
-    beta_k = np.linalg.solve(R, Q.T @ y)
-
-    coefficients = np.zeros(X.k)
-    coefficients[kept] = beta_k
-    residuals = y - Xk @ beta_k
-    fitted = y - residuals  # identity fitted + residuals = y holds exactly
-    rss = float(residuals @ residuals)
-    rank = len(kept)
-    return LsqFit(
-        coefficients=coefficients,
-        residuals=residuals,
-        fitted=fitted,
-        rss=rss,
-        rank=rank,
-        dof_residual=X.n - rank,
-        kept=tuple(kept),
-        dropped=tuple(dropped),
-    )
-
-
-def _bread(X: DesignMatrix, kept: tuple[int, ...]) -> np.ndarray:
-    """(X'X)^-1 over the retained columns, via the triangular factor."""
-    Xk = X.values[:, kept]
-    R = np.linalg.qr(Xk, mode="r")
-    if np.min(np.abs(np.diag(R))) <= RANK_TOL * max(1.0, np.max(np.abs(np.diag(R)))):
-        raise SingularDesign("retained design columns are numerically singular")
-    Rinv = np.linalg.solve(R, np.eye(len(kept)))
+def _bread(R: np.ndarray, n: int) -> np.ndarray:
+    """(X'X)^-1 from the triangular factor of an n-row design."""
+    if n <= len(R):
+        raise SingularDesign("no residual degrees of freedom")
+    Rinv = np.linalg.solve(R, np.eye(len(R)))
     return Rinv @ Rinv.T
 
 
-def _embed(small: np.ndarray, kept: tuple[int, ...], k: int) -> np.ndarray:
-    full = np.zeros((k, k))
-    full[np.ix_(kept, kept)] = small
-    return full
+def classical_vcov(R: np.ndarray, residuals: np.ndarray) -> np.ndarray:
+    """Homoskedastic covariance: (RSS / (N - K)) * (X'X)^-1."""
+    n, k = len(residuals), len(R)
+    bread = _bread(R, n)
+    cov = float(residuals @ residuals) / (n - k) * bread
+    return 0.5 * (cov + cov.T)
 
 
-def classical_covariance(fit: LsqFit, X: DesignMatrix) -> CovarianceEstimate:
-    """Homoskedastic covariance: (RSS / dof) * (X'X)^-1."""
-    if fit.dof_residual <= 0:
-        raise SingularDesign("no residual degrees of freedom")
-    sigma2 = fit.rss / fit.dof_residual
-    cov = sigma2 * _bread(X, fit.kept)
-    cov = 0.5 * (cov + cov.T)
-    return CovarianceEstimate(
-        matrix=_embed(cov, fit.kept, X.k),
-        kind="classical",
-        clusters=None,
-        small_sample_factor=1.0,
-    )
+def cluster_vcov(
+    X: np.ndarray, R: np.ndarray, residuals: np.ndarray, clusters: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """(sandwich covariance clustered on the integer codes `clusters`, the
+    cluster count G), with the finite-sample factor
+    c = [G/(G-1)] * [(N-1)/(N-K)]; needs G >= 2.
 
-
-def cluster_robust_covariance(
-    fit: LsqFit, X: DesignMatrix, cluster_ids: np.ndarray
-) -> CovarianceEstimate:
-    """Sandwich covariance clustered on cluster_ids.
-
-    Scale factor c = [G/(G-1)] * [(N-1)/(N-K)], the standard finite-sample
-    correction; K is the retained-column count.
+    Rows are stably sorted by cluster, so each cluster's score sums its
+    rows in their original order.
     """
-    cluster_ids = np.asarray(cluster_ids)
-    if cluster_ids.shape != (X.n,):
-        raise DimensionMismatch("cluster_ids length must equal row count")
-    groups = np.unique(cluster_ids)
-    G = len(groups)
-    if G < 2:
-        raise TooFewClusters(f"need at least 2 clusters, got {G}")
-    n, k = X.n, fit.rank
-    bread = _bread(X, fit.kept)
-    Xk = X.values[:, fit.kept]
+    n, k = X.shape
+    bread = _bread(R, n)
+    order = np.argsort(clusters, kind="stable")
+    X, residuals = X[order], residuals[order]
+    cuts = (np.flatnonzero(np.diff(clusters[order])) + 1).tolist()
     meat = np.zeros((k, k))
-    for g in groups:
-        mask = cluster_ids == g
-        score = Xk[mask].T @ fit.residuals[mask]
+    for a, b in zip([0] + cuts, cuts + [n]):
+        score = X[a:b].T @ residuals[a:b]
         meat += np.outer(score, score)
+    G = len(cuts) + 1
     c = (G / (G - 1)) * ((n - 1) / (n - k))
     cov = c * bread @ meat @ bread
-    cov = 0.5 * (cov + cov.T)
-    return CovarianceEstimate(
-        matrix=_embed(cov, fit.kept, X.k),
-        kind="cluster_robust",
-        clusters=G,
-        small_sample_factor=c,
-    )
+    return 0.5 * (cov + cov.T), G
 
 
 # The t distribution is the only use of scipy. It is imported inside the two

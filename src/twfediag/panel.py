@@ -241,9 +241,11 @@ def _parse_unit(cell: Optional[str]) -> str:
 
 
 def _parse_period(cell: Optional[str]) -> int:
+    if cell is None:
+        raise _BadCell("missing value")
     try:
         value = int(cell)
-    except (TypeError, ValueError):
+    except ValueError:
         raise _BadCell(f"not an integer: {cell!r}") from None
     if value not in _INT64:
         raise _BadCell(f"not a 64-bit integer: {cell!r}")
@@ -297,7 +299,7 @@ def load_panel_csv(
     rejected. Without a treatment column all rows start untreated, pending
     apply_adoption_schedule. A ParseError names the first bad row, counting
     the header as row 1 and skipping blank lines. Cells a short row lacks
-    read as empty, and a missing unit cell is a ParseError.
+    read as empty; a missing unit or period cell is a ParseError.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as f:

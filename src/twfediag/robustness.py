@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from math import nan
 
 from .errors import InvalidSweep, NoFeasiblePoint, TwfeDiagError
-from .diagnostics import weight_report
+from .diagnostics import negative_treated
 from .lsq import t_critical
 from .panel import AdoptionSchedule, PanelDataset
 from .twfe import TwfeFit, fit_twfe
@@ -37,16 +37,16 @@ class RobustnessSweep:
 def _point(label: str, fit: TwfeFit, level: float) -> SweepPoint:
     """One sweep point; the interval is nan when the fit is exact (se == 0),
     as its p-value is."""
-    report = weight_report(fit)
+    n_treated, _, share = negative_treated(fit)
     half = t_critical(level, fit.dof) * fit.se if fit.se > 0 else nan
     return SweepPoint(
         label=label,
         beta=fit.beta,
         ci_low=fit.beta - half,
         ci_high=fit.beta + half,
-        share_negative_treated=report.share_treated_negative,
+        share_negative_treated=share,
         n_obs=fit.n_obs,
-        n_treated=report.n_treated,
+        n_treated=n_treated,
     )
 
 

@@ -38,23 +38,24 @@ class TwfeFit:
     outcome: np.ndarray  # the outcome over the estimation sample
     unit_effects: dict[str, float]
     period_effects: dict[int, float]
-    sample_index: tuple[tuple[str, int], ...]
+    units: tuple[str, ...]  # sample units in order of first appearance
+    unit: np.ndarray  # code of each sample row's unit, an index into units
+    period: np.ndarray  # period of each sample row
     inference: str  # "cluster_by_unit" | "classical"
 
 
 def _estimation_arrays(dataset: PanelDataset):
     """Arrays over the estimation sample (non-missing outcomes), in dataset
     order; units in order of first appearance in the sample, periods
-    ascending."""
+    ascending; `period` per row, `p` its index into the periods."""
     observed = dataset.observed
-    labels = dataset.units
     order, u = first_appearance(dataset.unit[observed])
     period = dataset.period[observed]
     periods, p = np.unique(period, return_inverse=True)
     y = dataset.outcome[observed]
     d = dataset.treated[observed].astype(float)
-    index = tuple(zip([labels[i] for i in dataset.unit[observed].tolist()], period.tolist()))
-    return [labels[i] for i in order.tolist()], periods.tolist(), u.astype(np.intp), p, y, d, index
+    units = [dataset.units[i] for i in order.tolist()]
+    return units, periods.tolist(), u.astype(np.intp), p, y, d, period
 
 
 def _check_sample(units, periods, d, require_both_groups: bool = True):
@@ -138,7 +139,7 @@ def fit_twfe(dataset: PanelDataset, inference: str = "cluster_by_unit") -> TwfeF
     """
     if inference not in ("cluster_by_unit", "classical"):
         raise ValueError(f"unknown inference kind {inference!r}")
-    units, periods, u, p, y, d, index = _estimation_arrays(dataset)
+    units, periods, u, p, y, d, period = _estimation_arrays(dataset)
     _check_sample(units, periods, d)
 
     core = _WithinCore(u, p, len(units), len(periods))
@@ -188,7 +189,9 @@ def fit_twfe(dataset: PanelDataset, inference: str = "cluster_by_unit") -> TwfeF
         outcome=y,
         unit_effects=dict(zip(units, alpha.tolist())),
         period_effects=dict(zip(periods, gamma.tolist())),
-        sample_index=index,
+        units=tuple(units),
+        unit=u,
+        period=period,
         inference=inference,
     )
 

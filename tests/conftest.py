@@ -100,6 +100,12 @@ def random_panel(rng: np.random.Generator, missing=False, effect=None, noise_sd=
         return spec, dataset
 
 
+def sample_keys(fit) -> list:
+    """(unit label, period) of each estimation-sample row of a fit, built
+    from its unit codes and periods."""
+    return list(zip([fit.units[c] for c in fit.unit.tolist()], fit.period.tolist()))
+
+
 def bundled_schedule() -> AdoptionSchedule:
     ref = importlib.resources.files("twfediag") / "data" / "fpe_adoption_years.csv"
     with importlib.resources.as_file(ref) as path:

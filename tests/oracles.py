@@ -87,6 +87,49 @@ def hc_sandwich(X: np.ndarray, residuals: np.ndarray, scale: float) -> np.ndarra
     return scale * bread @ meat @ bread
 
 
+def cluster_score_sandwich(X: np.ndarray, residuals: np.ndarray, clusters, scale: float) -> np.ndarray:
+    """Cluster sandwich with an explicit scale factor: the normal-equations
+    bread, and per-cluster scores summed by a plain loop over the rows,
+    keyed by any hashable cluster label."""
+    bread = np.linalg.inv(X.T @ X)
+    scores = {}
+    for row, r, g in zip(X, residuals, clusters):
+        scores[g] = scores.get(g, 0.0) + row * r
+    meat = sum(np.outer(s, s) for s in scores.values())
+    return scale * bread @ meat @ bread
+
+
+def naive_weight_grid(dataset, weights, schedule, tol=-1e-12):
+    """(units, periods, cells) of the weight grid by plain loops over the
+    estimation sample's Observation rows, which `weights` follow in order:
+    units sorted by adoption period (never-treated last) then name, every
+    (unit, period) of the sample's units and periods, a cell without an
+    observed outcome ("missing", nan)."""
+    sample = [o for o in dataset.observations if o.outcome is not None]
+    observed = {}
+    for o, w in zip(sample, weights):
+        if not o.treated:
+            status = "untreated"
+        elif w < tol:
+            status = "treated_negative"
+        else:
+            status = "treated_positive"
+        observed[(o.unit, o.period)] = (status, float(w))
+    entries = schedule.entries
+
+    def adoption_order(unit):
+        start = entries[unit]
+        return (start is None, 0 if start is None else start, unit)
+
+    units = sorted({o.unit for o in sample}, key=adoption_order)
+    periods = sorted({o.period for o in sample})
+    cells = {}
+    for u in units:
+        for p in periods:
+            cells[(u, p)] = observed.get((u, p), ("missing", math.nan))
+    return tuple(units), tuple(periods), cells
+
+
 def t_pvalue_quadrature(t: float, dof: int) -> float:
     """Two-sided p-value by integrating the Student-t density directly."""
     # log-gamma, so that large dof do not overflow math.gamma

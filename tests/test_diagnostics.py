@@ -15,11 +15,10 @@ from twfediag import (
     weight_report,
 )
 from twfediag.errors import DegenerateGroup, UnknownUnit
-from twfediag.lsq import DesignMatrix, solve_least_squares
 
-from conftest import canonical_2x2, random_panel
+from conftest import canonical_2x2, random_panel, sample_keys
 from test_twfe import homogeneous_panel
-from oracles import naive_weight_counts
+from oracles import naive_weight_counts, normal_equations_ols
 
 
 class TestWeightReport:
@@ -55,14 +54,6 @@ class TestWeightReport:
         fit = fit_twfe(homogeneous_panel())
         assert len(weight_report(fit, bins=10).histogram) == 10
 
-    def test_per_observation_matches_fit(self):
-        fit = fit_twfe(homogeneous_panel())
-        report = weight_report(fit)
-        for i, (unit, period, treated, w) in enumerate(report.per_observation):
-            assert (unit, period) == fit.sample_index[i]
-            assert treated == fit.treatment[i]
-            assert w == fit.weights[i]
-
 
 class TestWeightGrid:
     def test_full_rectangle_with_missing_marked(self):
@@ -71,7 +62,7 @@ class TestWeightGrid:
         fit = fit_twfe(ds)
         grid = weight_grid(fit, schedule_from_data(ds))
         assert len(grid.cells) == len(grid.units) * len(grid.periods)
-        present = {(u, p) for u, p in fit.sample_index}
+        present = set(sample_keys(fit))
         for (u, p), (status, w) in grid.cells.items():
             if (u, p) in present:
                 assert status in ("untreated", "treated_positive", "treated_negative")
@@ -83,12 +74,10 @@ class TestWeightGrid:
         _, ds = random_panel(rng, missing=True, noise_sd=1.0)
         fit = fit_twfe(ds)
         grid = weight_grid(fit, schedule_from_data(ds))
-        report = weight_report(fit)
         grid_weights = sorted(
             w for (status, w) in grid.cells.values() if status != "missing"
         )
-        report_weights = sorted(w for _, _, _, w in report.per_observation)
-        assert grid_weights == pytest.approx(report_weights)
+        assert grid_weights == pytest.approx(sorted(fit.weights))
 
     def test_rows_ordered_by_adoption(self):
         ds = homogeneous_panel()
@@ -106,10 +95,7 @@ class TestWeightGrid:
         ds = homogeneous_panel()
         fit = fit_twfe(ds)
         grid = weight_grid(fit, schedule_from_data(ds))
-        by_key = {
-            (u, p): (fit.treatment[i], fit.weights[i])
-            for i, (u, p) in enumerate(fit.sample_index)
-        }
+        by_key = dict(zip(sample_keys(fit), zip(fit.treatment, fit.weights)))
         for key, (status, w) in grid.cells.items():
             if status == "missing":
                 continue
@@ -140,10 +126,8 @@ class TestHomogeneityTest:
         treated = fit.treatment == 1
         slopes = {}
         for name, mask in (("control", ~treated), ("treated", treated)):
-            X = DesignMatrix(
-                np.column_stack([np.ones(mask.sum()), d[mask]]), ("i", "d")
-            )
-            slopes[name] = solve_least_squares(X, y[mask]).coefficients[1]
+            X = np.column_stack([np.ones(mask.sum()), d[mask]])
+            slopes[name] = normal_equations_ols(X, y[mask])[1]
         assert result.b_resid_treatment.estimate == pytest.approx(slopes["control"], abs=1e-10)
         assert result.b_resid_treatment.estimate + result.b_interaction.estimate == pytest.approx(
             slopes["treated"], abs=1e-10

@@ -3,130 +3,122 @@ import pytest
 from scipy import stats
 
 from twfediag.lsq import (
-    DesignMatrix,
-    classical_covariance,
-    cluster_robust_covariance,
-    solve_least_squares,
+    classical_vcov,
+    cluster_vcov,
+    qr_lstsq,
     t_critical,
     t_test,
 )
-from twfediag.errors import (
-    DimensionMismatch,
-    EmptyDesign,
-    NonpositiveSE,
-    TooFewClusters,
+from twfediag.errors import NonpositiveSE, SingularDesign
+
+from oracles import (
+    cluster_score_sandwich,
+    hc_sandwich,
+    normal_equations_ols,
+    t_pvalue_quadrature,
 )
-
-from oracles import hc_sandwich, normal_equations_ols, t_pvalue_quadrature
-
-
-def design(values, labels=None):
-    values = np.asarray(values, dtype=float)
-    if labels is None:
-        labels = tuple(f"x{i}" for i in range(values.shape[1]))
-    return DesignMatrix(values, tuple(labels))
 
 
 def random_design(rng, n=10, k=3):
-    return design(rng.normal(size=(n, k)))
+    return rng.normal(size=(n, k))
+
+
+def standard_errors(cov):
+    return np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
 
 class TestSolve:
     def test_identity_design(self):
-        fit = solve_least_squares(design(np.eye(3)), np.array([1.0, 2.0, 3.0]))
-        assert fit.coefficients == pytest.approx([1, 2, 3])
-        assert fit.residuals == pytest.approx([0, 0, 0])
-        assert fit.rank == 3
+        beta, resid, R = qr_lstsq(np.eye(3), np.array([1.0, 2.0, 3.0]))
+        assert beta == pytest.approx([1, 2, 3])
+        assert resid == pytest.approx([0, 0, 0])
+        assert R.shape == (3, 3)
 
     def test_two_point_line(self):
-        fit = solve_least_squares(design([[1, 0], [1, 1]]), np.array([0.0, 2.0]))
-        assert fit.coefficients == pytest.approx([0.0, 2.0])
+        beta, _, _ = qr_lstsq(np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([0.0, 2.0]))
+        assert beta == pytest.approx([0.0, 2.0])
 
     def test_against_normal_equations(self):
         rng = np.random.default_rng(0)
         X = random_design(rng)
         y = rng.normal(size=10)
-        fit = solve_least_squares(X, y)
-        expected = normal_equations_ols(X.values, y)
-        assert fit.coefficients == pytest.approx(expected, abs=1e-8)
+        beta, _, _ = qr_lstsq(X, y)
+        expected = normal_equations_ols(X, y)
+        assert beta == pytest.approx(expected, abs=1e-8)
 
-    def test_fitted_plus_residuals_is_outcome(self):
+    def test_residuals_match_normal_equations(self):
         rng = np.random.default_rng(1)
         X = random_design(rng)
         y = rng.normal(size=10)
-        fit = solve_least_squares(X, y)
-        np.testing.assert_array_equal(fit.fitted + fit.residuals, y)
+        _, resid, _ = qr_lstsq(X, y)
+        expected = y - X @ normal_equations_ols(X, y)
+        assert resid == pytest.approx(expected, abs=1e-8)
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(2)
         X = random_design(rng, n=50, k=6)
         y = rng.normal(size=50)
-        fit = solve_least_squares(X, y)
+        _, resid, _ = qr_lstsq(X, y)
         for k in range(6):
-            col = X.values[:, k]
-            rel = abs(col @ fit.residuals) / (
-                np.linalg.norm(col) * np.linalg.norm(fit.residuals) + 1e-300
-            )
+            col = X[:, k]
+            rel = abs(col @ resid) / (np.linalg.norm(col) * np.linalg.norm(resid) + 1e-300)
             assert rel < 1e-8
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(3)
         X = random_design(rng)
         y = rng.normal(size=10)
-        base = solve_least_squares(X, y)
-        scaled = solve_least_squares(X, 7.0 * y)
-        assert scaled.coefficients == pytest.approx(7.0 * base.coefficients, rel=1e-12)
-        assert scaled.residuals == pytest.approx(7.0 * base.residuals, rel=1e-12)
+        base, base_resid, _ = qr_lstsq(X, y)
+        scaled, scaled_resid, _ = qr_lstsq(X, 7.0 * y)
+        assert scaled == pytest.approx(7.0 * base, rel=1e-12)
+        assert scaled_resid == pytest.approx(7.0 * base_resid, rel=1e-12)
 
-    def test_rank_deficiency_drops_later_column(self):
+    def test_rank_deficiency_raises_singular_design(self):
         rng = np.random.default_rng(4)
         a = rng.normal(size=10)
         b = rng.normal(size=10)
-        X = design(np.column_stack([a, b, a + b]), ("a", "b", "sum"))
-        y = rng.normal(size=10)
-        fit = solve_least_squares(X, y)
-        assert fit.dropped == (2,)
-        assert fit.kept == (0, 1)
-        assert fit.coefficients[2] == 0.0
-        assert fit.rank == 2
-        assert fit.dof_residual == 8
-
-    def test_empty_design(self):
-        with pytest.raises(EmptyDesign):
-            solve_least_squares(design(np.zeros((3, 0))), np.zeros(3))
+        X = np.column_stack([a, b, a + b])
+        with pytest.raises(SingularDesign):
+            qr_lstsq(X, rng.normal(size=10))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            solve_least_squares(design(np.eye(3)), np.zeros(4))
+        with pytest.raises(ValueError):
+            qr_lstsq(np.eye(3), np.zeros(4))
 
 
 class TestClassicalCovariance:
     def test_zero_residuals_zero_matrix(self):
-        X = design([[1, 0], [1, 1], [1, 2]])
-        fit = solve_least_squares(X, np.array([0.0, 2.0, 4.0]))
-        cov = classical_covariance(fit, X)
-        assert np.allclose(cov.matrix, 0.0)
-        assert cov.standard_errors() == pytest.approx([0.0, 0.0])
+        X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
+        _, resid, R = qr_lstsq(X, np.array([0.0, 2.0, 4.0]))
+        cov = classical_vcov(R, resid)
+        assert np.allclose(cov, 0.0)
+        assert standard_errors(cov) == pytest.approx([0.0, 0.0])
 
     def test_against_direct_formula(self):
         rng = np.random.default_rng(5)
         X = random_design(rng)
         y = rng.normal(size=10)
-        fit = solve_least_squares(X, y)
-        cov = classical_covariance(fit, X)
-        sigma2 = fit.rss / fit.dof_residual
-        expected = sigma2 * np.linalg.inv(X.values.T @ X.values)
-        assert cov.matrix == pytest.approx(expected, abs=1e-10)
+        _, resid, R = qr_lstsq(X, y)
+        cov = classical_vcov(R, resid)
+        sigma2 = (resid @ resid) / (10 - 3)
+        expected = sigma2 * np.linalg.inv(X.T @ X)
+        assert cov == pytest.approx(expected, abs=1e-10)
 
     def test_symmetry_and_psd(self):
         rng = np.random.default_rng(6)
         X = random_design(rng, n=30, k=4)
         y = rng.normal(size=30)
-        fit = solve_least_squares(X, y)
-        cov = classical_covariance(fit, X).matrix
+        _, resid, R = qr_lstsq(X, y)
+        cov = classical_vcov(R, resid)
         assert np.max(np.abs(cov - cov.T)) < 1e-12
         eigs = np.linalg.eigvalsh(cov)
         assert eigs.min() >= -1e-10 * np.trace(cov)
+
+    def test_no_residual_degrees_of_freedom(self):
+        X = np.array([[1.0, 0.0], [1.0, 1.0]])
+        _, resid, R = qr_lstsq(X, np.array([0.0, 2.0]))
+        with pytest.raises(SingularDesign):
+            classical_vcov(R, resid)
 
 
 class TestClusterRobustCovariance:
@@ -135,38 +127,35 @@ class TestClusterRobustCovariance:
         n, k = 24, 3
         X = random_design(rng, n=n, k=k)
         y = rng.normal(size=n)
-        fit = solve_least_squares(X, y)
-        cov = cluster_robust_covariance(fit, X, np.arange(n))
+        _, resid, R = qr_lstsq(X, y)
+        cov, clusters = cluster_vcov(X, R, resid, np.arange(n))
         # G = N makes the finite-sample factor collapse to N/(N-K)
-        expected = hc_sandwich(X.values, fit.residuals, n / (n - k))
-        assert cov.matrix == pytest.approx(expected, abs=1e-10)
-        assert cov.clusters == n
+        expected = hc_sandwich(X, resid, n / (n - k))
+        assert cov == pytest.approx(expected, abs=1e-10)
+        assert clusters == n
 
     def test_small_sample_factor(self):
         rng = np.random.default_rng(8)
         n, k = 20, 2
         X = random_design(rng, n=n, k=k)
         y = rng.normal(size=n)
-        fit = solve_least_squares(X, y)
-        clusters = np.repeat(np.arange(5), 4)
-        cov = cluster_robust_covariance(fit, X, clusters)
-        G = 5
-        assert cov.small_sample_factor == pytest.approx((G / (G - 1)) * ((n - 1) / (n - k)))
-
-    def test_too_few_clusters(self):
-        rng = np.random.default_rng(9)
-        X = random_design(rng)
-        fit = solve_least_squares(X, rng.normal(size=10))
-        with pytest.raises(TooFewClusters):
-            cluster_robust_covariance(fit, X, np.zeros(10))
+        _, resid, R = qr_lstsq(X, y)
+        # clusters interleaved and numbered out of order: the sort must group them
+        codes = np.array([3, 0, 4, 1, 2] * 4)
+        cov, G = cluster_vcov(X, R, resid, codes)
+        assert G == 5
+        expected = cluster_score_sandwich(
+            X, resid, codes.tolist(), (G / (G - 1)) * ((n - 1) / (n - k))
+        )
+        assert cov == pytest.approx(expected, abs=1e-10)
 
     def test_symmetry_and_psd(self):
         rng = np.random.default_rng(10)
         n = 40
         X = random_design(rng, n=n, k=4)
         y = rng.normal(size=n)
-        fit = solve_least_squares(X, y)
-        cov = cluster_robust_covariance(fit, X, np.repeat(np.arange(8), 5)).matrix
+        _, resid, R = qr_lstsq(X, y)
+        cov, _ = cluster_vcov(X, R, resid, np.repeat(np.arange(8), 5))
         assert np.max(np.abs(cov - cov.T)) < 1e-12
         eigs = np.linalg.eigvalsh(cov)
         assert eigs.min() >= -1e-10 * np.trace(cov)

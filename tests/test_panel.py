@@ -65,6 +65,13 @@ class TestLoadPanelCsv:
             load_panel_csv(f, "c", "y", "out", "d")
         assert exc.value.row == 3 and exc.value.column == "d"
 
+    def test_short_row_without_period(self, tmp_path):
+        f = write_csv(tmp_path / "p.csv", "c,y,out\nA,2000,1.0\nA\n")
+        with pytest.raises(ParseError) as exc:
+            load_panel_csv(f, "c", "y", "out")
+        assert exc.value.row == 3 and exc.value.column == "y"
+        assert str(exc.value) == "row 3, column 'y': missing value"
+
     def test_bad_outcome(self, tmp_path):
         f = write_csv(tmp_path / "p.csv", "c,y,out\nA,2000,abc\n")
         with pytest.raises(ParseError):

@@ -26,7 +26,7 @@ from twfediag.errors import (
     ZeroVariance,
 )
 
-from conftest import canonical_2x2, make_panel, random_panel
+from conftest import canonical_2x2, make_panel, random_panel, sample_keys
 from oracles import dummy_ols_beta
 
 
@@ -57,6 +57,12 @@ class TestFitTwfe:
     def test_all_untreated_degenerate(self):
         ds = make_panel([("A", 1, 1.0, 0), ("A", 2, 1.0, 0),
                          ("B", 1, 2.0, 0), ("B", 2, 0.0, 0)])
+        with pytest.raises(DegenerateTreatment):
+            fit_twfe(ds)
+
+    def test_single_unit_degenerate(self):
+        # a single unit would be a single cluster; the fit refuses it first
+        ds = make_panel([("A", 1, 1.0, 0), ("A", 2, 3.0, 1), ("A", 3, 2.0, 1)])
         with pytest.raises(DegenerateTreatment):
             fit_twfe(ds)
 
@@ -92,8 +98,8 @@ class TestFitTwfe:
         rotated = PanelDataset.from_observations(ds.observations[10:] + ds.observations[:10])
         fit2 = fit_twfe(rotated)
         assert fit2.beta == pytest.approx(fit.beta, abs=1e-10)
-        w1 = dict(zip(fit.sample_index, fit.weights))
-        w2 = dict(zip(fit2.sample_index, fit2.weights))
+        w1 = dict(zip(sample_keys(fit), fit.weights))
+        w2 = dict(zip(sample_keys(fit2), fit2.weights))
         for key, w in w1.items():
             assert w2[key] == pytest.approx(w, abs=1e-12)
 
@@ -102,7 +108,7 @@ class TestFitTwfe:
         fit = fit_twfe(ds)
         # reported effects + beta reconstruct fitted values
         by_key = {(o.unit, o.period): o for o in ds.observations}
-        for (unit, period), y in zip(fit.sample_index, ds.outcome[ds.observed]):
+        for (unit, period), y in zip(sample_keys(fit), ds.outcome[ds.observed]):
             obs = by_key[(unit, period)]
             pred = (
                 fit.unit_effects[unit]
@@ -111,6 +117,17 @@ class TestFitTwfe:
             )
             assert pred == pytest.approx(y, abs=1e-8)
 
+
+    def test_sample_arrays_match_dataset(self):
+        rng = np.random.default_rng(24)
+        for _ in range(10):
+            _, ds = random_panel(rng, missing=True, noise_sd=1.0)
+            fit = fit_twfe(ds)
+            sample = [o for o in ds.observations if o.outcome is not None]
+            assert sample_keys(fit) == [(o.unit, o.period) for o in sample]
+            assert fit.treatment.tolist() == [o.treated for o in sample]
+            # codes number the units by first appearance in the sample
+            assert fit.units == tuple(dict.fromkeys(o.unit for o in sample))
 
     @pytest.mark.parametrize("inference", ["cluster_by_unit", "classical"])
     def test_noiseless_fit_is_exact(self, inference):
