@@ -15,15 +15,7 @@ from .panel import (
     write_panel_csv,
 )
 from .lsq import t_test
-from .twfe import (
-    TwfeFit,
-    balanced_weights_closed_form,
-    beta_from_weights,
-    fit_twfe,
-    fwl_weights,
-    residualize_outcome,
-    residualize_treatment,
-)
+from .twfe import TwfeFit, fit_twfe
 from .diagnostics import (
     HomogeneityTest,
     ResidualScatter,

@@ -152,10 +152,12 @@ def homogeneity_test(fit: TwfeFit, inference: str = "classical") -> HomogeneityT
     effect. The intercept is estimated (within-group means need not be zero)
     but not reported.
 
-    As in fit_twfe, an exact fit reports se = 0 and nan t statistics and
-    p-values: one whose residual sum of squares is at most EXACT_FIT_TOL
-    relative to the raw outcome's sum of squares, so that any spread left
-    is round-off.
+    As in fit_twfe, a coefficient whose variance is round-off reports
+    se = 0 and nan t statistic and p-value: one whose variance is at most
+    what a residual sum of squares of EXACT_FIT_TOL times the raw outcome's
+    sum of squares could give. Classically every row is flagged exactly
+    when the residual sum of squares is that small; clustered, one row's
+    cluster scores can also cancel to round-off while the residuals do not.
     """
     if inference not in ("classical", "cluster_by_unit"):
         raise ValueError(f"unknown inference kind {inference!r}")
@@ -164,17 +166,18 @@ def homogeneity_test(fit: TwfeFit, inference: str = "classical") -> HomogeneityT
     X = np.column_stack([np.ones(len(d)), d, g, g * d])  # intercept, d, group, interaction
     beta, resid, R = qr_lstsq(X, y)
     if inference == "cluster_by_unit":
-        cov, clusters = cluster_vcov(X, R, resid, fit.unit)
+        cov, per_rss, clusters = cluster_vcov(X, R, resid, fit.unit)
         dof = clusters - 1
     else:
-        cov = classical_vcov(R, resid)
+        cov, per_rss = classical_vcov(R, resid)
         dof = len(y) - X.shape[1]
-    ses = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    exact = float(resid @ resid) <= EXACT_FIT_TOL * float(fit.outcome @ fit.outcome)
+    var = np.diag(cov)
+    ses = np.sqrt(np.clip(var, 0.0, None))
+    exact = var <= EXACT_FIT_TOL * float(fit.outcome @ fit.outcome) * per_rss
 
     def row(k: int) -> CoefficientRow:
         est = float(beta[k])
-        se = 0.0 if exact else float(ses[k])
+        se = 0.0 if exact[k] else float(ses[k])
         if se > 0:
             t, p = t_test(est, se, dof)
         else:

@@ -39,10 +39,6 @@ class InvalidSpec(TwfeDiagError):
 
 # --- linear algebra ---
 
-class DimensionMismatch(TwfeDiagError):
-    pass
-
-
 class SingularDesign(TwfeDiagError):
     pass
 
@@ -63,14 +59,6 @@ class CollinearTreatment(TwfeDiagError):
 
 class NonFiniteOutcome(TwfeDiagError):
     """An outcome in the estimation sample is nan or infinite."""
-
-
-class UnbalancedPanel(TwfeDiagError):
-    pass
-
-
-class ZeroVariance(TwfeDiagError):
-    pass
 
 
 class DegenerateGroup(TwfeDiagError):

@@ -33,20 +33,24 @@ def _bread(R: np.ndarray, n: int) -> np.ndarray:
     return Rinv @ Rinv.T
 
 
-def classical_vcov(R: np.ndarray, residuals: np.ndarray) -> np.ndarray:
-    """Homoskedastic covariance: (RSS / (N - K)) * (X'X)^-1."""
+def classical_vcov(R: np.ndarray, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(homoskedastic covariance (RSS / (N - K)) * (X'X)^-1, its diagonal
+    per unit of RSS)."""
     n, k = len(residuals), len(R)
     bread = _bread(R, n)
     cov = float(residuals @ residuals) / (n - k) * bread
-    return 0.5 * (cov + cov.T)
+    return 0.5 * (cov + cov.T), np.diag(bread) / (n - k)
 
 
 def cluster_vcov(
     X: np.ndarray, R: np.ndarray, residuals: np.ndarray, clusters: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """(sandwich covariance clustered on the integer codes `clusters`, the
-    cluster count G), with the finite-sample factor
-    c = [G/(G-1)] * [(N-1)/(N-K)]; needs G >= 2.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(sandwich covariance clustered on the integer codes `clusters`, a
+    bound on its diagonal per unit of RSS, the cluster count G), with the
+    finite-sample factor c = [G/(G-1)] * [(N-1)/(N-K)]; needs G >= 2.
+
+    By Cauchy-Schwarz each diagonal term of (X'X)^-1 meat (X'X)^-1 is at
+    most RSS times that of (X'X)^-1, so the bound is c * diag((X'X)^-1).
 
     Rows are stably sorted by cluster, so each cluster's score sums its
     rows in their original order.
@@ -63,7 +67,7 @@ def cluster_vcov(
     G = len(cuts) + 1
     c = (G / (G - 1)) * ((n - 1) / (n - k))
     cov = c * bread @ meat @ bread
-    return 0.5 * (cov + cov.T), G
+    return 0.5 * (cov + cov.T), c * np.diag(bread), G
 
 
 # The t distribution is the only use of scipy. It is imported inside the two

@@ -8,13 +8,7 @@ from math import nan, sqrt
 
 import numpy as np
 
-from .errors import (
-    CollinearTreatment,
-    DegenerateTreatment,
-    DimensionMismatch,
-    UnbalancedPanel,
-    ZeroVariance,
-)
+from .errors import CollinearTreatment, DegenerateTreatment
 from .lsq import t_test
 from .panel import PanelDataset, first_appearance
 
@@ -42,30 +36,6 @@ class TwfeFit:
     unit: np.ndarray  # code of each sample row's unit, an index into units
     period: np.ndarray  # period of each sample row
     inference: str  # "cluster_by_unit" | "classical"
-
-
-def _estimation_arrays(dataset: PanelDataset):
-    """Arrays over the estimation sample (non-missing outcomes), in dataset
-    order; units in order of first appearance in the sample, periods
-    ascending; `period` per row, `p` its index into the periods."""
-    observed = dataset.observed
-    order, u = first_appearance(dataset.unit[observed])
-    period = dataset.period[observed]
-    periods, p = np.unique(period, return_inverse=True)
-    y = dataset.outcome[observed]
-    d = dataset.treated[observed].astype(float)
-    units = [dataset.units[i] for i in order.tolist()]
-    return units, periods.tolist(), u.astype(np.intp), p, y, d, period
-
-
-def _check_sample(units, periods, d, require_both_groups: bool = True):
-    if len(units) < 2 or len(periods) < 2:
-        raise DegenerateTreatment(
-            f"estimation sample needs >= 2 units and >= 2 periods, "
-            f"got {len(units)} and {len(periods)}"
-        )
-    if require_both_groups and d.sum() in (0, len(d)):
-        raise DegenerateTreatment("estimation sample is all-treated or all-untreated")
 
 
 def _count_components(linked: np.ndarray) -> int:
@@ -139,8 +109,24 @@ def fit_twfe(dataset: PanelDataset, inference: str = "cluster_by_unit") -> TwfeF
     """
     if inference not in ("cluster_by_unit", "classical"):
         raise ValueError(f"unknown inference kind {inference!r}")
-    units, periods, u, p, y, d, period = _estimation_arrays(dataset)
-    _check_sample(units, periods, d)
+    # the estimation sample (non-missing outcomes) in dataset order; units
+    # in order of first appearance in it, periods ascending
+    observed = dataset.observed
+    order, u = first_appearance(dataset.unit[observed])
+    u = u.astype(np.intp)
+    period = dataset.period[observed]
+    periods, p = np.unique(period, return_inverse=True)
+    periods = periods.tolist()
+    y = dataset.outcome[observed]
+    d = dataset.treated[observed].astype(float)
+    units = [dataset.units[i] for i in order.tolist()]
+    if len(units) < 2 or len(periods) < 2:
+        raise DegenerateTreatment(
+            f"estimation sample needs >= 2 units and >= 2 periods, "
+            f"got {len(units)} and {len(periods)}"
+        )
+    if d.sum() in (0, len(d)):
+        raise DegenerateTreatment("estimation sample is all-treated or all-untreated")
 
     core = _WithinCore(u, p, len(units), len(periods))
     resid, eff_u, eff_p = core.fit(np.column_stack([d, y]))
@@ -194,55 +180,3 @@ def fit_twfe(dataset: PanelDataset, inference: str = "cluster_by_unit") -> TwfeF
         period=period,
         inference=inference,
     )
-
-
-def _residualize(units, periods, u, p, v) -> np.ndarray:
-    return _WithinCore(u, p, len(units), len(periods)).fit(v[:, None])[0][:, 0]
-
-
-def residualize_treatment(dataset: PanelDataset) -> np.ndarray:
-    """Residuals of the treatment dummy on unit and period fixed effects."""
-    units, periods, u, p, _, d, _ = _estimation_arrays(dataset)
-    _check_sample(units, periods, d, require_both_groups=False)
-    d_resid = _residualize(units, periods, u, p, d)
-    if float(d_resid @ d_resid) < COLLINEARITY_TOL * len(d):
-        raise CollinearTreatment("treatment is collinear with the fixed effects")
-    return d_resid
-
-
-def residualize_outcome(dataset: PanelDataset) -> np.ndarray:
-    """Residuals of the outcome on unit and period fixed effects."""
-    units, periods, u, p, y, d, _ = _estimation_arrays(dataset)
-    _check_sample(units, periods, d, require_both_groups=False)
-    return _residualize(units, periods, u, p, y)
-
-
-def balanced_weights_closed_form(dataset: PanelDataset) -> np.ndarray:
-    """Residualized treatment on a balanced panel by double demeaning:
-    D - unit mean - period mean + grand mean, evaluated termwise."""
-    if not dataset.is_balanced():
-        raise UnbalancedPanel("closed form requires a balanced panel")
-    units, periods, u, p, _, d, _ = _estimation_arrays(dataset)
-    n_units, n_periods = len(units), len(periods)
-    unit_mean = np.bincount(u, weights=d, minlength=n_units) / n_periods
-    period_mean = np.bincount(p, weights=d, minlength=n_periods) / n_units
-    grand_mean = d.mean()
-    return d - unit_mean[u] - period_mean[p] + grand_mean
-
-
-def fwl_weights(d_resid: np.ndarray) -> np.ndarray:
-    """Per-observation weights: residualized treatment scaled by its sum of squares."""
-    d_resid = np.asarray(d_resid, dtype=float)
-    ssd = float(d_resid @ d_resid)
-    if ssd <= 0:
-        raise ZeroVariance("residualized treatment has zero sum of squares")
-    return d_resid / ssd
-
-
-def beta_from_weights(w: np.ndarray, y: np.ndarray) -> float:
-    """Treatment coefficient as the weighted sum of outcomes."""
-    w = np.asarray(w, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if w.shape != y.shape:
-        raise DimensionMismatch(f"shape mismatch: {w.shape} vs {y.shape}")
-    return float(w @ y)

@@ -11,10 +11,10 @@ from twfediag import (
     PanelDataset,
     SyntheticSpec,
     apply_adoption_schedule,
+    fit_twfe,
     generate_panel,
     load_panel_csv,
     load_schedule_csv,
-    residualize_treatment,
 )
 from twfediag.errors import TwfeDiagError
 
@@ -83,13 +83,11 @@ def random_panel(rng: np.random.Generator, missing=False, effect=None, noise_sd=
         dataset = generate_panel(spec)
         if missing and rng.random() < 0.7:
             dataset = with_missing(dataset, rng)
-        try:
-            d_resid = residualize_treatment(dataset)
+        try:  # rejects a one-group sample and a collinear treatment
+            d_resid = fit_twfe(dataset).residualized_treatment
         except TwfeDiagError:
             continue
         treated = dataset.treated[dataset.observed].astype(bool)
-        if not 0 < treated.sum() < len(treated):
-            continue
         # keep the homogeneity regression identified: residual-treatment
         # variation within both groups
         scale = np.abs(d_resid).max()

@@ -77,6 +77,101 @@ def cluster_sandwich(dataset, inference: str = "cluster_by_unit"):
     return math.sqrt(max(cov[-1, -1], 0.0)), dof, fitted
 
 
+def balanced_residualized_treatment(dataset) -> np.ndarray:
+    """Residualized treatment of a balanced panel by double demeaning,
+    D - unit mean - period mean + grand mean evaluated termwise, from plain
+    sums over the estimation sample's Observation rows, in row order."""
+    sample = [o for o in dataset.observations if o.outcome is not None]
+    units = {o.unit for o in sample}
+    periods = {o.period for o in sample}
+    if len(sample) != len(units) * len(periods):
+        raise ValueError("the closed form needs a balanced panel")
+    unit_sum = dict.fromkeys(units, 0)
+    period_sum = dict.fromkeys(periods, 0)
+    for o in sample:
+        unit_sum[o.unit] += o.treated
+        period_sum[o.period] += o.treated
+    grand_mean = sum(unit_sum.values()) / len(sample)
+    return np.array([
+        o.treated - unit_sum[o.unit] / len(periods) - period_sum[o.period] / len(units)
+        + grand_mean
+        for o in sample
+    ])
+
+
+def bacon_decomposition(dataset) -> list[tuple[float, float]]:
+    """(weight, 2x2 DiD estimate) of each comparison in the Goodman-Bacon
+    (2021, eq. 10) decomposition of the TWFE coefficient, from group means
+    over the Observation rows of a balanced panel in which no unit is
+    treated in the first period, with no solver.
+
+    Timing group k adopts at period t_k; n_k is its share of the units and
+    D_k the share of the periods in which it is treated; U is the
+    never-treated group. The comparisons are k against U, an earlier k
+    against a later l before l adopts, and l against k after k adopted. The
+    weights are left unnormalized: they sum to the variance of the
+    double-demeaned treatment, sum(d_resid**2) / N, and sum(weight *
+    estimate) / sum(weight) is the coefficient.
+    """
+    sample = [o for o in dataset.observations if o.outcome is not None]
+    periods = sorted({o.period for o in sample})
+    units = list(dict.fromkeys(o.unit for o in sample))
+    if len(sample) != len(units) * len(periods):
+        raise ValueError("the decomposition needs a balanced panel")
+    cell = {(o.unit, o.period): o.outcome for o in sample}
+    adoption = {u: None for u in units}
+    for o in sorted(sample, key=lambda o: o.period):
+        if o.treated and adoption[o.unit] is None:
+            adoption[o.unit] = periods.index(o.period)
+    if 0 in adoption.values():
+        raise ValueError("a unit treated in the first period")
+    groups = {}
+    for u in units:
+        groups.setdefault(adoption[u], []).append(u)
+    never = groups.pop(None, [])
+    n_periods = len(periods)
+
+    def mean(group, lo, hi):
+        """Mean outcome of the group's units over periods[lo:hi]."""
+        cells = [cell[u, q] for u in group for q in periods[lo:hi]]
+        return sum(cells) / len(cells)
+
+    def share(group):
+        return len(group) / len(units)
+
+    def treated_share(t):
+        return (n_periods - t) / n_periods
+
+    terms = []
+    timings = sorted(groups)
+    for k in timings if never else ():
+        g = groups[k]
+        pair = share(g) + share(never)
+        n_kU = share(g) / pair
+        d_k = treated_share(k)
+        weight = pair ** 2 * n_kU * (1 - n_kU) * d_k * (1 - d_k)
+        estimate = (mean(g, k, None) - mean(g, 0, k)) - (mean(never, k, None) - mean(never, 0, k))
+        terms.append((weight, estimate))
+    for i, k in enumerate(timings):
+        for l in timings[i + 1:]:
+            early, late = groups[k], groups[l]
+            pair = share(early) + share(late)
+            n_kl = share(early) / pair
+            d_k, d_l = treated_share(k), treated_share(l)
+            base = n_kl * (1 - n_kl) * (d_k - d_l)
+            # early treated, late not yet treated: the periods before l adopts
+            weight = (pair * (1 - d_l)) ** 2 * base / (1 - d_l) * (1 - d_k) / (1 - d_l)
+            estimate = ((mean(early, k, l) - mean(early, 0, k))
+                        - (mean(late, k, l) - mean(late, 0, k)))
+            terms.append((weight, estimate))
+            # late treated, early already treated: the periods from k on
+            weight = (pair * d_k) ** 2 * base * (d_l / d_k) / d_k
+            estimate = ((mean(late, l, None) - mean(late, k, l))
+                        - (mean(early, l, None) - mean(early, k, l)))
+            terms.append((weight, estimate))
+    return terms
+
+
 def hc_sandwich(X: np.ndarray, residuals: np.ndarray, scale: float) -> np.ndarray:
     """Heteroskedasticity-robust sandwich with an explicit scale factor."""
     bread = np.linalg.inv(X.T @ X)

@@ -16,7 +16,7 @@ from twfediag import (
 )
 from twfediag.errors import DegenerateGroup, UnknownUnit
 
-from conftest import canonical_2x2, random_panel, sample_keys
+from conftest import canonical_2x2, make_panel, random_panel, sample_keys
 from test_twfe import homogeneous_panel
 from oracles import naive_weight_counts, normal_equations_ols
 
@@ -169,6 +169,26 @@ class TestHomogeneityTest:
         for row in (result.b_resid_treatment, result.b_treat_group, result.b_interaction):
             assert row.se == 0.0
             assert math.isnan(row.t_stat) and math.isnan(row.p_value)
+
+    def test_clustered_variance_cancelling_in_one_row(self):
+        # the residuals are not round-off, but the residualized-treatment
+        # row's cluster scores cancel: its clustered variance is round-off
+        # (se 5.7e-16, t 8.7e14 under the residual-sum-of-squares rule alone)
+        ds = make_panel([
+            ("u0", 1, 1.0, 1), ("u0", 2, 0.0, 1), ("u1", 1, 1.0, 0), ("u1", 2, None, 0),
+            ("u2", 1, 0.0, 0), ("u2", 2, 0.0, 1), ("u3", 1, 0.0, 1), ("u3", 2, 0.0, 1),
+            ("u4", 1, None, 0), ("u4", 2, None, 0),
+        ])
+        clustered = homogeneity_test(fit_twfe(ds), "cluster_by_unit")
+        row = clustered.b_resid_treatment
+        assert row.estimate == pytest.approx(0.5)
+        assert row.se == 0.0 and math.isnan(row.t_stat) and math.isnan(row.p_value)
+        for row in (clustered.b_treat_group, clustered.b_interaction):
+            assert row.se > 0.05 and 0.0 <= row.p_value <= 1.0
+        # classically no row cancels: the residual sum of squares is not round-off
+        classical = homogeneity_test(fit_twfe(ds, "classical"), "classical")
+        for row in (classical.b_resid_treatment, classical.b_treat_group, classical.b_interaction):
+            assert row.se > 0.3 and 0.0 <= row.p_value <= 1.0
 
     def test_noisy_rows_unchanged(self):
         # pinned bit for bit: the exact-fit rule must leave noisy fits alone

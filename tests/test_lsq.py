@@ -90,7 +90,7 @@ class TestClassicalCovariance:
     def test_zero_residuals_zero_matrix(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
         _, resid, R = qr_lstsq(X, np.array([0.0, 2.0, 4.0]))
-        cov = classical_vcov(R, resid)
+        cov, _ = classical_vcov(R, resid)
         assert np.allclose(cov, 0.0)
         assert standard_errors(cov) == pytest.approx([0.0, 0.0])
 
@@ -99,17 +99,19 @@ class TestClassicalCovariance:
         X = random_design(rng)
         y = rng.normal(size=10)
         _, resid, R = qr_lstsq(X, y)
-        cov = classical_vcov(R, resid)
+        cov, per_rss = classical_vcov(R, resid)
         sigma2 = (resid @ resid) / (10 - 3)
         expected = sigma2 * np.linalg.inv(X.T @ X)
         assert cov == pytest.approx(expected, abs=1e-10)
+        # the diagonal per unit of RSS: equality, classically
+        assert (resid @ resid) * per_rss == pytest.approx(np.diag(expected), rel=1e-10)
 
     def test_symmetry_and_psd(self):
         rng = np.random.default_rng(6)
         X = random_design(rng, n=30, k=4)
         y = rng.normal(size=30)
         _, resid, R = qr_lstsq(X, y)
-        cov = classical_vcov(R, resid)
+        cov, _ = classical_vcov(R, resid)
         assert np.max(np.abs(cov - cov.T)) < 1e-12
         eigs = np.linalg.eigvalsh(cov)
         assert eigs.min() >= -1e-10 * np.trace(cov)
@@ -128,7 +130,7 @@ class TestClusterRobustCovariance:
         X = random_design(rng, n=n, k=k)
         y = rng.normal(size=n)
         _, resid, R = qr_lstsq(X, y)
-        cov, clusters = cluster_vcov(X, R, resid, np.arange(n))
+        cov, _, clusters = cluster_vcov(X, R, resid, np.arange(n))
         # G = N makes the finite-sample factor collapse to N/(N-K)
         expected = hc_sandwich(X, resid, n / (n - k))
         assert cov == pytest.approx(expected, abs=1e-10)
@@ -142,12 +144,14 @@ class TestClusterRobustCovariance:
         _, resid, R = qr_lstsq(X, y)
         # clusters interleaved and numbered out of order: the sort must group them
         codes = np.array([3, 0, 4, 1, 2] * 4)
-        cov, G = cluster_vcov(X, R, resid, codes)
+        cov, per_rss, G = cluster_vcov(X, R, resid, codes)
         assert G == 5
-        expected = cluster_score_sandwich(
-            X, resid, codes.tolist(), (G / (G - 1)) * ((n - 1) / (n - k))
-        )
+        c = (G / (G - 1)) * ((n - 1) / (n - k))
+        expected = cluster_score_sandwich(X, resid, codes.tolist(), c)
         assert cov == pytest.approx(expected, abs=1e-10)
+        # the diagonal's bound per unit of RSS is c * diag((X'X)^-1)
+        assert per_rss == pytest.approx(c * np.diag(np.linalg.inv(X.T @ X)), rel=1e-10)
+        assert np.all(np.diag(cov) <= (resid @ resid) * per_rss)
 
     def test_symmetry_and_psd(self):
         rng = np.random.default_rng(10)
@@ -155,7 +159,7 @@ class TestClusterRobustCovariance:
         X = random_design(rng, n=n, k=4)
         y = rng.normal(size=n)
         _, resid, R = qr_lstsq(X, y)
-        cov, _ = cluster_vcov(X, R, resid, np.repeat(np.arange(8), 5))
+        cov, _, _ = cluster_vcov(X, R, resid, np.repeat(np.arange(8), 5))
         assert np.max(np.abs(cov - cov.T)) < 1e-12
         eigs = np.linalg.eigvalsh(cov)
         assert eigs.min() >= -1e-10 * np.trace(cov)

@@ -9,25 +9,13 @@ from twfediag import (
     Observation,
     PanelDataset,
     SyntheticSpec,
-    balanced_weights_closed_form,
-    beta_from_weights,
     fit_twfe,
-    fwl_weights,
     generate_panel,
-    residualize_outcome,
-    residualize_treatment,
 )
-from twfediag.errors import (
-    CollinearTreatment,
-    DegenerateTreatment,
-    DimensionMismatch,
-    NonFiniteOutcome,
-    UnbalancedPanel,
-    ZeroVariance,
-)
+from twfediag.errors import CollinearTreatment, DegenerateTreatment, NonFiniteOutcome
 
 from conftest import canonical_2x2, make_panel, random_panel, sample_keys
-from oracles import dummy_ols_beta
+from oracles import bacon_decomposition, balanced_residualized_treatment, dummy_ols_beta
 
 
 def homogeneous_panel(delta=3.0, seed=0):
@@ -174,7 +162,7 @@ class TestFitTwfe:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_outcome_rejected(self, bad):
         # no panel holds one: building it fails and names the row, so no fit
-        # (fit_twfe, residualize_outcome) can see it
+        # can see it
         with pytest.raises(NonFiniteOutcome, match="unit 'A', period 2"):
             make_panel([("A", 1, 1.0, 0), ("A", 2, bad, 1),
                         ("B", 1, 2.0, 0), ("B", 2, 0.0, 0)])
@@ -223,100 +211,134 @@ class TestInvariances:
 
 class TestResidualization:
     def test_balanced_2x2(self):
-        d_resid = residualize_treatment(canonical_2x2())
+        d_resid = fit_twfe(canonical_2x2()).residualized_treatment
         assert d_resid == pytest.approx([0.25, -0.25, -0.25, 0.25], abs=1e-12)
 
     def test_mean_zero(self):
         rng = np.random.default_rng(27)
         _, ds = random_panel(rng, missing=True)
-        assert abs(residualize_treatment(ds).mean()) < 1e-12
+        assert abs(fit_twfe(ds).residualized_treatment.mean()) < 1e-12
 
     def test_all_zero_treatment_collinear(self):
+        # an all-zero treatment is spanned by the fixed effects; the fit
+        # rejects the one-group sample before it reaches that check
         ds = make_panel([("A", 1, 1.0, 0), ("A", 2, 1.0, 0),
                          ("B", 1, 2.0, 0), ("B", 2, 0.0, 0)])
+        with pytest.raises(DegenerateTreatment):
+            fit_twfe(ds)
+        # treatment that is a unit dummy has both groups and no residual
+        ds = make_panel([("A", 1, 1.0, 0), ("A", 2, 1.0, 0),
+                         ("B", 1, 2.0, 1), ("B", 2, 0.0, 1)])
         with pytest.raises(CollinearTreatment):
-            residualize_treatment(ds)
+            fit_twfe(ds)
 
     def test_2x3_staggered_closed_form_value(self):
         # A adopts at period 2, B at period 3: the treated cell (A, 3) has
         # residual 1 - 1 - 2/3 + 1/2 = -1/6
         ds = make_panel([("A", 1, 1.0, 0), ("A", 2, 1.0, 1), ("A", 3, 1.0, 1),
                          ("B", 1, 1.0, 0), ("B", 2, 1.0, 0), ("B", 3, 1.0, 1)])
-        d_resid = residualize_treatment(ds)
+        d_resid = fit_twfe(ds).residualized_treatment
         assert d_resid[2] == pytest.approx(-1.0 / 6.0, abs=1e-12)
-        assert d_resid == pytest.approx(balanced_weights_closed_form(ds), abs=1e-10)
+        assert d_resid == pytest.approx(balanced_residualized_treatment(ds), abs=1e-10)
 
     def test_constant_outcome_residualizes_to_zero(self):
         ds = make_panel([("A", 1, 4.0, 0), ("A", 2, 4.0, 1),
                          ("B", 1, 4.0, 0), ("B", 2, 4.0, 0)])
-        assert residualize_outcome(ds) == pytest.approx([0, 0, 0, 0], abs=1e-12)
+        assert fit_twfe(ds).residualized_outcome == pytest.approx([0, 0, 0, 0], abs=1e-12)
 
     def test_noiseless_outcome_residual_is_scaled_treatment_residual(self):
-        ds = homogeneous_panel(delta=3.0)
-        y_resid = residualize_outcome(ds)
-        d_resid = residualize_treatment(ds)
-        assert y_resid == pytest.approx(3.0 * d_resid, abs=1e-10)
+        fit = fit_twfe(homogeneous_panel(delta=3.0))
+        assert fit.residualized_outcome == pytest.approx(
+            3.0 * fit.residualized_treatment, abs=1e-10
+        )
 
     def test_fwl_slope_equals_fit_beta(self):
+        # the slope of the residuals against the normal-equations oracle
         rng = np.random.default_rng(28)
         _, ds = random_panel(rng, missing=True, noise_sd=2.0)
-        y_resid = residualize_outcome(ds)
-        d_resid = residualize_treatment(ds)
+        fit = fit_twfe(ds)
+        d_resid, y_resid = fit.residualized_treatment, fit.residualized_outcome
         slope = (d_resid @ y_resid) / (d_resid @ d_resid)
-        assert slope == pytest.approx(fit_twfe(ds).beta, rel=1e-8)
+        assert slope == pytest.approx(dummy_ols_beta(ds), rel=1e-8)
 
 
 class TestClosedForm:
     def test_unbalanced_rejected(self):
         ds = make_panel([("A", 1, 1.0, 0), ("A", 2, None, 1),
                          ("B", 1, 2.0, 0), ("B", 2, 0.0, 0)])
-        with pytest.raises(UnbalancedPanel):
-            balanced_weights_closed_form(ds)
+        with pytest.raises(ValueError, match="balanced"):
+            balanced_residualized_treatment(ds)
 
     def test_never_treated_all_zero(self):
         ds = make_panel([("A", 1, 1.0, 0), ("A", 2, 1.0, 0),
                          ("B", 1, 2.0, 0), ("B", 2, 0.0, 0)])
-        assert balanced_weights_closed_form(ds) == pytest.approx([0, 0, 0, 0])
+        assert balanced_residualized_treatment(ds) == pytest.approx([0, 0, 0, 0])
 
     def test_matches_regression_residuals_on_balanced_panels(self):
         rng = np.random.default_rng(29)
         for _ in range(20):
             _, ds = random_panel(rng, missing=False)
-            closed = balanced_weights_closed_form(ds)
-            regressed = residualize_treatment(ds)
+            closed = balanced_residualized_treatment(ds)
+            regressed = fit_twfe(ds).residualized_treatment
             assert np.max(np.abs(closed - regressed)) < 1e-10
+
+
+class TestBaconDecomposition:
+    def test_weighted_2x2_estimates_equal_beta(self):
+        # Goodman-Bacon (2021): the coefficient is the weighted mean of the
+        # 2x2 DiD estimates, and the weights sum to the variance of the
+        # residualized treatment
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            _, ds = random_panel(rng, missing=False, noise_sd=1.0)
+            fit = fit_twfe(ds)
+            weights, estimates = np.array(bacon_decomposition(ds)).T
+            d_resid = fit.residualized_treatment
+            assert weights @ estimates / weights.sum() == pytest.approx(fit.beta, rel=1e-10)
+            assert weights.sum() == pytest.approx(d_resid @ d_resid / fit.n_obs, rel=1e-10)
+
+    def test_2x2_is_one_comparison(self):
+        # one treated unit against one never-treated unit: the DiD itself
+        (weight, estimate), = bacon_decomposition(canonical_2x2())
+        assert estimate == pytest.approx(5.0)
+        assert weight == pytest.approx(0.0625)  # sum(0.25**2 * 4) / 4
 
 
 class TestWeights:
     def test_fwl_weights_2x2(self):
-        w = fwl_weights(np.array([0.25, -0.25, -0.25, 0.25]))
+        w = fit_twfe(canonical_2x2()).weights
         assert w == pytest.approx([1.0, -1.0, -1.0, 1.0])
 
     def test_normalization_identity(self):
         rng = np.random.default_rng(30)
-        d_resid = rng.normal(size=50)
-        d_resid -= d_resid.mean()
-        w = fwl_weights(d_resid)
-        assert w @ d_resid == pytest.approx(1.0, abs=1e-12)
+        _, ds = random_panel(rng, missing=True, noise_sd=1.0)
+        fit = fit_twfe(ds)
+        assert fit.weights @ fit.residualized_treatment == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_variance(self):
-        with pytest.raises(ZeroVariance):
-            fwl_weights(np.zeros(4))
+        # a residualized treatment with zero sum of squares has no weights:
+        # treatment on every cell of a late period is a period dummy
+        ds = make_panel([("A", 1, 1.0, 0), ("A", 2, 1.0, 1),
+                         ("B", 1, 2.0, 0), ("B", 2, 0.0, 1)])
+        with pytest.raises(CollinearTreatment):
+            fit_twfe(ds)
 
     def test_beta_from_weights_2x2(self):
-        assert beta_from_weights(
-            np.array([1.0, -1.0, -1.0, 1.0]), np.array([0.0, 0.0, 0.0, 5.0])
-        ) == pytest.approx(5.0)
+        fit = fit_twfe(canonical_2x2())
+        assert fit.weights @ fit.outcome == pytest.approx(5.0)
 
     def test_beta_from_weights_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            beta_from_weights(np.zeros(3), np.zeros(4))
+        # weights and outcome come from one fit, over the same sample rows
+        ds = make_panel([("A", 1, 1.0, 0), ("A", 2, None, 0), ("A", 3, 2.0, 1),
+                         ("B", 1, 2.0, 0), ("B", 2, 0.0, 0), ("B", 3, 1.0, 0),
+                         ("C", 1, None, 0), ("C", 2, 3.0, 1), ("C", 3, 5.0, 1)])
+        fit = fit_twfe(ds)
+        assert fit.weights.shape == fit.outcome.shape == (fit.n_obs,) == (7,)
 
     def test_fwl_identity_on_random_panels(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             _, ds = random_panel(rng, missing=True, noise_sd=1.5)
-            w = fwl_weights(residualize_treatment(ds))
+            fit = fit_twfe(ds)
             y = ds.outcome[ds.observed]
-            beta = fit_twfe(ds).beta
-            assert beta_from_weights(w, y) == pytest.approx(beta, rel=1e-8, abs=1e-8)
+            assert fit.weights @ y == pytest.approx(dummy_ols_beta(ds), rel=1e-8, abs=1e-8)
