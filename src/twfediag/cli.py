@@ -8,38 +8,15 @@ Exit codes: 0 success, 1 data/validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
-import json
 import sys
-import time
-from pathlib import Path
-from typing import Optional
 
 from . import __version__
-from .errors import TwfeDiagError
-from .diagnostics import (
-    DEFAULT_BANDWIDTH,
-    DEFAULT_BINS,
-    DEFAULT_GRID_POINTS,
-    homogeneity_test,
-    residual_scatter,
-    weight_grid,
-    weight_report,
-)
-from .panel import (
-    AdoptionSchedule,
-    PanelDataset,
-    apply_adoption_schedule,
-    load_panel_csv,
-    load_schedule_csv,
-    schedule_from_data,
-    validate,
-    write_panel_csv,
-)
-from .robustness import leave_one_unit_out, sweep_end_year, sweep_post_horizon
-from .synth import generate_panel, spec_from_json
-from .twfe import fit_twfe
+
+# Start-up is most of a small run's time, so the module level imports only
+# what parsing needs: each command imports the layers (and numpy) and the
+# standard modules it uses. Options whose default belongs to the library
+# (--bins, --bandwidth, --grid-points, --level) are passed on only when
+# given.
 
 SWEEP_HEADER = [
     "label", "beta", "ci_low", "ci_high",
@@ -105,15 +82,27 @@ def _inference(args) -> str:
     return "cluster_by_unit" if args.cluster == "unit" else "classical"
 
 
-def _digest(*paths: Optional[str]) -> str:
+def _digest(*paths: str | None) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     for path in paths:
         if path:
-            h.update(Path(path).read_bytes())
+            with open(path, "rb") as f:
+                h.update(f.read())
     return h.hexdigest()
 
 
-def _load(args) -> tuple[PanelDataset, Optional[AdoptionSchedule], str]:
+def _given(args, *names: str) -> dict:
+    """The named options the user gave, as keyword arguments."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
+def _load(args):
+    """(dataset, adoption schedule or None) from the data options."""
+    from .errors import TwfeDiagError
+    from .panel import apply_adoption_schedule, load_panel_csv, load_schedule_csv
+
     if args.treatment is None and args.adoption is None:
         raise TwfeDiagError("provide --treatment and/or --adoption")
     dataset = load_panel_csv(
@@ -125,14 +114,21 @@ def _load(args) -> tuple[PanelDataset, Optional[AdoptionSchedule], str]:
         dataset = apply_adoption_schedule(
             dataset, schedule, include_adoption_period=args.treat_from == "adoption-year"
         )
-    return dataset, schedule, _digest(args.data, args.adoption)
+    return dataset, schedule
 
 
 def _write_rows(path: str, header: list[str], rows) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as f:
+    import csv
+
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 def _sweep_csv(path: str, sweep) -> None:
@@ -159,11 +155,17 @@ def _coef_dict(row) -> dict:
 
 
 def cmd_estimate(args) -> int:
-    dataset, _, digest = _load(args)
+    import json
+    import time
+
+    from .diagnostics import homogeneity_test, weight_report
+    from .twfe import fit_twfe
+
+    dataset, _ = _load(args)
     inference = _inference(args)
     fit = fit_twfe(dataset, inference)
     report = weight_report(fit)
-    homog = homogeneity_test(fit, inference="classical")
+    homog = homogeneity_test(fit, inference)
     doc = {
         "config": {
             "data": args.data,
@@ -198,13 +200,13 @@ def cmd_estimate(args) -> int:
             "inference": homog.inference,
         },
         "version": __version__,
-        "input_digest": digest,
+        "input_digest": _digest(args.data, args.adoption),
     }
     if not args.no_timestamp:
         doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     text = json.dumps(doc, indent=2) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_text(args.out, text)
         print(
             f"beta={fit.beta:.2f} se={fit.se:.2f} p={fit.p_value:.2f} "
             f"n={fit.n_obs} treated={fit.n_treated} "
@@ -216,9 +218,13 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    dataset, schedule, _ = _load(args)
+    from .diagnostics import weight_grid, weight_report
+    from .panel import schedule_from_data
+    from .twfe import fit_twfe
+
+    dataset, schedule = _load(args)
     fit = fit_twfe(dataset, _inference(args))
-    report = weight_report(fit, bins=args.bins)
+    report = weight_report(fit, **_given(args, "bins"))
     if args.out_hist:
         _write_rows(
             args.out_hist,
@@ -248,9 +254,12 @@ def cmd_weights(args) -> int:
 
 
 def cmd_scatter(args) -> int:
-    dataset, _, _ = _load(args)
+    from .diagnostics import residual_scatter
+    from .twfe import fit_twfe
+
+    dataset, _ = _load(args)
     fit = fit_twfe(dataset, _inference(args))
-    scatter = residual_scatter(fit, bandwidth=args.bandwidth, grid_points=args.grid_points)
+    scatter = residual_scatter(fit, **_given(args, "bandwidth", "grid_points"))
     prefix = args.out_prefix
     _write_rows(
         f"{prefix}_points.csv",
@@ -278,33 +287,43 @@ def cmd_scatter(args) -> int:
 
 
 def cmd_sweep_endyear(args) -> int:
-    dataset, _, _ = _load(args)
+    from .robustness import sweep_end_year
+
+    dataset, _ = _load(args)
     first = args.first_end if args.first_end is not None else dataset.periods[0]
     last = args.last_end if args.last_end is not None else dataset.periods[-1]
-    sweep = sweep_end_year(dataset, first, last, _inference(args), level=args.level)
+    sweep = sweep_end_year(dataset, first, last, _inference(args), **_given(args, "level"))
     _sweep_csv(args.out, sweep)
     return 0
 
 
 def cmd_sweep_horizon(args) -> int:
-    dataset, schedule, _ = _load(args)
+    from .panel import schedule_from_data
+    from .robustness import sweep_post_horizon
+
+    dataset, schedule = _load(args)
     if schedule is None:
         schedule = schedule_from_data(dataset)
     sweep = sweep_post_horizon(
-        dataset, schedule, args.horizons, _inference(args), level=args.level
+        dataset, schedule, args.horizons, _inference(args), **_given(args, "level")
     )
     _sweep_csv(args.out, sweep)
     return 0
 
 
 def cmd_jackknife(args) -> int:
-    dataset, _, _ = _load(args)
-    sweep = leave_one_unit_out(dataset, _inference(args), level=args.level)
+    from .robustness import leave_one_unit_out
+
+    dataset, _ = _load(args)
+    sweep = leave_one_unit_out(dataset, _inference(args), **_given(args, "level"))
     _sweep_csv(args.out, sweep)
     return 0
 
 
 def cmd_simulate(args) -> int:
+    from .panel import write_panel_csv
+    from .synth import generate_panel, spec_from_json
+
     spec = spec_from_json(args.spec, seed=args.seed)
     dataset = generate_panel(spec)
     write_panel_csv(dataset, args.out)
@@ -313,11 +332,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    dataset, _, _ = _load(args)
+    import json
+
+    from .panel import validate
+
+    dataset, _ = _load(args)
     report = validate(dataset)
     text = json.dumps(report.to_dict(), indent=2) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0 if report.is_valid else 1
@@ -342,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weights", help="weight histogram and unit-by-period grid CSVs")
     _add_data_args(p)
     _add_inference_arg(p)
-    p.add_argument("--bins", type=BINS, default=DEFAULT_BINS)
+    p.add_argument("--bins", type=BINS, default=argparse.SUPPRESS)
     p.add_argument("--out-hist", help="histogram CSV path")
     p.add_argument("--out-grid", help="grid CSV path")
     p.set_defaults(func=cmd_weights)
@@ -350,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scatter", help="residual scatter, fit lines, smoothed curves CSVs")
     _add_data_args(p)
     _add_inference_arg(p)
-    p.add_argument("--bandwidth", type=BANDWIDTH, default=DEFAULT_BANDWIDTH)
-    p.add_argument("--grid-points", type=GRID_POINTS, default=DEFAULT_GRID_POINTS)
+    p.add_argument("--bandwidth", type=BANDWIDTH, default=argparse.SUPPRESS)
+    p.add_argument("--grid-points", type=GRID_POINTS, default=argparse.SUPPRESS)
     p.add_argument("--out-prefix", required=True,
                    help="writes <prefix>_points.csv, <prefix>_lines.csv, <prefix>_smooth.csv")
     p.set_defaults(func=cmd_scatter)
@@ -362,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} robustness sweep CSV")
         _add_data_args(p)
         _add_inference_arg(p)
-        p.add_argument("--level", type=LEVEL, default=0.95, help="confidence level")
+        p.add_argument("--level", type=LEVEL, default=argparse.SUPPRESS, help="confidence level")
         p.add_argument("--out", required=True, help="sweep CSV path")
         if name == "sweep-endyear":
             p.add_argument("--first-end", type=int)
@@ -387,12 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "first_end", None) is not None and args.last_end is not None \
             and args.first_end > args.last_end:
         args.usage_error(f"--first-end {args.first_end} is after --last-end {args.last_end}")
+    from .errors import TwfeDiagError
+
     try:
         return args.func(args)
     except TwfeDiagError as exc:

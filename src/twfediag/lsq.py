@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonpositiveSE, SingularDesign
+from .studentt import two_sided_p, two_sided_quantile
 
 SINGULAR_TOL = 1e-10  # |R diagonal| at most this, relative to the largest (or 1), is singular
 
@@ -70,22 +71,14 @@ def cluster_vcov(
     return 0.5 * (cov + cov.T), c * np.diag(bread), G
 
 
-# The t distribution is the only use of scipy. It is imported inside the two
-# functions below, so that only commands that compute a p-value or a
-# confidence interval pay for loading scipy.special. stdtr and stdtrit are
-# the ufuncs behind scipy.stats.t.sf and t.ppf, so the results are the same.
-
 def t_test(coefficient: float, standard_error: float, dof: int) -> tuple[float, float]:
     """Two-sided t test of a zero null; returns (t statistic, p-value)."""
     if standard_error <= 0:
         raise NonpositiveSE(f"standard error must be positive, got {standard_error}")
     if dof <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {dof}")
-    from scipy.special import stdtr
-
     t = coefficient / standard_error
-    p = 2.0 * stdtr(dof, -abs(t))
-    return t, float(min(p, 1.0))
+    return t, two_sided_p(t, dof)
 
 
 def t_critical(level: float, dof: int) -> float:
@@ -94,6 +87,4 @@ def t_critical(level: float, dof: int) -> float:
         raise ValueError(f"confidence level must lie in (0, 1), got {level}")
     if dof <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {dof}")
-    from scipy.special import stdtrit
-
-    return float(stdtrit(dof, 0.5 + level / 2.0))
+    return two_sided_quantile(1.0 - level, dof)

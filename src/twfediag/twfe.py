@@ -4,6 +4,7 @@ partialled-out (residualized-treatment) weight representation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import nan, sqrt
 
 import numpy as np
@@ -20,8 +21,7 @@ NEGATIVE_WEIGHT_TOL = -1e-12  # weights below this count as negative
 @dataclass(frozen=True)
 class TwfeFit:
     beta: float
-    se: float
-    p_value: float  # nan when the standard error is zero (an exact fit)
+    se: float  # 0 for an exact fit
     dof: int
     n_obs: int
     n_treated: int
@@ -36,6 +36,13 @@ class TwfeFit:
     unit: np.ndarray  # code of each sample row's unit, an index into units
     period: np.ndarray  # period of each sample row
     inference: str  # "cluster_by_unit" | "classical"
+
+    @cached_property
+    def p_value(self) -> float:
+        """Two-sided t-test p-value of beta, nan when the standard error is
+        zero (an exact fit). Computed on first read, so a fit that only
+        feeds weights, a scatter or a sweep point never computes it."""
+        return t_test(self.beta, self.se, self.dof)[1] if self.se > 0 else nan
 
 
 def _count_components(linked: np.ndarray) -> int:
@@ -154,7 +161,6 @@ def fit_twfe(dataset: PanelDataset, inference: str = "cluster_by_unit") -> TwfeF
         se = sqrt(c * spread) / ssd
     else:
         se = sqrt(spread / (n - k) / ssd)
-    p_value = t_test(beta, se, dof)[1] if se > 0 else nan
 
     # effects of y - beta*d, with the first period's effect set to 0 (on a
     # disconnected panel the other components' levels stay arbitrary)
@@ -164,7 +170,6 @@ def fit_twfe(dataset: PanelDataset, inference: str = "cluster_by_unit") -> TwfeF
     return TwfeFit(
         beta=beta,
         se=se,
-        p_value=p_value,
         dof=dof,
         n_obs=n,
         n_treated=int(d.sum()),

@@ -69,6 +69,17 @@ class TestEstimate:
         assert doc["input_digest"] == hashlib.sha256(data.read_bytes()).hexdigest()
         assert "timestamp" not in doc
 
+    @pytest.mark.parametrize("cluster, inference", [("unit", "cluster_by_unit"), ("none", "classical")])
+    def test_homogeneity_inference_follows_cluster(self, panel_files, tmp_path, cluster, inference):
+        ds, data, _ = panel_files
+        out = tmp_path / "report.json"
+        assert main(["estimate", *data_args(data), "--cluster", cluster, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())["homogeneity"]
+        homog = homogeneity_test(fit_twfe(ds, inference), inference)
+        assert doc["inference"] == inference
+        assert doc["interaction"]["se"] == homog.b_interaction.se
+        assert doc["interaction"]["p_value"] == homog.b_interaction.p_value
+
     def test_schedule_route_matches_treatment_route(self, panel_files, tmp_path):
         ds, data, sched = panel_files
         out1 = tmp_path / "a.json"
