@@ -47,6 +47,7 @@ LEVEL = _checked(float, lambda v: 0 < v < 1, "a confidence level in (0, 1)")
 BANDWIDTH = _checked(float, lambda v: 0 < v <= 1, "a bandwidth in (0, 1]")
 GRID_POINTS = _checked(int, lambda v: v >= 2, "an integer of at least 2")
 BINS = _checked(int, lambda v: v >= 1, "a positive integer")
+SEED = _checked(int, lambda v: v >= 0, "a non-negative integer")
 HORIZONS = _checked(
     _parse_horizons,
     lambda hs: len(hs) > 0 and min(hs) >= 0,
@@ -398,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic panel CSV from a JSON spec")
     p.add_argument("--spec", required=True, help="generator spec JSON")
-    p.add_argument("--seed", type=int, help="override the spec's seed")
+    p.add_argument("--seed", type=SEED, help="override the spec's seed")
     p.add_argument("--out", required=True, help="panel CSV path")
     p.set_defaults(func=cmd_simulate)
 

@@ -1,10 +1,11 @@
 """Panel data model: long-format unit-by-period rows with an absorbing
-binary treatment, held as encoded columns; CSV ingestion and structural
-validation as whole-column passes."""
+binary treatment, held as encoded columns; CSV reading, CSV writing and
+structural validation as whole-column passes."""
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,6 +40,14 @@ def first_appearance(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     renumber = np.zeros(int(present[-1]) + 1 if len(present) else 0, dtype=np.int32)
     renumber[order] = np.arange(len(order), dtype=np.int32)
     return order, renumber[codes]
+
+
+def _coded(labels: list) -> tuple[tuple, np.ndarray]:
+    """The distinct labels in order of first appearance, and int32 codes
+    of `labels` into them."""
+    code = dict.fromkeys(labels)
+    code = dict(zip(code, range(len(code))))
+    return tuple(code), np.fromiter(map(code.__getitem__, labels), np.int32, len(labels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,15 +109,8 @@ class PanelDataset:
     @classmethod
     def encode(cls, labels: Iterable[str], period, outcome, treated) -> "PanelDataset":
         """A panel from one unit label per row, coded by first appearance."""
-        codes: dict[str, int] = {}
-        unit = np.array([codes.setdefault(u, len(codes)) for u in labels], dtype=np.int32)
-        return cls(
-            tuple(codes),
-            unit,
-            np.asarray(period, dtype=np.int64),
-            np.asarray(outcome, dtype=np.float64),
-            np.asarray(treated, dtype=np.int8),
-        )
+        units, unit = _coded(list(labels))
+        return cls(units, unit, period, outcome, treated)
 
     @classmethod
     def from_observations(cls, observations: Iterable[Observation]) -> "PanelDataset":
@@ -234,13 +236,15 @@ class _BadCell(ValueError):
     """A cell that does not parse; the message names the bad value."""
 
 
-def _parse_unit(cell: Optional[str]) -> str:
+# Per-cell checks: they name the first bad cell of a column whose whole-column
+# pass (the _*_column functions below) failed, and never produce values.
+
+def _check_unit(cell: Optional[str]) -> None:
     if cell is None:
         raise _BadCell("missing value")
-    return cell
 
 
-def _parse_period(cell: Optional[str]) -> int:
+def _check_period(cell: Optional[str]) -> None:
     if cell is None:
         raise _BadCell("missing value")
     try:
@@ -249,40 +253,72 @@ def _parse_period(cell: Optional[str]) -> int:
         raise _BadCell(f"not an integer: {cell!r}") from None
     if value not in _INT64:
         raise _BadCell(f"not a 64-bit integer: {cell!r}")
-    return value
 
 
-def _parse_outcome(cell: Optional[str]) -> float:
-    raw = (cell or "").strip()
+def _check_outcome(cell: str) -> None:
+    raw = cell.strip()
     if raw == "":
-        return math.nan  # missing
+        return  # missing
     try:
         value = float(raw)
     except ValueError:
         raise _BadCell(f"not a number: {raw!r}") from None
     if not math.isfinite(value):
         raise _BadCell(f"not a finite number: {raw!r}")
-    return value
 
 
-def _parse_treated(cell: Optional[str]) -> int:
-    t = (cell or "").strip()
+def _check_treated(cell: str) -> None:
+    t = cell.strip()
     if t not in ("0", "1"):
         raise _BadCell(f"treatment must be 0 or 1, got {t!r}")
-    return int(t)
 
 
-def _parse_column(cells: list, parse: Callable[[Optional[str]], object]):
-    """(values, None), or (None, (index of the first bad cell, message))."""
+# Whole-column passes: the column's values, or None when some cell is bad.
+# Each accepts exactly the cells its _check_* function accepts.
+
+def _unit_column(cells: list) -> Optional[tuple[tuple, np.ndarray]]:
+    units, unit = _coded(cells)
+    return None if None in units else (units, unit)
+
+
+def _period_column(cells: list) -> Optional[np.ndarray]:
+    try:  # a panel has few distinct period cells: convert each one once
+        value = {cell: int(cell) for cell in set(cells)}
+        np.array(list(value.values()), dtype=np.int64)  # OverflowError outside int64
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return np.fromiter(map(value.__getitem__, cells), np.int64, len(cells))
+
+
+def _outcome_column(cells: list) -> Optional[np.ndarray]:
+    text = list(map(str.strip, cells))
+    present = np.fromiter(map(bool, text), bool, len(text))
+    outcome = np.full(len(text), math.nan)
     try:
-        return list(map(parse, cells)), None
-    except _BadCell:
-        for i, cell in enumerate(cells):
-            try:
-                parse(cell)
-            except _BadCell as exc:
-                return None, (i, str(exc))
-        raise
+        outcome[present] = list(map(float, filter(None, text)))
+    except ValueError:
+        return None
+    if not np.isfinite(outcome[present]).all():
+        return None
+    return outcome
+
+
+def _treated_column(cells: list) -> Optional[np.ndarray]:
+    try:
+        value = {cell: ("0", "1").index(cell.strip()) for cell in set(cells)}
+    except ValueError:
+        return None
+    return np.fromiter(map(value.__getitem__, cells), np.int8, len(cells))
+
+
+def _first_bad(cells: list, check: Callable[[Optional[str]], None]) -> tuple[int, str]:
+    """(index, message) of the first cell that check refuses."""
+    for i, cell in enumerate(cells):
+        try:
+            check(cell)
+        except _BadCell as exc:
+            return i, str(exc)
+    raise RuntimeError("a column pass refused a column whose cells all parse")
 
 
 def load_panel_csv(
@@ -311,32 +347,38 @@ def load_panel_csv(
         for col in needed:
             if col not in header:
                 raise MissingColumn(col)
-        rows = [row for row in reader if row]
+        rows = list(filter(None, reader))
 
     position = {name: i for i, name in enumerate(header)}  # a repeated name: last one
-    width = max(position[col] for col in needed) + 1
-    if min(map(len, rows), default=width) < width:
-        rows = [row + [None] * (width - len(row)) for row in rows]
+    shortest = min(map(len, rows), default=0)
 
-    def cells(col: str) -> list:
+    def cells(col: str, absent: Optional[str]) -> list:
         i = position[col]
-        return [row[i] for row in rows]
+        if i < shortest:
+            return [row[i] for row in rows]
+        return [row[i] if i < len(row) else absent for row in rows]
 
-    specs = [(unit_col, _parse_unit), (period_col, _parse_period), (outcome_col, _parse_outcome)]
+    # a short row lacks its unit or period (an error), or its outcome or
+    # treatment (read as empty)
+    specs = [(unit_col, None, _unit_column, _check_unit),
+             (period_col, None, _period_column, _check_period),
+             (outcome_col, "", _outcome_column, _check_outcome)]
     if treatment_col is not None:
-        specs.append((treatment_col, _parse_treated))
+        specs.append((treatment_col, "", _treated_column, _check_treated))
     parsed, errors = [], []
-    for order, (col, parse) in enumerate(specs):
-        values, error = _parse_column(cells(col), parse)
+    for order, (col, absent, column, check) in enumerate(specs):
+        column_cells = cells(col, absent)
+        values = column(column_cells)
         parsed.append(values)
-        if error is not None:
-            errors.append((error[0], order, col, error[1]))
+        if values is None:
+            index, message = _first_bad(column_cells, check)
+            errors.append((index, order, col, message))
     if errors:  # the first bad row; within it, the first bad column of specs
         index, _, col, message = min(errors)
         raise ParseError(index + 2, col, message)
-    labels, periods, outcomes, *treated = parsed
-    return PanelDataset.encode(
-        labels, periods, outcomes, treated[0] if treated else np.zeros(len(rows), dtype=np.int8)
+    (units, unit), period, outcome, *treated = parsed
+    return PanelDataset(
+        units, unit, period, outcome, treated[0] if treated else np.zeros(len(rows), dtype=np.int8)
     )
 
 
@@ -348,18 +390,33 @@ def write_panel_csv(
     outcome_col: str = "outcome",
     treatment_col: str = "treated",
 ) -> None:
-    """Write a dataset in the standard long CSV format (full float precision)."""
-    labels = dataset.units
-    outcomes = ["" if math.isnan(y) else repr(y) for y in dataset.outcome.tolist()]
+    """Write a dataset in the standard long CSV format (full float precision),
+    byte for byte as csv.writer writes it: minimal quoting, CRLF line ends."""
+    # each distinct label quoted once by the csv module: as the first of two
+    # fields it is written exactly as in a data row, then a comma and the
+    # line end (which also decides what is quoted)
+    buffer = io.StringIO()
+    quoting = csv.writer(buffer)
+    unit_text = []
+    for label in dataset.units:
+        quoting.writerow((label, ""))
+        unit_text.append(buffer.getvalue()[:-2])  # keeps the comma
+        buffer.seek(0)
+        buffer.truncate()
+    periods = dataset.period.tolist()
+    period_text = {p: f"{p}," for p in set(periods)}
+    outcomes = list(map(float.__repr__, dataset.outcome.tolist()))
+    for row in np.flatnonzero(np.isnan(dataset.outcome)).tolist():
+        outcomes[row] = ""  # missing
+    # every line's four pieces, interleaved in one list and joined once
+    pieces = [""] * (4 * len(periods))
+    pieces[0::4] = [unit_text[u] for u in dataset.unit.tolist()]
+    pieces[1::4] = [period_text[p] for p in periods]
+    pieces[2::4] = outcomes
+    pieces[3::4] = [(",0\r\n", ",1\r\n")[d] for d in dataset.treated.tolist()]
     with Path(path).open("w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow([unit_col, period_col, outcome_col, treatment_col])
-        writer.writerows(zip(
-            [labels[u] for u in dataset.unit.tolist()],
-            dataset.period.tolist(),
-            outcomes,
-            dataset.treated.tolist(),
-        ))
+        csv.writer(f).writerow([unit_col, period_col, outcome_col, treatment_col])
+        f.write("".join(pieces))
 
 
 def load_schedule_csv(path: str | Path) -> AdoptionSchedule:

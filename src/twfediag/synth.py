@@ -10,6 +10,7 @@ coefficient recovers the effect exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -17,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidSpec
-from .panel import AdoptionSchedule, PanelDataset
+from .panel import _INT64, AdoptionSchedule, PanelDataset
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,13 @@ class EffectModel:
     def event_time(cls, slope: float, intercept: float = 0.0) -> "EffectModel":
         return cls(kind="event_time", slope=slope, intercept=intercept)
 
+    def __post_init__(self):
+        values = [("delta", self.delta), ("slope", self.slope), ("intercept", self.intercept)]
+        values += [(f"per_unit[{u!r}]", v) for u, v in self.per_unit.items()]
+        for name, value in values:
+            if not math.isfinite(value):
+                raise InvalidSpec(f"effect {name} must be finite, got {value}")
+
     def effect(self, unit: str, event_time: int) -> float:
         if self.kind == "constant":
             return self.delta
@@ -59,6 +67,15 @@ class EffectModel:
         if self.kind == "event_time":
             return self.intercept + self.slope * event_time
         raise InvalidSpec(f"unknown effect kind {self.kind!r}")
+
+    def on_grid(self, units: list[str], event_time: np.ndarray) -> np.ndarray:
+        """The effect on a grid of cells whose row i belongs to units[i] and
+        has the event times event_time[i]; broadcasts to event_time's shape.
+        Each cell's value is effect(unit, event time), computed by the same
+        floating-point operations."""
+        if self.kind == "event_time":
+            return self.intercept + self.slope * event_time
+        return np.array([self.effect(u, 0) for u in units], dtype=np.float64)[:, None]
 
 
 class EffectSummary(NamedTuple):
@@ -88,6 +105,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if len(self.units) < 2 or len(self.periods) < 2:
             raise InvalidSpec("need at least 2 units and 2 periods")
+        if len(set(self.units)) != len(self.units):
+            raise InvalidSpec("unit labels must be distinct")
         if tuple(sorted(self.periods)) != tuple(self.periods):
             raise InvalidSpec("periods must be sorted ascending")
         for u in self.units:
@@ -98,10 +117,23 @@ class SyntheticSpec:
         for p in self.periods:
             if p not in self.shocks:
                 raise InvalidSpec(f"missing period shock for period {p}")
+        for p in (*self.periods, *self.schedule.entries.values()):
+            if p is not None and p not in _INT64:
+                raise InvalidSpec(f"period {p} is not a 64-bit integer")
         if self.shocks[self.periods[0]] != 0.0:
             raise InvalidSpec("first-period shock must be zero")
+        for u, value in self.baselines.items():
+            if not math.isfinite(value):
+                raise InvalidSpec(f"baseline for unit {u!r} must be finite, got {value}")
+        for p, value in self.shocks.items():
+            if not math.isfinite(value):
+                raise InvalidSpec(f"shock for period {p} must be finite, got {value}")
+        if not math.isfinite(self.noise_sd):
+            raise InvalidSpec(f"noise_sd must be finite, got {self.noise_sd}")
         if self.noise_sd < 0:
             raise InvalidSpec("noise_sd must be non-negative")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be non-negative, got {self.seed}")
 
     def treated_cells(self) -> list[tuple[str, int, int]]:
         """(unit, period, event_time) for every treated cell."""
@@ -124,28 +156,28 @@ def generate_panel(spec: SyntheticSpec) -> PanelDataset:
     for p in spec.periods:
         total += spec.shocks[p]
         cum.append(total)
-    cum = np.array(cum)
+    n_units, n_periods = len(spec.units), len(spec.periods)
     periods = np.array(spec.periods, dtype=np.int64)
-    rng = np.random.default_rng(spec.seed)
-    noise = rng.normal(size=(len(spec.units), len(spec.periods)))
-    outcome = np.empty((len(spec.units), len(spec.periods)))
-    treated = np.zeros(outcome.shape, dtype=np.int8)
-    for i, u in enumerate(spec.units):
-        y = spec.baselines[u] + cum
-        adoption = spec.schedule.entries[u]
-        if adoption is not None:
-            on = periods >= adoption
-            if on.any():
-                y[on] += spec.effect.effect(u, periods[on] - adoption)
-            treated[i] = on
-        if spec.noise_sd > 0:
-            y += spec.noise_sd * noise[i]
-        outcome[i] = y
-    return PanelDataset.encode(
-        [u for u in spec.units for _ in spec.periods],
-        np.tile(periods, len(spec.units)),
+    adoption = [spec.schedule.entries[u] for u in spec.units]
+    start = np.array([0 if a is None else a for a in adoption], dtype=np.int64)[:, None]
+    adopts = np.array([a is not None for a in adoption], dtype=bool)[:, None]
+    on = adopts & (periods >= start)
+    # unit x period grids; each cell gets baseline + cumulative shock, then
+    # its effect if treated, then its noise: the per-cell operations of
+    # the unit-by-unit construction, in the same order
+    outcome = np.array([spec.baselines[u] for u in spec.units], dtype=np.float64)[:, None] + np.array(cum)
+    rows = np.flatnonzero(on.any(axis=1))  # only units with a treated cell need an effect
+    effect = np.zeros(outcome.shape)
+    effect[rows] = spec.effect.on_grid([spec.units[i] for i in rows.tolist()], periods - start[rows])
+    outcome[on] += effect[on]
+    if spec.noise_sd > 0:
+        outcome += spec.noise_sd * np.random.default_rng(spec.seed).normal(size=outcome.shape)
+    return PanelDataset(
+        spec.units,
+        np.repeat(np.arange(n_units, dtype=np.int32), n_periods),
+        np.tile(periods, n_units),
         outcome.ravel(),
-        treated.ravel(),
+        on.ravel(),
     )
 
 
@@ -199,7 +231,7 @@ def spec_from_json(path: str | Path, seed: Optional[int] = None) -> SyntheticSpe
         effect = _effect_from_dict(doc["effect"])
         noise_sd = float(doc.get("noise_sd", 0.0))
         file_seed = int(doc.get("seed", 0))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpec(f"malformed spec document: {exc}")
     return SyntheticSpec(
         units=units,

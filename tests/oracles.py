@@ -2,13 +2,19 @@
 
 These deliberately avoid the library's solver paths: OLS via explicitly
 formed normal equations, sandwich covariance via naive loops, and the t
-p-value via numerical quadrature of the density.
+p-value via numerical quadrature of the density. The panel CSV reader and
+writer and the synthetic generator are kept here in their row-by-row and
+unit-by-unit forms, as references for the column passes.
 """
 
+import csv
 import math
 
 import numpy as np
 import scipy.integrate
+
+from twfediag import PanelDataset
+from twfediag.errors import MissingColumn, ParseError
 
 
 def normal_equations_ols(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -308,3 +314,114 @@ def validate_reference(observations) -> dict:
         "balance": "balanced" if balanced else "unbalanced",
         "timing_groups": timing_groups,
     }
+
+
+def _reference_cell(cell, kind):
+    """Parse one cell the way the row-by-row loader did: the value, or a
+    ValueError whose message names the bad cell."""
+    if kind == "unit":
+        if cell is None:
+            raise ValueError("missing value")
+        return cell
+    if kind == "period":
+        if cell is None:
+            raise ValueError("missing value")
+        try:
+            value = int(cell)
+        except ValueError:
+            raise ValueError(f"not an integer: {cell!r}") from None
+        if not -2**63 <= value < 2**63:
+            raise ValueError(f"not a 64-bit integer: {cell!r}")
+        return value
+    raw = (cell or "").strip()
+    if kind == "outcome":
+        if raw == "":
+            return math.nan
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValueError(f"not a number: {raw!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"not a finite number: {raw!r}")
+        return value
+    if raw not in ("0", "1"):
+        raise ValueError(f"treatment must be 0 or 1, got {raw!r}")
+    return int(raw)
+
+
+def load_panel_csv_reference(path, unit_col, period_col, outcome_col, treatment_col=None):
+    """The row-by-row panel loader: every row's cells parsed one at a time
+    in column order (unit, period, outcome, treatment), the first bad cell
+    raising ParseError; unit codes by dict.setdefault."""
+    with open(path, newline="", encoding="utf-8-sig") as f:
+        reader = csv.reader(f)
+        header = next(reader, [])
+        needed = [(unit_col, "unit"), (period_col, "period"), (outcome_col, "outcome")]
+        if treatment_col is not None:
+            needed.append((treatment_col, "treated"))
+        for col, _ in needed:
+            if col not in header:
+                raise MissingColumn(col)
+        rows = [row for row in reader if row]
+    position = {name: i for i, name in enumerate(header)}
+    codes = {}
+    columns = {"unit": [], "period": [], "outcome": [], "treated": []}
+    for rownum, row in enumerate(rows, start=2):
+        for col, kind in needed:
+            i = position[col]
+            try:
+                value = _reference_cell(row[i] if i < len(row) else None, kind)
+            except ValueError as exc:
+                raise ParseError(rownum, col, str(exc)) from None
+            columns[kind].append(codes.setdefault(value, len(codes)) if kind == "unit" else value)
+        if treatment_col is None:
+            columns["treated"].append(0)
+    return PanelDataset(
+        tuple(codes),
+        np.array(columns["unit"], dtype=np.int32),
+        np.array(columns["period"], dtype=np.int64),
+        np.array(columns["outcome"], dtype=np.float64),
+        np.array(columns["treated"], dtype=np.int8),
+    )
+
+
+def write_panel_csv_reference(dataset, path):
+    """The panel writer as csv.writer rows: label, period, repr of the
+    outcome (empty when missing), treatment."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["unit", "period", "outcome", "treated"])
+        for u, p, y, d in zip(dataset.unit.tolist(), dataset.period.tolist(),
+                              dataset.outcome.tolist(), dataset.treated.tolist()):
+            writer.writerow([dataset.units[u], p, "" if math.isnan(y) else repr(y), d])
+
+
+def generate_panel_reference(spec):
+    """The unit-by-unit synthetic generator: each unit's row of outcomes is
+    baseline + cumulative shocks, plus the effect on its treated cells,
+    plus its row of noise; rows coded by a per-row label dictionary."""
+    cum = []
+    total = 0.0
+    for p in spec.periods:
+        total += spec.shocks[p]
+        cum.append(total)
+    cum = np.array(cum)
+    periods = np.array(spec.periods, dtype=np.int64)
+    noise = np.random.default_rng(spec.seed).normal(size=(len(spec.units), len(spec.periods)))
+    outcome = np.empty((len(spec.units), len(spec.periods)))
+    treated = np.zeros(outcome.shape, dtype=np.int8)
+    for i, u in enumerate(spec.units):
+        y = spec.baselines[u] + cum
+        adoption = spec.schedule.entries[u]
+        if adoption is not None:
+            on = periods >= adoption
+            if on.any():
+                y[on] += spec.effect.effect(u, periods[on] - adoption)
+            treated[i] = on
+        if spec.noise_sd > 0:
+            y += spec.noise_sd * noise[i]
+        outcome[i] = y
+    codes = {}
+    unit = [codes.setdefault(u, len(codes)) for u in spec.units for _ in spec.periods]
+    return PanelDataset(tuple(codes), np.array(unit, dtype=np.int32), np.tile(periods, len(spec.units)),
+                        outcome.ravel(), treated.ravel())

@@ -1,7 +1,7 @@
 """Repository checks that need no program run: the CI workflow runs the
 tier-1 command that ROADMAP.md names and the benchmark's oracle checks,
-the README's import block imports, and every function the benchmark
-reads a span of exists. Text and syntax-tree matches only, so no YAML
+the package parses as the lowest supported Python, the README's import
+block imports, and every function the benchmark reads a span of exists. Text and syntax-tree matches only, so no YAML
 parser is needed and nothing under perfbench/ is run."""
 
 import ast
@@ -30,6 +30,18 @@ def test_workflow_runs_roadmap_tier1_command():
     roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap).group(1)
     assert tier1 in _workflow_commands()
+
+
+def test_package_parses_as_lowest_supported_python():
+    """The 3.10 CI job is the only run on the lowest requires-python, so
+    catch newer syntax here, on any interpreter."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    lowest = re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups()
+    assert lowest == ("3", "10")
+    sources = sorted((ROOT / "src" / "twfediag").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
 def test_workflow_runs_benchmark_oracle_checks():

@@ -318,6 +318,42 @@ class TestSimulate:
         assert main(["simulate", "--spec", str(spec_path),
                      "--out", str(tmp_path / "o.csv")]) == 1
 
+    @pytest.mark.parametrize("path, value", [
+        (("baselines", "A"), "NaN"),
+        (("shocks", "3"), "Infinity"),
+        (("effect", "delta"), "NaN"),
+        (("noise_sd",), "NaN"),
+        (("seed",), "-1"),
+    ], ids=["baseline NaN", "shock Infinity", "delta NaN", "noise_sd NaN", "seed -1"])
+    def test_invalid_spec_value_exit_1(self, tmp_path, capsys, path, value):
+        spec_path = tmp_path / "spec.json"
+        spec_to_json(base_spec(noise_sd=1.0), spec_path)
+        doc = json.loads(spec_path.read_text(encoding="utf-8"))
+        *parents, key = path
+        target = doc
+        for name in parents:
+            target = target[name]
+        target[key] = json.loads(value)
+        spec_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--spec", str(spec_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_seed_usage_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_to_json(base_spec(), spec_path)
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--spec", str(spec_path), "--seed", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestValidateCommand:
     def test_valid_dataset_exit_0(self, panel_files, tmp_path):

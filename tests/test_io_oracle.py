@@ -1,0 +1,253 @@
+"""Property suite: the column passes of panel I/O and synthetic generation
+against their row-by-row references in oracles.py.
+
+- load_panel_csv reads CSVs built from a cell grammar of valid, padded,
+  odd-but-valid and bad cells, with short rows, blank lines, a byte-order
+  mark and quoted fields holding commas and line breaks. It must give the
+  reference loader's columns bit for bit, or raise the same error.
+- write_panel_csv must write the bytes a csv.writer row loop writes, on
+  labels that need quoting, and read back to the same columns.
+- generate_panel must give the unit-by-unit generator's columns bit for
+  bit, for every effect kind, with and without noise.
+"""
+
+import csv
+import io
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from twfediag import (
+    AdoptionSchedule,
+    EffectModel,
+    PanelDataset,
+    SyntheticSpec,
+    generate_panel,
+    load_panel_csv,
+    write_panel_csv,
+)
+from twfediag.errors import TwfeDiagError
+
+from oracles import generate_panel_reference, load_panel_csv_reference, write_panel_csv_reference
+
+# cells a valid file holds, and cells that stress the parsers: padding,
+# underscores, signs and non-ASCII digits that int() and float() accept,
+# blanks, non-finite and out-of-range values, and plain garbage
+UNIT_CELLS = ["A", "B", "c d", " A", "A,B", 'say "hi"', "line\nbreak", "é", ""]
+PERIOD_OK = ["2000", "2001", "1999", "-3", "0"]
+PERIOD_ODD = [" 2000 ", "2_001", "+5", "٣", "9223372036854775807", "-9223372036854775808",
+              "9223372036854775808", "-9223372036854775809", "", "  ", "x", "1.0", "nan", "2" * 30]
+OUTCOME_OK = ["1.5", "-0.0", "0", "1e-300", "123456789.123456789", ""]
+OUTCOME_ODD = [" 2.5 ", "  ", "1_0.5", "+5", "٣.5", "nan", "NaN", "inf", "-Infinity",
+               "1e400", "abc", "1,5", "0x10"]
+TREATED_OK = ["0", "1"]
+TREATED_ODD = [" 1 ", "0 ", "", "  ", "2", "01", "1.0", "yes", "١"]
+COLUMNS = ["unit", "period", "outcome", "treated"]
+
+
+def mostly(ok, odd):
+    return st.one_of(st.sampled_from(ok), st.sampled_from(ok), st.sampled_from(ok + odd))
+
+
+@st.composite
+def panel_files(draw):
+    """(file bytes, load_panel_csv column arguments)."""
+    header = draw(st.permutations(COLUMNS + ["extra"]))
+    with_treatment = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        cells = {
+            "unit": draw(st.sampled_from(UNIT_CELLS)),
+            "period": draw(mostly(PERIOD_OK, PERIOD_ODD)),
+            "outcome": draw(mostly(OUTCOME_OK, OUTCOME_ODD)),
+            "treated": draw(mostly(TREATED_OK, TREATED_ODD)),
+            "extra": "x",
+        }
+        row = [cells[name] for name in header]
+        if draw(st.integers(0, 5)) == 0:
+            row = row[: draw(st.integers(0, len(row) - 1))]  # short; empty is a blank line
+        rows.append(row)
+        if draw(st.integers(0, 7)) == 0:
+            rows.append([])  # a blank line
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator=draw(st.sampled_from(["\r\n", "\n"])))
+    writer.writerow(header)
+    writer.writerows(rows)
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    columns = ("unit", "period", "outcome", "treated" if with_treatment else None)
+    return bom + text.getvalue().encode("utf-8"), columns
+
+
+def with_file(data: bytes, read):
+    fd, path = tempfile.mkstemp(suffix=".csv")
+    os.close(fd)
+    try:
+        with open(path, "wb") as f:
+            f.write(data)
+        return read(path)
+    finally:
+        os.unlink(path)
+
+
+def outcome(path):
+    """The loaded dataset, or the error as (type, message)."""
+    try:
+        return path()
+    except TwfeDiagError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_columns(got: PanelDataset, want: PanelDataset):
+    assert got.units == want.units
+    for name, dtype in (("unit", np.int32), ("period", np.int64),
+                        ("outcome", np.float64), ("treated", np.int8)):
+        column = getattr(got, name)
+        assert column.dtype == dtype
+        assert column.tobytes() == getattr(want, name).tobytes(), name  # bit for bit, NaN too
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=panel_files())
+@example(case=(b"unit,period,outcome,treated\r\nA,2000,,0\r\nA,2001,  ,1\r\nB,2000\r\n",
+               ("unit", "period", "outcome", "treated")))
+@example(case=(b"unit,period,outcome\nA,2000,1.0\nA\n", ("unit", "period", "outcome", None)))
+@example(case=(b"\xef\xbb\xbfunit,period,outcome\n\"A,\nB\",9223372036854775808,nan\n",
+               ("unit", "period", "outcome", None)))
+def test_load_matches_reference(case):
+    data, columns = case
+    got = with_file(data, lambda path: outcome(lambda: load_panel_csv(path, *columns)))
+    want = with_file(data, lambda path: outcome(lambda: load_panel_csv_reference(path, *columns)))
+    if isinstance(want, PanelDataset):
+        assert isinstance(got, PanelDataset), got
+        assert_same_columns(got, want)
+    else:
+        assert got == want
+
+
+def test_grammar_reaches_both_outcomes():
+    """The grammar yields files that load and files that fail."""
+    results = {"loaded": 0, "failed": 0}
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=panel_files())
+    def count(case):
+        data, columns = case
+        got = with_file(data, lambda path: outcome(lambda: load_panel_csv(path, *columns)))
+        results["loaded" if isinstance(got, PanelDataset) else "failed"] += 1
+
+    count()
+    assert results["loaded"] >= 20 and results["failed"] >= 20, results
+
+
+labels = st.text(alphabet=st.sampled_from(list('ab ,"\r\né€\t')), max_size=4)
+outcomes = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def datasets(draw):
+    units = draw(st.lists(labels, min_size=1, max_size=5, unique=True))
+    periods = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=4, unique=True))
+    keys = draw(st.permutations([(u, p) for u in units for p in periods]))
+    keys = keys[: draw(st.integers(1, len(keys)))]
+    return PanelDataset.encode(
+        [u for u, _ in keys],
+        [p for _, p in keys],
+        [np.nan if y is None else y for y in draw(st.lists(outcomes, min_size=len(keys), max_size=len(keys)))],
+        draw(st.lists(st.integers(0, 1), min_size=len(keys), max_size=len(keys))),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(dataset=datasets())
+@example(dataset=PanelDataset.encode(["", " a ", "a,b", 'q"q', "\r", "\n", "é€"],
+                                     [2000] * 7, [1.5, np.nan, -0.0, 5e-324, 1e308, 0.1, 2.0],
+                                     [0, 1, 0, 1, 0, 1, 0]))
+def test_write_matches_csv_writer_and_round_trips(dataset):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+        write_panel_csv(dataset, got)
+        write_panel_csv_reference(dataset, want)
+        with open(got, "rb") as f, open(want, "rb") as g:
+            assert f.read() == g.read()
+        back = load_panel_csv(got, "unit", "period", "outcome", "treated")
+    assert_same_columns(back, dataset)
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def specs(draw):
+    units = tuple(draw(st.lists(st.sampled_from("ABCDEFG"), min_size=2, max_size=6, unique=True)))
+    periods = tuple(sorted(draw(st.lists(st.integers(-5, 30), min_size=2, max_size=6, unique=True))))
+    # adoption before the first period, inside, after the last, or never
+    adoption = st.one_of(st.none(), st.integers(periods[0] - 2, periods[-1] + 2))
+    kind = draw(st.sampled_from(["constant", "by_unit", "event_time"]))
+    if kind == "constant":
+        effect = EffectModel.constant(draw(finite))
+    elif kind == "by_unit":
+        effect = EffectModel.by_unit({u: draw(finite) for u in units})
+    else:
+        effect = EffectModel.event_time(draw(finite), draw(finite))
+    return SyntheticSpec(
+        units=units,
+        periods=periods,
+        baselines={u: draw(finite) for u in units},
+        shocks={p: (draw(st.sampled_from([0.0, -0.0])) if i == 0 else draw(finite))
+                for i, p in enumerate(periods)},
+        schedule=AdoptionSchedule({u: draw(adoption) for u in units}),
+        effect=effect,
+        noise_sd=draw(st.sampled_from([0.0, 0.0, 1.5, draw(st.floats(0, 100))])),
+        seed=draw(st.integers(0, 2**64)),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spec=specs())
+def test_generate_matches_reference(spec):
+    assert_same_columns(generate_panel(spec), generate_panel_reference(spec))
+
+
+def fixed_spec(effect, noise_sd):
+    # C is never treated, D adopts after the last period, E before the first
+    units = ("A", "B", "C", "D", "E")
+    return SyntheticSpec(
+        units=units,
+        periods=(2000, 2001, 2002, 2003),
+        baselines={"A": 1.25, "B": -0.0, "C": 3.0, "D": 1e6, "E": -7.5},
+        shocks={2000: 0.0, 2001: 0.1, 2002: -0.3, 2003: 2.0},
+        schedule=AdoptionSchedule({"A": 2001, "B": 2003, "C": None, "D": 2010, "E": 1990}),
+        effect=effect,
+        noise_sd=noise_sd,
+        seed=3,
+    )
+
+
+@pytest.mark.parametrize("noise_sd", [0.0, 0.7])
+@pytest.mark.parametrize("effect", [
+    EffectModel.constant(2.5),
+    # no entry for C or D: neither has a treated cell, so neither is looked up
+    EffectModel.by_unit({"A": 1.0, "B": -2.0, "E": 0.3}),
+    EffectModel.event_time(slope=0.3, intercept=1.0),
+], ids=["constant", "by_unit", "event_time"])
+def test_generate_matches_reference_on_fixed_spec(effect, noise_sd):
+    spec = fixed_spec(effect, noise_sd)
+    got = generate_panel(spec)
+    assert_same_columns(got, generate_panel_reference(spec))
+    assert got.units == spec.units and got.is_balanced()
+    assert got.treated.reshape(5, 4)[2:4].sum() == 0  # never and too late
+
+
+@pytest.mark.parametrize("kind", ["by_unit", "unknown"])
+def test_generate_effect_errors_match_reference(kind):
+    effect = EffectModel.by_unit({"A": 1.0}) if kind == "by_unit" else EffectModel(kind="unknown")
+    spec = fixed_spec(effect, 0.0)
+    with pytest.raises(TwfeDiagError) as want:
+        generate_panel_reference(spec)
+    with pytest.raises(type(want.value)) as got:
+        generate_panel(spec)
+    assert str(got.value) == str(want.value)

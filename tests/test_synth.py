@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,44 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             generate_panel(spec)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "baseline", "shock", "delta", "per_unit", "slope", "intercept", "noise_sd",
+    ])
+    def test_non_finite_value(self, field, value):
+        build = {
+            "baseline": lambda: base_spec(baselines={"A": 10.0, "B": value, "C": 5.0}),
+            "shock": lambda: base_spec(shocks={1: 0.0, 2: 1.0, 3: value, 4: 0.5, 5: 3.0}),
+            "delta": lambda: base_spec(effect=EffectModel.constant(value)),
+            "per_unit": lambda: base_spec(
+                effect=EffectModel.by_unit({"A": 1.0, "B": value, "C": 0.0})),
+            "slope": lambda: base_spec(effect=EffectModel.event_time(slope=value)),
+            "intercept": lambda: base_spec(
+                effect=EffectModel.event_time(slope=1.0, intercept=value)),
+            "noise_sd": lambda: base_spec(noise_sd=value),
+        }[field]
+        with pytest.raises(InvalidSpec):
+            build()
+
+    def test_negative_seed(self):
+        with pytest.raises(InvalidSpec):
+            base_spec(seed=-1)
+        assert base_spec(seed=0).seed == 0
+
+    def test_repeated_unit(self):
+        with pytest.raises(InvalidSpec):
+            base_spec(units=("A", "B", "A"))
+
+    @pytest.mark.parametrize("where", ["periods", "schedule"])
+    def test_period_beyond_64_bits(self, where):
+        big = 2**63
+        with pytest.raises(InvalidSpec):
+            if where == "periods":
+                base_spec(periods=(1, 2, 3, 4, big),
+                          shocks={1: 0.0, 2: 1.0, 3: -2.0, 4: 0.5, big: 3.0})
+            else:
+                base_spec(schedule=AdoptionSchedule({"A": 3, "B": -big - 1, "C": None}))
+
 
 class TestTrueEffectSummary:
     def test_constant(self):
@@ -184,5 +224,20 @@ class TestJsonRoundTrip:
     def test_malformed_document(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"units": ["A", "B"]}', encoding="utf-8")
+        with pytest.raises(InvalidSpec):
+            spec_from_json(path)
+
+    @pytest.mark.parametrize("field", ["baselines", "seed"])
+    def test_number_beyond_float_range(self, tmp_path, field):
+        # an integer literal too large for a float: float(), and int() of
+        # the float JSON makes of 1e400, raise OverflowError
+        path = tmp_path / "spec.json"
+        spec_to_json(base_spec(), path)
+        text = path.read_text(encoding="utf-8")
+        if field == "baselines":
+            text = text.replace('"A": 10.0', '"A": 1' + "0" * 400, 1)
+        else:
+            text = text.replace('"seed": 7', '"seed": 1e400', 1)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(InvalidSpec):
             spec_from_json(path)
