@@ -219,6 +219,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_weights(args) -> int:
+    from itertools import product
+
     from .diagnostics import weight_grid, weight_report
     from .panel import schedule_from_data
     from .twfe import fit_twfe
@@ -239,12 +241,10 @@ def cmd_weights(args) -> int:
         _write_rows(
             args.out_grid,
             ["unit", "period", "status", "weight"],
-            (
-                [u, p, grid.cells[(u, p)][0],
-                 "" if grid.cells[(u, p)][0] == "missing" else repr(grid.cells[(u, p)][1])]
-                for u in grid.units
-                for p in grid.periods
-            ),
+            ([u, p, status, "" if status == "missing" else repr(weight)]
+             for (u, p), status, weight in zip(product(grid.units, grid.periods),
+                                               grid.status.ravel().tolist(),
+                                               grid.weight.ravel().tolist())),
         )
     print(
         f"treated={report.n_treated} negative_treated={report.n_treated_negative} "
@@ -265,7 +265,9 @@ def cmd_scatter(args) -> int:
     _write_rows(
         f"{prefix}_points.csv",
         ["resid_treatment", "resid_outcome", "treated"],
-        ([repr(x), repr(y), t] for x, y, t in scatter.points),
+        ([repr(x), repr(y), t] for x, y, t in zip(fit.residualized_treatment.tolist(),
+                                                   fit.residualized_outcome.tolist(),
+                                                   fit.treatment.tolist())),
     )
     _write_rows(
         f"{prefix}_lines.csv",
@@ -421,10 +423,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return args.func(args)
-    except TwfeDiagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TwfeDiagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,11 +28,12 @@ class WeightReport:
     histogram: tuple[tuple[float, float, int, int], ...]  # (lo, hi, treated, control)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightGrid:
-    units: tuple[str, ...]   # ordered by adoption period, never-treated last
-    periods: tuple[int, ...]
-    cells: dict[tuple[str, int], tuple[str, float]]  # -> (status, weight); weight nan if missing
+    units: tuple[str, ...]   # rows, ordered by adoption period, never-treated last
+    periods: tuple[int, ...]  # columns
+    status: np.ndarray  # rows x columns: missing, untreated, treated_negative, treated_positive
+    weight: np.ndarray  # rows x columns, nan where missing
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class GroupCurve:
 
 @dataclass(frozen=True)
 class ResidualScatter:
-    points: tuple[tuple[float, float, int], ...]  # (resid treatment, resid outcome, treated)
+    # the points are the fit's residualized_treatment and residualized_outcome
     control: GroupCurve
     treated: GroupCurve
 
@@ -122,12 +123,7 @@ def weight_grid(fit: TwfeFit, schedule: AdoptionSchedule) -> WeightGrid:
         ["missing", "untreated", "treated_negative"],
         "treated_positive",
     )
-    periods = tuple(periods.tolist())
-    cells = dict(zip(
-        [(u, q) for u in units for q in periods],
-        zip(status.ravel().tolist(), weight.ravel().tolist()),
-    ))
-    return WeightGrid(units=units, periods=periods, cells=cells)
+    return WeightGrid(units=units, periods=tuple(periods.tolist()), status=status, weight=weight)
 
 
 def _groups(fit: TwfeFit):
@@ -211,10 +207,7 @@ def _local_linear(
     out = []
     for x0 in grid:
         dist = np.abs(x - x0)
-        if h <= 0:
-            in_window = dist == 0
-        else:
-            in_window = dist < h
+        in_window = dist < h if h > 0 else dist == 0
         if in_window.sum() < 3:
             continue
         u = dist[in_window] / h if h > 0 else np.zeros(int(in_window.sum()))
@@ -243,12 +236,9 @@ def residual_scatter(
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
     d, y, treated = _groups(fit)
-    points = tuple(
-        (float(d[i]), float(y[i]), int(treated[i])) for i in range(len(d))
-    )
     curves = {}
     for name, mask in (("control", ~treated), ("treated", treated)):
         slope, intercept = _ols_line(d[mask], y[mask])
         smoothed = _local_linear(d[mask], y[mask], bandwidth, grid_points)
         curves[name] = GroupCurve(slope=slope, intercept=intercept, smoothed=smoothed)
-    return ResidualScatter(points=points, control=curves["control"], treated=curves["treated"])
+    return ResidualScatter(control=curves["control"], treated=curves["treated"])

@@ -14,10 +14,11 @@ class MissingColumn(TwfeDiagError):
 
 
 class ParseError(TwfeDiagError):
-    def __init__(self, row: int, column: str, message: str):
+    def __init__(self, row: int, column: str | None, message: str):  # None: the whole row
         self.row = row
         self.column = column
-        super().__init__(f"row {row}, column {column!r}: {message}")
+        where = "" if column is None else f", column {column!r}"
+        super().__init__(f"row {row}{where}: {message}")
 
 
 class DuplicateKey(TwfeDiagError):

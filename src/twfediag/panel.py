@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -142,7 +143,8 @@ class PanelDataset:
     @cached_property
     def periods(self) -> tuple[int, ...]:
         """Distinct periods over all rows, ascending."""
-        return tuple(np.unique(self.period).tolist())
+        p = np.sort(self.period)  # np.unique would import numpy.ma
+        return tuple(np.concatenate((p[:1], p[1:][p[1:] != p[:-1]])).tolist())
 
     @cached_property
     def observed(self) -> np.ndarray:
@@ -321,6 +323,41 @@ def _first_bad(cells: list, check: Callable[[Optional[str]], None]) -> tuple[int
     raise RuntimeError("a column pass refused a column whose cells all parse")
 
 
+def _csv_lines(text: Iterable[str]) -> list[list[str]]:
+    """The cells of text's first line and of each non-blank line after it."""
+    reader = csv.reader(text)
+    lines = []
+    try:
+        lines.append(next(reader, []))
+        lines.extend(filter(None, reader))  # extend keeps the lines read before an error
+    except csv.Error as exc:
+        raise ParseError(len(lines) + 1, None, str(exc)) from None
+    return lines
+
+
+def _read_csv(path: str | Path, columns: tuple) -> tuple[dict[str, int], list[list[str]]]:
+    """(header position of each name, rows): the cells of the first line of
+    a UTF-8 CSV file and of each non-blank line after it, a leading
+    byte-order mark skipped. MissingColumn names the first of `columns`
+    (None entries ignored) not in the header. A ParseError names the first
+    row (the header is row 1) with bytes that are not UTF-8 or a cell longer
+    than the csv module's field limit."""
+    path = Path(path)
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as f:
+            header, *rows = _csv_lines(f)
+    except UnicodeDecodeError:
+        text = path.read_bytes().decode("utf-8-sig", "surrogateescape")
+        bad = re.search("[\udc80-\udcff]", text).start()
+        # the lines before the bad bytes, then a stand-in for them in the last
+        lines = _csv_lines(io.StringIO(text[:bad] + "?", newline=""))
+        raise ParseError(len(lines), None, "not UTF-8 text") from None
+    for col in columns:
+        if col is not None and col not in header:
+            raise MissingColumn(col)
+    return {name: i for i, name in enumerate(header)}, rows  # a repeated name: the last
+
+
 def load_panel_csv(
     path: str | Path,
     unit_col: str,
@@ -337,19 +374,7 @@ def load_panel_csv(
     the header as row 1 and skipping blank lines. Cells a short row lacks
     read as empty; a missing unit or period cell is a ParseError.
     """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as f:
-        reader = csv.reader(f)
-        header = next(reader, [])
-        needed = [unit_col, period_col, outcome_col]
-        if treatment_col is not None:
-            needed.append(treatment_col)
-        for col in needed:
-            if col not in header:
-                raise MissingColumn(col)
-        rows = list(filter(None, reader))
-
-    position = {name: i for i, name in enumerate(header)}  # a repeated name: last one
+    position, rows = _read_csv(path, (unit_col, period_col, outcome_col, treatment_col))
     shortest = min(map(len, rows), default=0)
 
     def cells(col: str, absent: Optional[str]) -> list:
@@ -425,28 +450,25 @@ def load_schedule_csv(path: str | Path) -> AdoptionSchedule:
 
     The token 'never' (case-insensitive) marks a never-treated unit.
     """
-    path = Path(path)
+    position, rows = _read_csv(path, ("unit", "adoption_period"))
+    u, a = position["unit"], position["adoption_period"]
     entries: dict[str, Optional[int]] = {}
-    with path.open(newline="", encoding="utf-8-sig") as f:
-        reader = csv.DictReader(f)
-        header = reader.fieldnames or []
-        for col in ("unit", "adoption_period"):
-            if col not in header:
-                raise MissingColumn(col)
-        for rownum, row in enumerate(reader, start=2):
-            unit = row["unit"]
-            if unit in entries:
-                raise ParseError(rownum, "unit", f"duplicate schedule entry for {unit!r}")
-            raw = (row["adoption_period"] or "").strip()
-            if raw.lower() == "never":
-                entries[unit] = None
-            else:
-                try:
-                    entries[unit] = int(raw)
-                except ValueError:
-                    raise ParseError(rownum, "adoption_period", f"not an integer or 'never': {raw!r}")
-                if entries[unit] not in _INT64:
-                    raise ParseError(rownum, "adoption_period", f"not a 64-bit integer: {raw!r}")
+    for rownum, row in enumerate(rows, start=2):
+        if u >= len(row):
+            raise ParseError(rownum, "unit", "missing value")
+        unit = row[u]
+        if unit in entries:
+            raise ParseError(rownum, "unit", f"duplicate schedule entry for {unit!r}")
+        raw = row[a].strip() if a < len(row) else ""
+        if raw.lower() == "never":
+            entries[unit] = None
+        else:
+            try:
+                entries[unit] = int(raw)
+            except ValueError:
+                raise ParseError(rownum, "adoption_period", f"not an integer or 'never': {raw!r}")
+            if entries[unit] not in _INT64:
+                raise ParseError(rownum, "adoption_period", f"not a 64-bit integer: {raw!r}")
     return AdoptionSchedule(entries)
 
 

@@ -117,15 +117,8 @@ def leave_one_unit_out(
     unit's adoption period (never-treated last), then unit name."""
     if len(dataset.units) < 3:
         raise InvalidSweep(f"leave-one-out needs at least 3 units, got {len(dataset.units)}")
-    first_treated = dataset.first_treated_periods()
-    order = sorted(
-        dataset.units,
-        key=lambda u: (
-            first_treated[u] is None,
-            first_treated[u] if first_treated[u] is not None else 0,
-            u,
-        ),
-    )
+    first = dataset.first_treated_periods()
+    order = sorted(dataset.units, key=lambda u: (first[u] is None, first[u] or 0, u))
     code = {unit: i for i, unit in enumerate(dataset.units)}
     subsamples = ((unit, dataset.restrict(dataset.unit != code[unit])) for unit in order)
     return _run_sweep("leave_one_out", dataset, inference, level, subsamples)

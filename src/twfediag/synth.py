@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -107,8 +108,8 @@ class SyntheticSpec:
             raise InvalidSpec("need at least 2 units and 2 periods")
         if len(set(self.units)) != len(self.units):
             raise InvalidSpec("unit labels must be distinct")
-        if tuple(sorted(self.periods)) != tuple(self.periods):
-            raise InvalidSpec("periods must be sorted ascending")
+        if any(a >= b for a, b in zip(self.periods, self.periods[1:])):
+            raise InvalidSpec("periods must be strictly ascending")
         for u in self.units:
             if u not in self.baselines:
                 raise InvalidSpec(f"missing baseline for unit {u!r}")
@@ -135,47 +136,38 @@ class SyntheticSpec:
         if self.seed < 0:
             raise InvalidSpec(f"seed must be non-negative, got {self.seed}")
 
-    def treated_cells(self) -> list[tuple[str, int, int]]:
-        """(unit, period, event_time) for every treated cell."""
-        out = []
-        for u in self.units:
-            adoption = self.schedule.entries[u]
-            if adoption is None:
-                continue
-            for p in self.periods:
-                if p >= adoption:
-                    out.append((u, p, p - adoption))
-        return out
 
-
-def generate_panel(spec: SyntheticSpec) -> PanelDataset:
-    """Materialize the spec as a balanced panel, rows by unit then period;
-    deterministic given the seed."""
-    cum = []
-    total = 0.0
-    for p in spec.periods:
-        total += spec.shocks[p]
-        cum.append(total)
-    n_units, n_periods = len(spec.units), len(spec.periods)
+def _treated_effects(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Unit x period grids: the treated mask, and each treated cell's effect
+    (0 elsewhere, and over units with no treated cell)."""
     periods = np.array(spec.periods, dtype=np.int64)
     adoption = [spec.schedule.entries[u] for u in spec.units]
     start = np.array([0 if a is None else a for a in adoption], dtype=np.int64)[:, None]
     adopts = np.array([a is not None for a in adoption], dtype=bool)[:, None]
     on = adopts & (periods >= start)
+    rows = np.flatnonzero(on.any(axis=1))  # only units with a treated cell need an effect
+    effect = np.zeros(on.shape)
+    effect[rows] = spec.effect.on_grid([spec.units[i] for i in rows.tolist()], periods - start[rows])
+    return on, effect
+
+
+def generate_panel(spec: SyntheticSpec) -> PanelDataset:
+    """Materialize the spec as a balanced panel, rows by unit then period;
+    deterministic given the seed."""
+    cum = list(accumulate((spec.shocks[p] for p in spec.periods), initial=0.0))[1:]
+    n_units, n_periods = len(spec.units), len(spec.periods)
+    on, effect = _treated_effects(spec)
     # unit x period grids; each cell gets baseline + cumulative shock, then
     # its effect if treated, then its noise: the per-cell operations of
     # the unit-by-unit construction, in the same order
     outcome = np.array([spec.baselines[u] for u in spec.units], dtype=np.float64)[:, None] + np.array(cum)
-    rows = np.flatnonzero(on.any(axis=1))  # only units with a treated cell need an effect
-    effect = np.zeros(outcome.shape)
-    effect[rows] = spec.effect.on_grid([spec.units[i] for i in rows.tolist()], periods - start[rows])
     outcome[on] += effect[on]
     if spec.noise_sd > 0:
         outcome += spec.noise_sd * np.random.default_rng(spec.seed).normal(size=outcome.shape)
     return PanelDataset(
         spec.units,
         np.repeat(np.arange(n_units, dtype=np.int32), n_periods),
-        np.tile(periods, n_units),
+        np.tile(np.array(spec.periods, dtype=np.int64), n_units),
         outcome.ravel(),
         on.ravel(),
     )
@@ -183,10 +175,10 @@ def generate_panel(spec: SyntheticSpec) -> PanelDataset:
 
 def true_effect_summary(spec: SyntheticSpec) -> EffectSummary:
     """Exact min/max/mean of the effect over treated cells."""
-    cells = spec.treated_cells()
-    if not cells:
+    on, effect = _treated_effects(spec)
+    effects = effect[on].tolist()  # unit by unit, periods ascending
+    if not effects:
         raise InvalidSpec("schedule has no treated cells")
-    effects = [spec.effect.effect(u, e) for u, _, e in cells]
     return EffectSummary(
         minimum=min(effects), maximum=max(effects), mean=sum(effects) / len(effects)
     )
@@ -215,6 +207,8 @@ def spec_from_json(path: str | Path, seed: Optional[int] = None) -> SyntheticSpe
     """Load a generator spec from a JSON document; seed overrides the file's."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InvalidSpec(f"not UTF-8 text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"invalid JSON: {exc}")
     try:

@@ -112,10 +112,8 @@ def test_c05_weight_grid_facts(replication_primary, replication_secondary):
 
     def negative_cells(dataset):
         grid = weight_grid(fit_twfe(dataset), schedule)
-        return [
-            (u, p) for (u, p), (status, _) in grid.cells.items()
-            if status == "treated_negative"
-        ]
+        rows, cols = np.nonzero(grid.status == "treated_negative")
+        return [(grid.units[i], grid.periods[j]) for i, j in zip(rows.tolist(), cols.tolist())]
 
     primary_neg = negative_cells(replication_primary)
     if any(p < 2006 for _, p in primary_neg):

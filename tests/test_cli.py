@@ -149,9 +149,9 @@ class TestWeights:
         grid = weight_grid(fit, schedule_from_data(ds))
         with grid_path.open() as f:
             cells = list(csv.DictReader(f))
-        assert len(cells) == len(grid.units) * len(grid.periods)
-        for row in cells:
-            status, weight = grid.cells[(row["unit"], int(row["period"]))]
+        keys = [(u, p) for u in grid.units for p in grid.periods]  # rows by unit, then period
+        assert [(row["unit"], int(row["period"])) for row in cells] == keys
+        for row, status, weight in zip(cells, grid.status.ravel(), grid.weight.ravel()):
             assert row["status"] == status
             if status == "missing":
                 assert row["weight"] == ""
@@ -165,10 +165,14 @@ class TestScatter:
         prefix = tmp_path / "fig3"
         code = main(["scatter", *data_args(data), "--out-prefix", str(prefix)])
         assert code == 0
-        scatter = residual_scatter(fit_twfe(ds))
+        fit = fit_twfe(ds)
+        scatter = residual_scatter(fit)
         with (tmp_path / "fig3_points.csv").open() as f:
             points = list(csv.DictReader(f))
-        assert len(points) == len(scatter.points)
+        # one row per estimation-sample row, in the fit's order
+        assert [float(r["resid_treatment"]) for r in points] == fit.residualized_treatment.tolist()
+        assert [float(r["resid_outcome"]) for r in points] == fit.residualized_outcome.tolist()
+        assert [int(r["treated"]) for r in points] == fit.treatment.tolist()
         with (tmp_path / "fig3_lines.csv").open() as f:
             lines = {r["group"]: r for r in csv.DictReader(f)}
         assert float(lines["control"]["slope"]) == scatter.control.slope
@@ -286,6 +290,49 @@ class TestDataConflicts:
         assert main([command, *data_args(data), *options, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+def _append(path, data: bytes):
+    path.write_bytes(path.read_bytes() + data)
+
+
+class TestUnreadableInput:
+    """Input files a loader refuses: exit 1 with one error line, no traceback."""
+
+    @pytest.mark.parametrize("case, message", [
+        ("latin-1 panel", "not UTF-8 text"),
+        ("latin-1 schedule", "not UTF-8 text"),
+        ("utf-16 spec", "not UTF-8 text"),
+        ("oversized panel cell", "field larger than field limit"),
+        ("oversized schedule cell", "field larger than field limit"),
+        ("schedule row without unit", "column 'unit': missing value"),
+    ])
+    def test_exit_1(self, panel_files, tmp_path, capsys, case, message):
+        _, data, sched = panel_files
+        out = tmp_path / "out.json"
+        argv = ["estimate", *data_args(data, sched), "--out", str(out)]
+        if case == "latin-1 panel":
+            _append(data, "C\u00f4te,1,1.0,0\r\n".encode("latin-1"))
+        elif case == "latin-1 schedule":
+            _append(sched, "C\u00f4te,never\r\n".encode("latin-1"))
+        elif case == "utf-16 spec":
+            spec = tmp_path / "spec.json"
+            spec_to_json(base_spec(), spec)
+            spec.write_bytes(spec.read_text(encoding="utf-8").encode("utf-16"))
+            argv = ["simulate", "--spec", str(spec), "--out", str(out)]
+        elif case == "oversized panel cell":
+            _append(data, b"A," + b"9" * 200_000 + b",1.0,0\r\n")
+        elif case == "oversized schedule cell":
+            _append(sched, b"A," + b"9" * 200_000 + b"\r\n")
+        else:  # the columns swapped, then a row with only the adoption period
+            text = sched.read_text(encoding="utf-8").splitlines()
+            swapped = [",".join(reversed(line.split(","))) for line in text]
+            sched.write_text("\n".join(swapped) + "\n2001\n", encoding="utf-8")
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -61,22 +61,22 @@ class TestWeightGrid:
         _, ds = random_panel(rng, missing=True, noise_sd=1.0)
         fit = fit_twfe(ds)
         grid = weight_grid(fit, schedule_from_data(ds))
-        assert len(grid.cells) == len(grid.units) * len(grid.periods)
+        assert grid.status.shape == grid.weight.shape == (len(grid.units), len(grid.periods))
         present = set(sample_keys(fit))
-        for (u, p), (status, w) in grid.cells.items():
-            if (u, p) in present:
-                assert status in ("untreated", "treated_positive", "treated_negative")
-            else:
-                assert status == "missing" and math.isnan(w)
+        for i, u in enumerate(grid.units):
+            for j, p in enumerate(grid.periods):
+                status, w = grid.status[i, j], grid.weight[i, j]
+                if (u, p) in present:
+                    assert status in ("untreated", "treated_positive", "treated_negative")
+                else:
+                    assert status == "missing" and math.isnan(w)
 
     def test_cell_multiset_matches_report(self):
         rng = np.random.default_rng(43)
         _, ds = random_panel(rng, missing=True, noise_sd=1.0)
         fit = fit_twfe(ds)
         grid = weight_grid(fit, schedule_from_data(ds))
-        grid_weights = sorted(
-            w for (status, w) in grid.cells.values() if status != "missing"
-        )
+        grid_weights = sorted(grid.weight[grid.status != "missing"].tolist())
         assert grid_weights == pytest.approx(sorted(fit.weights))
 
     def test_rows_ordered_by_adoption(self):
@@ -96,16 +96,18 @@ class TestWeightGrid:
         fit = fit_twfe(ds)
         grid = weight_grid(fit, schedule_from_data(ds))
         by_key = dict(zip(sample_keys(fit), zip(fit.treatment, fit.weights)))
-        for key, (status, w) in grid.cells.items():
-            if status == "missing":
-                continue
-            treated, weight = by_key[key]
-            if treated == 0:
-                assert status == "untreated"
-            elif weight < -1e-12:
-                assert status == "treated_negative"
-            else:
-                assert status == "treated_positive"
+        for i, u in enumerate(grid.units):
+            for j, p in enumerate(grid.periods):
+                status = grid.status[i, j]
+                if status == "missing":
+                    continue
+                treated, weight = by_key[(u, p)]
+                if treated == 0:
+                    assert status == "untreated"
+                elif weight < -1e-12:
+                    assert status == "treated_negative"
+                else:
+                    assert status == "treated_positive"
 
 
 class TestHomogeneityTest:
@@ -234,8 +236,15 @@ class TestResidualScatter:
         _, ds = random_panel(rng, noise_sd=1.0)
         fit = fit_twfe(ds)
         scatter = residual_scatter(fit)
-        assert len(scatter.points) == fit.n_obs
-        assert sum(t for _, _, t in scatter.points) == fit.n_treated
+        # the points are the fit's arrays; each group's line is fitted to its rows
+        d, y, treated = fit.residualized_treatment, fit.residualized_outcome, fit.treatment == 1
+        assert len(d) == len(y) == fit.n_obs
+        assert int(treated.sum()) == fit.n_treated
+        for curve, mask in ((scatter.control, ~treated), (scatter.treated, treated)):
+            X = np.column_stack([np.ones(mask.sum()), d[mask]])
+            intercept, slope = normal_equations_ols(X, y[mask])
+            assert curve.slope == pytest.approx(slope, abs=1e-10)
+            assert curve.intercept == pytest.approx(intercept, abs=1e-10)
 
     def test_bandwidth_validation(self):
         fit = fit_twfe(homogeneous_panel())

@@ -4,7 +4,7 @@ Panels come from the TWFE property suite's strategy: random sizes, missing
 cells, arbitrary or staggered treatment, one block or two disconnected
 blocks. The homogeneity regression is checked against normal equations on
 its 4-column design with the clusters taken from the Observation rows,
-and the weight grid against a dict built from those rows.
+and the weight grid's arrays against a dict built from those rows.
 """
 
 import math
@@ -104,8 +104,10 @@ def test_weight_grid_matches_observation_rows(dataset):
     units, periods, cells = naive_weight_grid(dataset, fit.weights, schedule)
     assert grid.units == units
     assert grid.periods == periods
-    assert list(grid.cells) == list(cells)
-    for key, (status, weight) in cells.items():
-        got_status, got_weight = grid.cells[key]
-        assert got_status == status
-        assert got_weight == weight or math.isnan(got_weight) and math.isnan(weight)
+    assert grid.status.shape == grid.weight.shape == (len(units), len(periods))
+    for i, u in enumerate(units):
+        for j, p in enumerate(periods):
+            status, weight = cells[(u, p)]
+            got_weight = float(grid.weight[i, j])
+            assert grid.status[i, j] == status
+            assert got_weight == weight or math.isnan(got_weight) and math.isnan(weight)

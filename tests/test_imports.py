@@ -117,6 +117,18 @@ def test_estimate_and_sweeps_load_no_scipy(panel_files, tmp_path):
     assert scipy(loaded) == set()
 
 
+def test_validate_and_sweep_endyear_load_no_numpy_ma(panel_files, tmp_path):
+    # np.unique without return_* arguments imports numpy.ma
+    _, data, _ = panel_files
+    out = str(tmp_path / "out")
+    loaded = modules_after(commands(
+        ["validate", *data_args(data), "--out", out],
+        ["sweep-endyear", *data_args(data), "--out", out],
+    ))
+    assert "twfediag.robustness" in loaded
+    assert "numpy.ma" not in loaded
+
+
 def test_every_public_name_resolves():
     for name in twfediag.__all__:
         assert getattr(twfediag, name).__module__.startswith("twfediag."), name

@@ -72,6 +72,35 @@ class TestLoadPanelCsv:
         assert exc.value.row == 3 and exc.value.column == "y"
         assert str(exc.value) == "row 3, column 'y': missing value"
 
+    @pytest.mark.parametrize("body, row", [
+        (b"A,2000,1.0\n\nC\xf4te,2000,1.0\n", 3),
+        (b"".join(b"U%d,2000,1.0\n" % i for i in range(3000)) + b"\xf4,2000,1.0\n", 3002),
+        (b'"A\nB\xf4",2000,1.0\n', 2),
+        (b"A,2000,1.0\r\xf4,2000,1.0\r", 3),
+    ], ids=["after a blank line", "past the first read", "in a quoted line break", "CR line ends"])
+    def test_bytes_not_utf8(self, tmp_path, body, row):
+        # a Latin-1 byte names its row (blank lines not counted), with no column
+        f = tmp_path / "p.csv"
+        f.write_bytes(b"c,y,out\n" + body)
+        with pytest.raises(ParseError) as exc:
+            load_panel_csv(f, "c", "y", "out")
+        assert (exc.value.row, exc.value.column) == (row, None)
+        assert str(exc.value) == f"row {row}: not UTF-8 text"
+
+    def test_header_not_utf8(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_bytes(b"c,y,out,\xe9t\xe9\nA,2000,1.0,0\n")
+        with pytest.raises(ParseError) as exc:
+            load_panel_csv(f, "c", "y", "out")
+        assert (exc.value.row, exc.value.column) == (1, None)
+
+    def test_cell_beyond_field_limit(self, tmp_path):
+        f = write_csv(tmp_path / "p.csv", "c,y,out\n\nA,2000,1.0\nB,2000," + "9" * 200_000 + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_panel_csv(f, "c", "y", "out")
+        assert (exc.value.row, exc.value.column) == (3, None)
+        assert str(exc.value) == "row 3: field larger than field limit (131072)"
+
     def test_bad_outcome(self, tmp_path):
         f = write_csv(tmp_path / "p.csv", "c,y,out\nA,2000,abc\n")
         with pytest.raises(ParseError):
@@ -157,6 +186,29 @@ class TestAdoptionSchedule:
         f = write_csv(tmp_path / "s.csv", "unit,adoption_period\nA,2001\nA,2002\n")
         with pytest.raises(ParseError):
             load_schedule_csv(f)
+
+    def test_schedule_row_without_unit(self, tmp_path):
+        f = write_csv(tmp_path / "s.csv", "adoption_period,unit\n2001,A\n\n2001\n")
+        with pytest.raises(ParseError) as exc:
+            load_schedule_csv(f)
+        assert str(exc.value) == "row 3, column 'unit': missing value"
+
+    def test_schedule_row_without_period(self, tmp_path):
+        f = write_csv(tmp_path / "s.csv", "unit,adoption_period\nA,2001\nB\n")
+        with pytest.raises(ParseError) as exc:
+            load_schedule_csv(f)
+        assert str(exc.value) == "row 3, column 'adoption_period': not an integer or 'never': ''"
+
+    @pytest.mark.parametrize("body, message", [
+        ("A,2001\nC\u00f4te,never\n".encode("latin-1"), "row 3: not UTF-8 text"),
+        (b"A,2001\nB," + b"1" * 200_000 + b"\n", "row 3: field larger than field limit (131072)"),
+    ], ids=["latin-1", "oversized cell"])
+    def test_schedule_unreadable_row(self, tmp_path, body, message):
+        f = tmp_path / "s.csv"
+        f.write_bytes(b"unit,adoption_period\n" + body)
+        with pytest.raises(ParseError) as exc:
+            load_schedule_csv(f)
+        assert str(exc.value) == message
 
     def test_schedule_period_beyond_64_bits(self, tmp_path):
         f = write_csv(tmp_path / "s.csv", "unit,adoption_period\nA,2001\nB,99999999999999999999\n")

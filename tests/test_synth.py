@@ -126,6 +126,12 @@ class TestSpecValidation:
             base_spec(units=("A",), baselines={"A": 1.0},
                       schedule=AdoptionSchedule({"A": 2}))
 
+    @pytest.mark.parametrize("periods", [(1, 1, 2, 3, 4), (1, 2, 3, 5, 4)],
+                             ids=["repeated", "descending"])
+    def test_periods_not_strictly_ascending(self, periods):
+        with pytest.raises(InvalidSpec, match="strictly ascending"):
+            base_spec(periods=periods)
+
     def test_negative_noise(self):
         with pytest.raises(InvalidSpec):
             base_spec(noise_sd=-1.0)
@@ -219,6 +225,13 @@ class TestJsonRoundTrip:
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(InvalidSpec):
+            spec_from_json(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "spec.json"
+        spec_to_json(base_spec(), path)
+        path.write_bytes(path.read_text(encoding="utf-8").encode("utf-16"))
+        with pytest.raises(InvalidSpec, match="not UTF-8 text"):
             spec_from_json(path)
 
     def test_malformed_document(self, tmp_path):
