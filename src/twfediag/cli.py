@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 data/validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import __version__
@@ -428,5 +429,22 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> int:
+    """The process entry point (`twfediag`, `python -m twfediag.cli`):
+    main() with the cyclic garbage collector off, the heap frozen on exit.
+
+    A command makes no reference cycles that grow with its input (only the
+    argument parser's fixed graph), and reference counting frees the rest,
+    so collections would only re-scan the objects numpy's import leaves;
+    freezing them spares interpreter shutdown the same scan. Callers of
+    main() keep their own collector state.
+    """
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import DegenerateGroup, UnknownUnit
 from .lsq import classical_vcov, cluster_vcov, qr_lstsq, t_test
 from .panel import AdoptionSchedule
-from .twfe import EXACT_FIT_TOL, NEGATIVE_WEIGHT_TOL, TwfeFit
+from .twfe import EXACT_FIT_TOL, NEGATIVE_WEIGHT_TOL, TwfeFit, negative_treated
 
 DEFAULT_BINS = 40
 DEFAULT_BANDWIDTH = 0.8
@@ -65,14 +65,6 @@ class ResidualScatter:
     # the points are the fit's residualized_treatment and residualized_outcome
     control: GroupCurve
     treated: GroupCurve
-
-
-def negative_treated(fit: TwfeFit) -> tuple[int, int, float]:
-    """(treated cells, treated cells with a negative weight, their share)."""
-    treated = fit.treatment == 1
-    n_treated = int(treated.sum())
-    n_negative = int((treated & (fit.weights < NEGATIVE_WEIGHT_TOL)).sum())
-    return n_treated, n_negative, n_negative / n_treated if n_treated else 0.0
 
 
 def weight_report(fit: TwfeFit, bins: int = DEFAULT_BINS) -> WeightReport:

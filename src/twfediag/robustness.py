@@ -7,10 +7,9 @@ from dataclasses import dataclass
 from math import nan
 
 from .errors import InvalidSweep, NoFeasiblePoint, TwfeDiagError
-from .diagnostics import negative_treated
 from .lsq import t_critical
 from .panel import AdoptionSchedule, PanelDataset
-from .twfe import TwfeFit, fit_twfe
+from .twfe import TwfeFit, fit_twfe, negative_treated
 
 DEFAULT_LEVEL = 0.95
 

@@ -121,6 +121,13 @@ class SyntheticSpec:
         for p in (*self.periods, *self.schedule.entries.values()):
             if p is not None and p not in _INT64:
                 raise InvalidSpec(f"period {p} is not a 64-bit integer")
+        for u in self.units:  # event times are int64 differences
+            start = self.schedule.entries[u]
+            if start is not None and self.periods[-1] - start > _INT64[-1]:
+                raise InvalidSpec(
+                    f"unit {u!r} adopts at {start}, more than 2**63-1 periods "
+                    f"before the last period {self.periods[-1]}"
+                )
         if self.shocks[self.periods[0]] != 0.0:
             raise InvalidSpec("first-period shock must be zero")
         for u, value in self.baselines.items():

@@ -45,6 +45,14 @@ class TwfeFit:
         return t_test(self.beta, self.se, self.dof)[1] if self.se > 0 else nan
 
 
+def negative_treated(fit: TwfeFit) -> tuple[int, int, float]:
+    """(treated cells, treated cells with a negative weight, their share)."""
+    treated = fit.treatment == 1
+    n_treated = int(treated.sum())
+    n_negative = int((treated & (fit.weights < NEGATIVE_WEIGHT_TOL)).sum())
+    return n_treated, n_negative, n_negative / n_treated if n_treated else 0.0
+
+
 def _count_components(linked: np.ndarray) -> int:
     """Connected components of the bipartite graph with biadjacency `linked`
     (rows x columns, every row and column linked at least once)."""

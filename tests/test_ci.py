@@ -1,7 +1,9 @@
 """Repository checks that need no program run: the CI workflow runs the
 tier-1 command that ROADMAP.md names and the benchmark's oracle checks,
 the package parses as the lowest supported Python, the README's import
-block imports, and every function the benchmark reads a span of exists. Text and syntax-tree matches only, so no YAML
+block imports, the installed script and `python -m twfediag.cli` start
+through one function, and every function the benchmark reads a span of
+exists. Text and syntax-tree matches only, so no YAML
 parser is needed and nothing under perfbench/ is run."""
 
 import ast
@@ -54,6 +56,19 @@ def test_readme_library_surface_imports():
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     assert "from twfediag import" in block
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_script_and_module_share_the_process_entry():
+    """`[project.scripts] twfediag` and the `__main__` block of cli.py both
+    call cli.run, which sets the process's collector policy."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r"^twfediag\s*=\s*(.*)$", scripts, re.MULTILINE) == ['"twfediag.cli:run"']
+    tree = ast.parse((ROOT / "src" / "twfediag" / "cli.py").read_text(encoding="utf-8"))
+    blocks = [node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert len(blocks) == 1
+    assert [ast.unparse(node) for node in blocks[0].body] == ["sys.exit(run())"]
 
 
 def _benchmark_span_names() -> set:

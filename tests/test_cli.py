@@ -389,6 +389,23 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_adoption_span_beyond_64_bits_exit_1(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "units": ["A", "B"],
+            "periods": [2**62, 2**62 + 1],
+            "baselines": {"A": 0.0, "B": 1.0},
+            "shocks": {str(2**62): 0.0, str(2**62 + 1): 1.0},
+            "schedule": {"A": -2**62, "B": "never"},
+            "effect": {"kind": "event_time", "slope": 1.0},
+        }), encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--spec", str(spec_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "more than 2**63-1 periods" in err
+        assert not out.exists()
+
     def test_negative_seed_usage_error(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_to_json(base_spec(), spec_path)

@@ -1,0 +1,179 @@
+"""The process entry point, `cli.run`: what a real `python -m twfediag.cli`
+process returns and prints, and the evidence for its collector policy.
+
+`run()` switches the cyclic garbage collector off for the one command a
+process runs. That is safe only while a command makes no reference cycles
+whose number grows with its input; `test_cyclic_garbage_does_not_grow`
+checks this for every subcommand. `main()`, which library and in-process
+callers use, leaves the collector as it found it.
+"""
+
+import csv
+import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import twfediag
+from twfediag import AdoptionSchedule, EffectModel, SyntheticSpec, spec_to_json
+from twfediag.cli import main
+
+from test_cli import data_args, panel_files  # noqa: F401 (a fixture)
+
+SRC = str(Path(twfediag.__file__).resolve().parent.parent)
+
+PANELS = {
+    "single unit": "unit,period,outcome,treated\nA,1,1.0,0\nA,2,2.0,1\nA,3,2.5,1\n",
+    "non-integer period": "unit,period,outcome,treated\nA,1,1.0,0\nA,x,2.0,1\n"
+                          "B,1,2.5,0\nB,2,1.0,0\n",
+    "repeated key": "unit,period,outcome,treated\nA,1,1.0,0\nA,1,2.0,1\n"
+                    "B,1,2.5,0\nB,2,1.0,0\n",
+    "non-absorbing": "unit,period,outcome,treated\nA,1,1.0,0\nA,2,1.0,1\nA,3,1.0,0\n"
+                     "B,1,1.0,0\nB,2,1.0,0\nB,3,1.0,0\n",
+}
+
+
+def cli_process(argv, cwd) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "twfediag.cli", *map(str, argv)],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestProcess:
+    """Each case in a fresh `python -m twfediag.cli` process."""
+
+    def test_version_exit_0(self, tmp_path):
+        proc = cli_process(["--version"], tmp_path)
+        assert proc.returncode == 0
+        assert proc.stdout == f"twfediag {twfediag.__version__}\n"
+        assert proc.stderr == ""
+
+    def test_usage_error_exit_2(self, panel_files, tmp_path):
+        _, data, _ = panel_files
+        proc = cli_process(["weights", *data_args(data), "--bins", "0",
+                            "--out-hist", tmp_path / "h.csv"], tmp_path)
+        assert proc.returncode == 2
+        assert len([line for line in proc.stderr.splitlines() if "error:" in line]) == 1
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "h.csv").exists()
+
+    @pytest.mark.parametrize("case, message", [
+        ("missing file", "No such file or directory"),
+        ("non-integer period", "column 'period': not an integer"),
+        ("repeated key", "duplicate observation"),
+        ("single unit", "needs >= 2 units"),
+    ])
+    def test_refused_input_exit_1(self, tmp_path, case, message):
+        data = tmp_path / "panel.csv"
+        if case != "missing file":
+            data.write_text(PANELS[case], encoding="utf-8")
+        out = tmp_path / "report.json"
+        proc = cli_process(["estimate", *data_args(data), "--out", out], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+        assert message in proc.stderr
+        assert not out.exists()
+
+    def test_invalid_panel_validate_exit_1(self, tmp_path):
+        # a verdict, not an error: the report names the violation and
+        # stderr stays empty
+        data = tmp_path / "panel.csv"
+        data.write_text(PANELS["non-absorbing"], encoding="utf-8")
+        proc = cli_process(["validate", *data_args(data)], tmp_path)
+        assert proc.returncode == 1
+        assert '"code": "NonAbsorbing"' in proc.stdout
+        assert proc.stderr == ""
+
+    def test_estimate_bytes_match_in_process_main(self, panel_files, tmp_path):
+        _, data, sched = panel_files
+        argv = ["estimate", *data_args(data, sched), "--no-timestamp", "--out"]
+        proc = cli_process([*argv, tmp_path / "process.json"], tmp_path)
+        assert proc.returncode == 0
+        assert main([*argv, str(tmp_path / "in_process.json")]) == 0
+        assert (tmp_path / "process.json").read_bytes() == \
+            (tmp_path / "in_process.json").read_bytes()
+
+
+@pytest.fixture()
+def collector_state():
+    """Put back the collector's enabled state after the test."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc on", "gc off"])
+def test_main_keeps_the_callers_collector_state(panel_files, tmp_path, collector_state, enabled):
+    _, data, _ = panel_files
+    (gc.enable if enabled else gc.disable)()
+    frozen = gc.get_freeze_count()
+    assert main(["estimate", *data_args(data), "--out", str(tmp_path / "r.json")]) == 0
+    assert gc.isenabled() is enabled
+    assert gc.get_freeze_count() == frozen
+
+
+def _write_inputs(directory: Path, n_units: int) -> None:
+    """A generator spec (12 periods, staggered adoption, a quarter of the
+    units never treated) and its adoption-schedule CSV."""
+    units = tuple(f"u{i:04d}" for i in range(n_units))
+    periods = tuple(range(2000, 2012))
+    schedule = {u: None if i % 4 == 3 else 2003 + i % 5 for i, u in enumerate(units)}
+    spec = SyntheticSpec(
+        units=units,
+        periods=periods,
+        baselines={u: float(i % 7) for i, u in enumerate(units)},
+        shocks={p: 0.0 if p == periods[0] else 0.3 * (p % 3) for p in periods},
+        schedule=AdoptionSchedule(schedule),
+        effect=EffectModel.event_time(0.5, 1.0),
+        noise_sd=1.0,
+        seed=3,
+    )
+    directory.mkdir()
+    spec_to_json(spec, directory / "spec.json")
+    with (directory / "schedule.csv").open("w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["unit", "adoption_period"])
+        writer.writerows([u, "never" if a is None else a] for u, a in schedule.items())
+
+
+def _commands(d: Path) -> dict:
+    """Every subcommand on the inputs in directory d; simulate writes the
+    panel the others read."""
+    data = data_args(d / "panel.csv")
+    sched = ["--adoption", str(d / "schedule.csv")]
+    return {
+        "simulate": ["--spec", str(d / "spec.json"), "--out", str(d / "panel.csv")],
+        "estimate": [*data, "--out", str(d / "report.json")],
+        "weights": [*data, *sched, "--out-hist", str(d / "h.csv"), "--out-grid", str(d / "g.csv")],
+        "scatter": [*data, "--out-prefix", str(d / "s")],
+        "sweep-endyear": [*data, "--out", str(d / "e.csv")],
+        "sweep-horizon": [*data, *sched, "--horizons", "0,1,2", "--out", str(d / "hz.csv")],
+        "jackknife": [*data, "--out", str(d / "j.csv")],
+        "validate": [*data, "--out", str(d / "v.json")],
+    }
+
+
+def test_cyclic_garbage_does_not_grow(tmp_path, collector_state):
+    """With the collector off, as `run()` keeps it, each command leaves the
+    same number of unreachable objects (the argument parser's graph) on a
+    panel ten times larger: switching collection off cannot grow memory
+    with the input."""
+    small, large = tmp_path / "small", tmp_path / "large"
+    _write_inputs(small, 8)
+    _write_inputs(large, 80)
+    for command, options in _commands(small).items():  # imports, first-use caches
+        assert main([command, *options]) == 0
+    gc.collect()
+    gc.disable()
+    found = {}
+    for d in (small, large):
+        for command, options in _commands(d).items():
+            assert main([command, *options]) == 0
+            found[command, d.name] = gc.collect()
+    for command in _commands(small):
+        assert found[command, "small"] == found[command, "large"], command

@@ -117,6 +117,20 @@ def test_estimate_and_sweeps_load_no_scipy(panel_files, tmp_path):
     assert scipy(loaded) == set()
 
 
+def test_sweeps_load_no_diagnostics(panel_files, tmp_path):
+    # robustness reads negative_treated from twfe, beside the tolerance it
+    # applies, so a sweep skips diagnostics' result classes
+    _, data, sched = panel_files
+    out = str(tmp_path / "out")
+    loaded = modules_after(commands(
+        ["jackknife", *data_args(data), "--out", out],
+        ["sweep-endyear", *data_args(data), "--out", out],
+        ["sweep-horizon", *data_args(data, sched), "--horizons", "0,1,2", "--out", out],
+    ))
+    assert "twfediag.robustness" in loaded
+    assert "twfediag.diagnostics" not in loaded
+
+
 def test_validate_and_sweep_endyear_load_no_numpy_ma(panel_files, tmp_path):
     # np.unique without return_* arguments imports numpy.ma
     _, data, _ = panel_files

@@ -180,6 +180,22 @@ class TestSpecValidation:
                 base_spec(schedule=AdoptionSchedule({"A": 3, "B": -big - 1, "C": None}))
 
 
+    def test_adoption_span_beyond_64_bits(self):
+        # event times are period - adoption period in int64
+        kwargs = dict(
+            units=("A", "B"),
+            periods=(2**62, 2**62 + 1),
+            baselines={"A": 0.0, "B": 1.0},
+            shocks={2**62: 0.0, 2**62 + 1: 1.0},
+            effect=EffectModel.event_time(1.0),
+        )
+        with pytest.raises(InvalidSpec, match=r"more than 2\*\*63-1 periods"):
+            base_spec(schedule=AdoptionSchedule({"A": -2**62, "B": None}), **kwargs)
+        at_limit = base_spec(schedule=AdoptionSchedule({"A": 2 - 2**62, "B": None}), **kwargs)
+        assert true_effect_summary(at_limit).minimum == float(2**63 - 2)
+        assert true_effect_summary(at_limit).maximum == float(2**63 - 1)
+
+
 class TestTrueEffectSummary:
     def test_constant(self):
         assert true_effect_summary(base_spec()) == (3.0, 3.0, 3.0)
