@@ -10,7 +10,7 @@ from math import nan
 import numpy as np
 
 from .errors import DegenerateGroup, UnknownUnit
-from .lsq import classical_vcov, cluster_vcov, qr_lstsq, t_test
+from .lsq import classical_vcov, cluster_vcov, inner, qr_lstsq, t_test
 from .panel import AdoptionSchedule
 from .twfe import EXACT_FIT_TOL, NEGATIVE_WEIGHT_TOL, TwfeFit, negative_treated
 
@@ -161,7 +161,7 @@ def homogeneity_test(fit: TwfeFit, inference: str = "classical") -> HomogeneityT
         dof = len(y) - X.shape[1]
     var = np.diag(cov)
     ses = np.sqrt(np.clip(var, 0.0, None))
-    exact = var <= EXACT_FIT_TOL * float(fit.outcome @ fit.outcome) * per_rss
+    exact = var <= EXACT_FIT_TOL * inner(fit.outcome, fit.outcome) * per_rss
 
     def row(k: int) -> CoefficientRow:
         est = float(beta[k])

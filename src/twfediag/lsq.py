@@ -11,6 +11,13 @@ from .studentt import two_sided_p, two_sided_quantile
 SINGULAR_TOL = 1e-10  # |R diagonal| at most this, relative to the largest (or 1), is singular
 
 
+def inner(a: np.ndarray, b: np.ndarray) -> float:
+    """The inner product of two vectors by numpy's own pairwise sum. A 1-D
+    `@` goes to BLAS, which splits long sums across threads, so its last
+    bits would depend on the thread count."""
+    return float(np.add.reduce(a * b))
+
+
 def qr_lstsq(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(coefficients, residuals, R) of the OLS of y on the columns of X,
     from the reduced QR factorization X = QR.
@@ -39,7 +46,7 @@ def classical_vcov(R: np.ndarray, residuals: np.ndarray) -> tuple[np.ndarray, np
     per unit of RSS)."""
     n, k = len(residuals), len(R)
     bread = _bread(R, n)
-    cov = float(residuals @ residuals) / (n - k) * bread
+    cov = inner(residuals, residuals) / (n - k) * bread
     return 0.5 * (cov + cov.T), np.diag(bread) / (n - k)
 
 

@@ -1,5 +1,9 @@
 """Sample-restriction robustness sweeps: truncating later years, capping
-post-treatment horizons, and leave-one-unit-out re-estimation."""
+post-treatment horizons, and leave-one-unit-out re-estimation.
+
+The estimation sample is encoded once per sweep; each point is a boolean
+mask over its rows, fitted as fit_twfe(dataset.restrict(mask)) would fit
+it, with no new dataset."""
 
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ from math import nan
 from .errors import InvalidSweep, NoFeasiblePoint, TwfeDiagError
 from .lsq import t_critical
 from .panel import AdoptionSchedule, PanelDataset
-from .twfe import TwfeFit, fit_twfe, negative_treated
+from .twfe import EncodedSample, TwfeFit, fit_sample, negative_treated
 
 DEFAULT_LEVEL = 0.95
 
@@ -49,13 +53,16 @@ def _point(label: str, fit: TwfeFit, level: float) -> SweepPoint:
     )
 
 
-def _run_sweep(kind, dataset, inference, level, subsamples) -> RobustnessSweep:
-    baseline = _point("full_sample", fit_twfe(dataset, inference), level)
+def _run_sweep(
+    kind: str, sample: EncodedSample, inference: str, level: float, masks
+) -> RobustnessSweep:
+    """Fit the whole sample, then each (label, row mask over the sample)."""
+    baseline = _point("full_sample", fit_sample(sample, None, inference), level)
     points = []
     skipped = []
-    for label, subsample in subsamples:
+    for label, keep in masks:
         try:
-            fit = fit_twfe(subsample, inference)
+            fit = fit_sample(sample, keep, inference)
         except TwfeDiagError as exc:
             skipped.append((label, f"{type(exc).__name__}: {exc}"))
             continue
@@ -77,11 +84,9 @@ def sweep_end_year(
     """Refit on samples truncated at each end period in [first_end, last_end]."""
     if first_end > last_end:
         raise InvalidSweep(f"first end period {first_end} is after last end period {last_end}")
-    subsamples = (
-        (str(end), dataset.restrict(dataset.period <= end))
-        for end in range(first_end, last_end + 1)
-    )
-    return _run_sweep("end_year", dataset, inference, level, subsamples)
+    sample = EncodedSample(dataset)
+    masks = ((str(end), sample.period <= end) for end in range(first_end, last_end + 1))
+    return _run_sweep("end_year", sample, inference, level, masks)
 
 
 def sweep_post_horizon(
@@ -101,10 +106,10 @@ def sweep_post_horizon(
     if any(h < 0 for h in horizons):
         raise ValueError("horizons must be non-negative")
     adopts, start = schedule.by_row(dataset)  # raises UnknownUnit
-    subsamples = (
-        (str(h), dataset.restrict(~adopts | (dataset.period - start <= h))) for h in horizons
-    )
-    return _run_sweep("post_horizon", dataset, inference, level, subsamples)
+    sample = EncodedSample(dataset)
+    adopts, start = adopts[dataset.observed], start[dataset.observed]
+    masks = ((str(h), ~adopts | (sample.period - start <= h)) for h in horizons)
+    return _run_sweep("post_horizon", sample, inference, level, masks)
 
 
 def leave_one_unit_out(
@@ -119,5 +124,6 @@ def leave_one_unit_out(
     first = dataset.first_treated_periods()
     order = sorted(dataset.units, key=lambda u: (first[u] is None, first[u] or 0, u))
     code = {unit: i for i, unit in enumerate(dataset.units)}
-    subsamples = ((unit, dataset.restrict(dataset.unit != code[unit])) for unit in order)
-    return _run_sweep("leave_one_out", dataset, inference, level, subsamples)
+    sample = EncodedSample(dataset)
+    masks = ((unit, sample.unit != code[unit]) for unit in order)
+    return _run_sweep("leave_one_out", sample, inference, level, masks)

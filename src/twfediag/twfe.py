@@ -6,11 +6,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import nan, sqrt
+from typing import Optional
 
 import numpy as np
 
 from .errors import CollinearTreatment, DegenerateTreatment
-from .lsq import t_test
+from .lsq import inner, t_test
 from .panel import PanelDataset, first_appearance
 
 COLLINEARITY_TOL = 1e-12
@@ -53,22 +54,23 @@ def negative_treated(fit: TwfeFit) -> tuple[int, int, float]:
     return n_treated, n_negative, n_negative / n_treated if n_treated else 0.0
 
 
-def _count_components(linked: np.ndarray) -> int:
-    """Connected components of the bipartite graph with biadjacency `linked`
-    (rows x columns, every row and column linked at least once)."""
-    unseen = np.ones(linked.shape[1], dtype=bool)
-    count = 0
+def _component_roots(cells: np.ndarray) -> list[int]:
+    """The first column of each connected component of the bipartite graph
+    whose edges are the positive entries of cells (rows x columns, every
+    row and column with a positive entry)."""
+    unseen = np.ones(cells.shape[1], dtype=bool)
+    roots = []
     while unseen.any():
-        count += 1
-        cols = np.zeros_like(unseen)
-        cols[np.argmax(unseen)] = True
-        while True:
-            grown = linked[linked[:, cols].any(axis=1)].any(axis=0)
+        roots.append(int(np.argmax(unseen)))
+        cols = np.zeros(len(unseen), dtype=bool)
+        cols[roots[-1]] = True
+        while True:  # add the columns that share a row with one reached
+            grown = cells.T @ (cells @ cols) > 0
             if np.array_equal(grown, cols):
                 break
             cols = grown
         unseen &= ~cols
-    return count
+    return roots
 
 
 class _WithinCore:
@@ -76,24 +78,29 @@ class _WithinCore:
 
     The normal equations of both dummy sets are reduced to the smaller set
     by eliminating the larger one (a Schur complement of the dummy
-    cross-product), which one small exact solve then handles. The dummy
-    block has rank U + T - C, with C the connected components of the
-    unit-period graph; each component leaves one free level, which the
-    minimum-norm solve fixes.
+    cross-product). The dummy block has rank U + T - C, with C the
+    connected components of the unit-period graph: the Schur complement is
+    singular with one null direction per component. Pinning the first
+    level of each component at 0 leaves a nonsingular system, which one
+    exact solve handles.
     """
 
     def __init__(self, u: np.ndarray, p: np.ndarray, n_units: int, n_periods: int):
         cells = np.bincount(u * n_periods + p, minlength=n_units * n_periods)
         cells = cells.reshape(n_units, n_periods).astype(float)
         self.u, self.p = u, p
-        self.rank = n_units + n_periods - _count_components(cells > 0)
         # eliminate the larger dummy set (a), solve on the smaller (b)
         self._units_eliminated = n_units >= n_periods
         if not self._units_eliminated:
             cells = cells.T
+        roots = _component_roots(cells)
+        self.rank = n_units + n_periods - len(roots)
+        self._free = np.ones(cells.shape[1], dtype=bool)
+        self._free[roots] = False
         self._cells = cells
         self._count_a = cells.sum(axis=1)
-        self._schur = np.diag(cells.sum(axis=0)) - cells.T @ (cells / self._count_a[:, None])
+        schur = np.diag(cells.sum(axis=0)) - cells.T @ (cells / self._count_a[:, None])
+        self._schur = schur[np.ix_(self._free, self._free)]
 
     def fit(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(residuals, unit effects, period effects) of each column of v (N x k)."""
@@ -102,14 +109,37 @@ class _WithinCore:
         sum_a = np.column_stack([np.bincount(a, c, n_a) for c in v.T])
         sum_b = np.column_stack([np.bincount(b, c, n_b) for c in v.T])
         mean_a = sum_a / self._count_a[:, None]
-        eff_b = np.linalg.lstsq(self._schur, sum_b - self._cells.T @ mean_a, rcond=None)[0]
+        rhs = sum_b - self._cells.T @ mean_a
+        eff_b = np.zeros_like(rhs)
+        eff_b[self._free] = np.linalg.solve(self._schur, rhs[self._free])
         eff_a = mean_a - (self._cells @ eff_b) / self._count_a[:, None]
         eff_u, eff_p = (eff_a, eff_b) if self._units_eliminated else (eff_b, eff_a)
-        return v - eff_u[self.u] - eff_p[self.p], eff_u, eff_p
+        # take, not eff_u[self.u]: a row gather that fancy indexing does several times slower
+        return v - eff_u.take(self.u, axis=0) - eff_p.take(self.p, axis=0), eff_u, eff_p
+
+
+class EncodedSample:
+    """A panel's estimation sample (the rows with an observed outcome, in
+    dataset order), encoded once. fit_sample estimates on all of it or on
+    any subset of its rows. A plain class: defining a frozen dataclass
+    takes about 0.9 ms (CPython 3.11), which every process that fits
+    would pay."""
+
+    __slots__ = ("labels", "unit", "period", "periods", "period_code", "outcome", "treatment")
+
+    def __init__(self, dataset: PanelDataset):
+        observed = dataset.observed
+        self.labels = dataset.units  # unit codes index these
+        self.unit = dataset.unit[observed]
+        self.period = dataset.period[observed]
+        self.periods, self.period_code = np.unique(self.period, return_inverse=True)
+        self.outcome = dataset.outcome[observed]
+        self.treatment = dataset.treated[observed].astype(float)
 
 
 def fit_twfe(dataset: PanelDataset, inference: str = "cluster_by_unit") -> TwfeFit:
-    """OLS of outcome on treatment plus full unit and period dummy sets.
+    """OLS of outcome on treatment plus full unit and period dummy sets, on
+    the dataset's rows with an observed outcome.
 
     Fitted by Frisch-Waugh-Lovell: the treatment and the outcome are
     residualized on the fixed effects, and the coefficient is the slope of
@@ -122,19 +152,32 @@ def fit_twfe(dataset: PanelDataset, inference: str = "cluster_by_unit") -> TwfeF
     residuals are, and for any two-unit balanced panel), at most
     EXACT_FIT_TOL relative to the outcome's scale.
     """
+    return fit_sample(EncodedSample(dataset), None, inference)
+
+
+def fit_sample(
+    sample: EncodedSample, keep: Optional[np.ndarray] = None, inference: str = "cluster_by_unit"
+) -> TwfeFit:
+    """fit_twfe on the rows of sample where the boolean mask keep is true
+    (all rows when keep is None).
+
+    The kept rows are coded afresh, units in order of first appearance and
+    periods ascending, as encoding the restricted panel would code them.
+    So for a row mask over the dataset, fit_sample(EncodedSample(dataset),
+    mask[dataset.observed]) is bit for bit fit_twfe(dataset.restrict(mask)).
+    """
     if inference not in ("cluster_by_unit", "classical"):
         raise ValueError(f"unknown inference kind {inference!r}")
-    # the estimation sample (non-missing outcomes) in dataset order; units
-    # in order of first appearance in it, periods ascending
-    observed = dataset.observed
-    order, u = first_appearance(dataset.unit[observed])
+    rows = slice(None) if keep is None else keep
+    order, u = first_appearance(sample.unit[rows])
     u = u.astype(np.intp)
-    period = dataset.period[observed]
-    periods, p = np.unique(period, return_inverse=True)
-    periods = periods.tolist()
-    y = dataset.outcome[observed]
-    d = dataset.treated[observed].astype(float)
-    units = [dataset.units[i] for i in order.tolist()]
+    period_code = sample.period_code[rows]
+    present = np.bincount(period_code, minlength=len(sample.periods)) > 0
+    p = (np.cumsum(present) - 1)[period_code]  # the kept periods renumbered from 0
+    periods = sample.periods[present].tolist()
+    y = sample.outcome[rows]
+    d = sample.treatment[rows]
+    units = [sample.labels[i] for i in order.tolist()]
     if len(units) < 2 or len(periods) < 2:
         raise DegenerateTreatment(
             f"estimation sample needs >= 2 units and >= 2 periods, "
@@ -146,19 +189,19 @@ def fit_twfe(dataset: PanelDataset, inference: str = "cluster_by_unit") -> TwfeF
     core = _WithinCore(u, p, len(units), len(periods))
     resid, eff_u, eff_p = core.fit(np.column_stack([d, y]))
     d_resid, y_resid = resid[:, 0], resid[:, 1]
-    ssd = float(d_resid @ d_resid)
+    ssd = inner(d_resid, d_resid)
     if ssd < COLLINEARITY_TOL * len(d):
         raise CollinearTreatment("treatment is collinear with the fixed effects")
-    beta = float(d_resid @ y_resid) / ssd
+    beta = inner(d_resid, y_resid) / ssd
     e = y_resid - beta * d_resid
-    rss = float(e @ e)
+    rss = inner(e, e)
 
     n, k, clusters = len(y), core.rank + 1, len(units)
-    yy = float(y @ y)
+    yy = inner(y, y)
     if inference == "cluster_by_unit":
         dof = clusters - 1
         scores = np.bincount(u, d_resid * e, clusters)
-        spread, scale = float(scores @ scores), ssd * yy  # spread <= ssd * rss
+        spread, scale = inner(scores, scores), ssd * yy  # spread <= ssd * rss
     else:
         dof = n - k
         spread, scale = rss, yy
@@ -190,6 +233,6 @@ def fit_twfe(dataset: PanelDataset, inference: str = "cluster_by_unit") -> TwfeF
         period_effects=dict(zip(periods, gamma.tolist())),
         units=tuple(units),
         unit=u,
-        period=period,
+        period=sample.period[rows],
         inference=inference,
     )

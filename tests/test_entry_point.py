@@ -15,10 +15,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import twfediag
-from twfediag import AdoptionSchedule, EffectModel, SyntheticSpec, spec_to_json
+from twfediag import (
+    AdoptionSchedule,
+    EffectModel,
+    PanelDataset,
+    SyntheticSpec,
+    spec_to_json,
+    write_panel_csv,
+)
 from twfediag.cli import main
 
 from test_cli import data_args, panel_files  # noqa: F401 (a fixture)
@@ -36,8 +44,8 @@ PANELS = {
 }
 
 
-def cli_process(argv, cwd) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
+def cli_process(argv, cwd, **environ) -> subprocess.CompletedProcess:
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "twfediag.cli", *map(str, argv)],
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
@@ -97,6 +105,39 @@ class TestProcess:
         assert main([*argv, str(tmp_path / "in_process.json")]) == 0
         assert (tmp_path / "process.json").read_bytes() == \
             (tmp_path / "in_process.json").read_bytes()
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """OpenBLAS splits a long 1-D `@` (above 10000 elements) across threads,
+    so a sum taken that way would change its last bits with
+    OPENBLAS_NUM_THREADS. estimate (both inference kinds) and weights write
+    the same bytes under 1 and 2 threads on a panel with more rows."""
+    rng = np.random.default_rng(5)
+    n_units, n_periods = 400, 40
+    start = np.where(rng.random(n_units) < 0.2, n_periods, rng.integers(3, n_periods, n_units))
+    treated = np.arange(n_periods)[None, :] >= start[:, None]
+    outcome = (rng.normal(0.0, 3.0, n_units)[:, None] + np.cumsum(rng.normal(0.5, 1.0, n_periods))
+               + 2.0 * treated + rng.normal(size=treated.shape))
+    outcome[rng.random(treated.shape) < 0.15] = np.nan
+    ds = PanelDataset.encode([f"u{i}" for i in range(n_units) for _ in range(n_periods)],
+                             np.tile(np.arange(1990, 1990 + n_periods), n_units),
+                             outcome.ravel(), treated.ravel())
+    assert int(ds.observed.sum()) > 10000
+    data = data_args(tmp_path / "panel.csv")
+    write_panel_csv(ds, tmp_path / "panel.csv")
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        out.mkdir()
+        for argv in (["estimate", *data, "--no-timestamp", "--out", out / "clustered.json"],
+                     ["estimate", *data, "--cluster", "none", "--no-timestamp",
+                      "--out", out / "classical.json"],
+                     ["weights", *data, "--out-hist", out / "hist.csv", "--out-grid", out / "grid.csv"]):
+            proc = cli_process(argv, tmp_path, OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+        written[threads] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(written["1"]) == 4
+    assert written["1"] == written["2"]
 
 
 @pytest.fixture()

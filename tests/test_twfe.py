@@ -69,7 +69,7 @@ class TestFitTwfe:
             assert abs(fit.weights.sum()) < 1e-10
             y = ds.outcome[ds.observed]
             assert fit.weights @ y == pytest.approx(fit.beta, rel=1e-8, abs=1e-8)
-            ssd = fit.residualized_treatment @ fit.residualized_treatment
+            ssd = np.add.reduce(fit.residualized_treatment * fit.residualized_treatment)
             np.testing.assert_array_equal(fit.weights, fit.residualized_treatment / ssd)
 
     def test_matches_brute_force_dummy_ols(self):
