@@ -291,9 +291,12 @@ def cmd_scatter(args) -> int:
 
 
 def cmd_sweep_endyear(args) -> int:
+    from .errors import InvalidSweep
     from .robustness import sweep_end_year
 
     dataset, _ = _load(args)
+    if not dataset.periods and None in (args.first_end, args.last_end):
+        raise InvalidSweep("the panel has no data rows to take a default end-year range from")
     first = args.first_end if args.first_end is not None else dataset.periods[0]
     last = args.last_end if args.last_end is not None else dataset.periods[-1]
     sweep = sweep_end_year(dataset, first, last, _inference(args), **_given(args, "level"))

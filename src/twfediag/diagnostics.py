@@ -9,7 +9,7 @@ from math import nan
 
 import numpy as np
 
-from .errors import DegenerateGroup, UnknownUnit
+from .errors import DegenerateGroup
 from .lsq import classical_vcov, cluster_vcov, inner, qr_lstsq, t_test
 from .panel import AdoptionSchedule
 from .twfe import EXACT_FIT_TOL, NEGATIVE_WEIGHT_TOL, TwfeFit, negative_treated
@@ -97,25 +97,20 @@ def weight_report(fit: TwfeFit, bins: int = DEFAULT_BINS) -> WeightReport:
 def weight_grid(fit: TwfeFit, schedule: AdoptionSchedule) -> WeightGrid:
     """Full unit-by-period rectangle of weight cells, rows sorted by adoption
     period (never-treated last), then unit name."""
-    entries = schedule.entries
-    for u in sorted(fit.units):
-        if u not in entries:
-            raise UnknownUnit(u)
-    units = tuple(sorted(fit.units, key=lambda u: (entries[u] is None, entries[u] or 0, u)))
-    periods, p = np.unique(fit.period, return_inverse=True)
-    weight = np.full((len(fit.units), len(periods)), nan)
-    weight[fit.unit, p] = fit.weights
+    units = schedule.ordered(fit.units)
+    row = dict(zip(units, range(len(units))))
+    r = np.array([row[u] for u in fit.units], dtype=np.intp)[fit.unit]  # each sample row's grid row
+    p = np.searchsorted(fit.periods, fit.period)
+    weight = np.full((len(units), len(fit.periods)), nan)
+    weight[r, p] = fit.weights
     treated = np.full(weight.shape, -1, dtype=np.int8)  # -1: no observed outcome
-    treated[fit.unit, p] = fit.treatment
-    code = {u: i for i, u in enumerate(fit.units)}
-    rows = [code[u] for u in units]
-    weight, treated = weight[rows], treated[rows]
+    treated[r, p] = fit.treatment
     status = np.select(
         [treated == -1, treated == 0, weight < NEGATIVE_WEIGHT_TOL],
         ["missing", "untreated", "treated_negative"],
         "treated_positive",
     )
-    return WeightGrid(units=units, periods=tuple(periods.tolist()), status=status, weight=weight)
+    return WeightGrid(units=units, periods=fit.periods, status=status, weight=weight)
 
 
 def _groups(fit: TwfeFit):

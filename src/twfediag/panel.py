@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -26,11 +26,7 @@ class Observation:
     unit: str
     period: int
     outcome: Optional[float]  # None = missing
-    treated: int
-
-    def __post_init__(self):
-        if self.treated not in (0, 1):
-            raise ValueError(f"treated must be 0 or 1, got {self.treated!r}")
+    treated: int  # 0 or 1, checked when a PanelDataset is built
 
 
 def first_appearance(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,15 +174,6 @@ class PanelDataset:
             unit, self.period[keep], self.outcome[keep], self.treated[keep],
         )
 
-    def first_treated_periods(self) -> dict[str, Optional[int]]:
-        """unit -> earliest period with treated=1, or None if never treated."""
-        out: dict[str, Optional[int]] = dict.fromkeys(self.units)
-        rows = self._row_order[self.treated[self._row_order] == 1]
-        codes, first = np.unique(self.unit[rows], return_index=True)
-        for code, period in zip(codes.tolist(), self.period[rows[first]].tolist()):
-            out[self.units[code]] = period
-        return out
-
 
 @dataclass(frozen=True)
 class AdoptionSchedule:
@@ -194,19 +181,29 @@ class AdoptionSchedule:
 
     entries: dict[str, Optional[int]]
 
-    def adoption(self, unit: str) -> Optional[int]:
-        if unit not in self.entries:
-            raise UnknownUnit(unit)
-        return self.entries[unit]
-
-    def by_row(self, dataset: PanelDataset) -> tuple[np.ndarray, np.ndarray]:
-        """(adopts, start) per row of dataset: whether the row's unit ever
-        adopts, and its adoption period (0 if never). UnknownUnit names the
-        first unit, in row order, that has no entry."""
-        adoption = [self.adoption(u) for u in dataset.units]
+    def by_unit(self, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """(adopts, start) per label: whether the unit ever adopts, and its
+        adoption period (0 if never). UnknownUnit names the first label
+        that has no entry."""
+        for u in labels:
+            if u not in self.entries:
+                raise UnknownUnit(u)
+        adoption = [self.entries[u] for u in labels]
         adopts = np.array([a is not None for a in adoption], dtype=bool)
         start = np.array([0 if a is None else a for a in adoption], dtype=np.int64)
+        return adopts, start
+
+    def by_row(self, dataset: PanelDataset) -> tuple[np.ndarray, np.ndarray]:
+        """by_unit of each row's unit; UnknownUnit names the first in row order."""
+        adopts, start = self.by_unit(dataset.units)
         return adopts[dataset.unit], start[dataset.unit]
+
+    def ordered(self, labels: Sequence[str]) -> tuple[str, ...]:
+        """labels sorted by adoption period, never-treated last, then by label.
+        UnknownUnit names the alphabetically first label with no entry."""
+        labels = sorted(labels)
+        adopts, start = self.by_unit(labels)  # lexsort is stable: ties stay in label order
+        return tuple(labels[i] for i in np.lexsort((start, ~adopts)).tolist())
 
 
 @dataclass(frozen=True)
@@ -232,21 +229,21 @@ class ValidationReport:
 
 
 _INT64 = range(-2**63, 2**63)
+_HEADER = "unit,period,outcome,treated\r\n"  # as csv.writer writes the four names
 
 
 class _BadCell(ValueError):
-    """A cell that does not parse; the message names the bad value."""
+    """A cell that does not parse; the message names the bad value. A column
+    pass sets index, the position of its first bad cell."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
-# Per-cell checks: they name the first bad cell of a column whose whole-column
-# pass (the _*_column functions below) failed, and never produce values.
+# One converter per cell kind: the cell's value, or _BadCell.
 
-def _check_unit(cell: Optional[str]) -> None:
-    if cell is None:
-        raise _BadCell("missing value")
-
-
-def _check_period(cell: Optional[str]) -> None:
+def _period(cell: Optional[str]) -> int:
     if cell is None:
         raise _BadCell("missing value")
     try:
@@ -255,72 +252,64 @@ def _check_period(cell: Optional[str]) -> None:
         raise _BadCell(f"not an integer: {cell!r}") from None
     if value not in _INT64:
         raise _BadCell(f"not a 64-bit integer: {cell!r}")
+    return value
 
 
-def _check_outcome(cell: str) -> None:
+def _outcome(cell: str) -> float:
     raw = cell.strip()
     if raw == "":
-        return  # missing
+        return math.nan  # missing
     try:
         value = float(raw)
     except ValueError:
         raise _BadCell(f"not a number: {raw!r}") from None
     if not math.isfinite(value):
         raise _BadCell(f"not a finite number: {raw!r}")
+    return value
 
 
-def _check_treated(cell: str) -> None:
+def _treated(cell: str) -> int:
     t = cell.strip()
     if t not in ("0", "1"):
         raise _BadCell(f"treatment must be 0 or 1, got {t!r}")
+    return int(t)
 
 
-# Whole-column passes: the column's values, or None when some cell is bad.
-# Each accepts exactly the cells its _check_* function accepts.
+# Whole-column passes: the column's values, or _BadCell for its first bad cell.
 
-def _unit_column(cells: list) -> Optional[tuple[tuple, np.ndarray]]:
+def _converted(cells: list, convert: Callable, dtype) -> np.ndarray:
+    """Each distinct cell converted once, in order of first appearance, so
+    the first cell refused is the first bad row's."""
+    value = dict.fromkeys(cells)
+    for cell in value:
+        try:
+            value[cell] = convert(cell)
+        except _BadCell as exc:
+            exc.index = cells.index(cell)
+            raise
+    return np.fromiter(map(value.__getitem__, cells), dtype, len(cells))
+
+
+def _unit_column(cells: list) -> tuple[tuple, np.ndarray]:
     units, unit = _coded(cells)
-    return None if None in units else (units, unit)
+    if None in units:
+        raise _BadCell("missing value", cells.index(None))
+    return units, unit
 
 
-def _period_column(cells: list) -> Optional[np.ndarray]:
-    try:  # a panel has few distinct period cells: convert each one once
-        value = {cell: int(cell) for cell in set(cells)}
-        np.array(list(value.values()), dtype=np.int64)  # OverflowError outside int64
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return np.fromiter(map(value.__getitem__, cells), np.int64, len(cells))
-
-
-def _outcome_column(cells: list) -> Optional[np.ndarray]:
+def _outcome_column(cells: list) -> np.ndarray:
+    # most outcome cells are distinct: one builtin float pass, and the
+    # converter only to name the first bad cell when that pass fails
     text = list(map(str.strip, cells))
     present = np.fromiter(map(bool, text), bool, len(text))
     outcome = np.full(len(text), math.nan)
     try:
         outcome[present] = list(map(float, filter(None, text)))
+        if np.isfinite(outcome[present]).all():
+            return outcome
     except ValueError:
-        return None
-    if not np.isfinite(outcome[present]).all():
-        return None
-    return outcome
-
-
-def _treated_column(cells: list) -> Optional[np.ndarray]:
-    try:
-        value = {cell: ("0", "1").index(cell.strip()) for cell in set(cells)}
-    except ValueError:
-        return None
-    return np.fromiter(map(value.__getitem__, cells), np.int8, len(cells))
-
-
-def _first_bad(cells: list, check: Callable[[Optional[str]], None]) -> tuple[int, str]:
-    """(index, message) of the first cell that check refuses."""
-    for i, cell in enumerate(cells):
-        try:
-            check(cell)
-        except _BadCell as exc:
-            return i, str(exc)
-    raise RuntimeError("a column pass refused a column whose cells all parse")
+        pass
+    return _converted(cells, _outcome, np.float64)
 
 
 def _csv_lines(text: Iterable[str]) -> list[list[str]]:
@@ -385,38 +374,29 @@ def load_panel_csv(
 
     # a short row lacks its unit or period (an error), or its outcome or
     # treatment (read as empty)
-    specs = [(unit_col, None, _unit_column, _check_unit),
-             (period_col, None, _period_column, _check_period),
-             (outcome_col, "", _outcome_column, _check_outcome)]
+    specs = [(unit_col, None, _unit_column),
+             (period_col, None, lambda cells: _converted(cells, _period, np.int64)),
+             (outcome_col, "", _outcome_column)]
     if treatment_col is not None:
-        specs.append((treatment_col, "", _treated_column, _check_treated))
+        specs.append((treatment_col, "", lambda cells: _converted(cells, _treated, np.int8)))
     parsed, errors = [], []
-    for order, (col, absent, column, check) in enumerate(specs):
-        column_cells = cells(col, absent)
-        values = column(column_cells)
-        parsed.append(values)
-        if values is None:
-            index, message = _first_bad(column_cells, check)
-            errors.append((index, order, col, message))
+    for order, (col, absent, column) in enumerate(specs):
+        try:
+            parsed.append(column(cells(col, absent)))
+        except _BadCell as exc:
+            errors.append((exc.index, order, col, str(exc)))
     if errors:  # the first bad row; within it, the first bad column of specs
         index, _, col, message = min(errors)
         raise ParseError(index + 2, col, message)
     (units, unit), period, outcome, *treated = parsed
-    return PanelDataset(
-        units, unit, period, outcome, treated[0] if treated else np.zeros(len(rows), dtype=np.int8)
-    )
+    treated = treated[0] if treated else np.zeros(len(rows), dtype=np.int8)
+    return PanelDataset(units, unit, period, outcome, treated)
 
 
-def write_panel_csv(
-    dataset: PanelDataset,
-    path: str | Path,
-    unit_col: str = "unit",
-    period_col: str = "period",
-    outcome_col: str = "outcome",
-    treatment_col: str = "treated",
-) -> None:
+def write_panel_csv(dataset: PanelDataset, path: str | Path) -> None:
     """Write a dataset in the standard long CSV format (full float precision),
-    byte for byte as csv.writer writes it: minimal quoting, CRLF line ends."""
+    under the header unit,period,outcome,treated, byte for byte as
+    csv.writer writes it: minimal quoting, CRLF line ends."""
     # each distinct label quoted once by the csv module: as the first of two
     # fields it is written exactly as in a data row, then a comma and the
     # line end (which also decides what is quoted)
@@ -440,7 +420,7 @@ def write_panel_csv(
     pieces[2::4] = outcomes
     pieces[3::4] = [(",0\r\n", ",1\r\n")[d] for d in dataset.treated.tolist()]
     with Path(path).open("w", newline="", encoding="utf-8") as f:
-        csv.writer(f).writerow([unit_col, period_col, outcome_col, treatment_col])
+        f.write(_HEADER)
         f.write("".join(pieces))
 
 
@@ -491,8 +471,15 @@ def apply_adoption_schedule(
 
 
 def schedule_from_data(dataset: PanelDataset) -> AdoptionSchedule:
-    """Derive an adoption schedule from the observed treatment indicators."""
-    return AdoptionSchedule(dict(dataset.first_treated_periods()))
+    """Derive an adoption schedule from the observed treatment indicators:
+    each unit's earliest period with treated=1, or None if never treated,
+    with entries in the order of dataset.units."""
+    entries: dict[str, Optional[int]] = dict.fromkeys(dataset.units)
+    rows = dataset._row_order[dataset.treated[dataset._row_order] == 1]
+    codes, first = np.unique(dataset.unit[rows], return_index=True)
+    for code, period in zip(codes.tolist(), dataset.period[rows[first]].tolist()):
+        entries[dataset.units[code]] = period
+    return AdoptionSchedule(entries)
 
 
 def validate(dataset: PanelDataset) -> ValidationReport:
@@ -520,7 +507,7 @@ def validate(dataset: PanelDataset) -> ValidationReport:
         violations.append(("TooFewPeriods", "", None, "dataset has fewer than 2 periods"))
 
     groups: dict[Optional[int], list[str]] = {}
-    for unit_label, adoption in dataset.first_treated_periods().items():
+    for unit_label, adoption in schedule_from_data(dataset).entries.items():
         groups.setdefault(adoption, []).append(unit_label)
     timing_groups = {a: tuple(groups[a]) for a in sorted(a for a in groups if a is not None)}
     if None in groups:

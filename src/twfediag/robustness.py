@@ -12,7 +12,7 @@ from math import nan
 
 from .errors import InvalidSweep, NoFeasiblePoint, TwfeDiagError
 from .lsq import t_critical
-from .panel import AdoptionSchedule, PanelDataset
+from .panel import AdoptionSchedule, PanelDataset, schedule_from_data
 from .twfe import EncodedSample, TwfeFit, fit_sample, negative_treated
 
 DEFAULT_LEVEL = 0.95
@@ -121,8 +121,7 @@ def leave_one_unit_out(
     unit's adoption period (never-treated last), then unit name."""
     if len(dataset.units) < 3:
         raise InvalidSweep(f"leave-one-out needs at least 3 units, got {len(dataset.units)}")
-    first = dataset.first_treated_periods()
-    order = sorted(dataset.units, key=lambda u: (first[u] is None, first[u] or 0, u))
+    order = schedule_from_data(dataset).ordered(dataset.units)
     code = {unit: i for i, unit in enumerate(dataset.units)}
     sample = EncodedSample(dataset)
     masks = ((unit, sample.unit != code[unit]) for unit in order)

@@ -130,14 +130,11 @@ class SyntheticSpec:
                 )
         if self.shocks[self.periods[0]] != 0.0:
             raise InvalidSpec("first-period shock must be zero")
-        for u, value in self.baselines.items():
+        values = [(f"baseline for unit {u!r}", v) for u, v in self.baselines.items()]
+        values += [(f"shock for period {p}", v) for p, v in self.shocks.items()]
+        for name, value in (*values, ("noise_sd", self.noise_sd)):
             if not math.isfinite(value):
-                raise InvalidSpec(f"baseline for unit {u!r} must be finite, got {value}")
-        for p, value in self.shocks.items():
-            if not math.isfinite(value):
-                raise InvalidSpec(f"shock for period {p} must be finite, got {value}")
-        if not math.isfinite(self.noise_sd):
-            raise InvalidSpec(f"noise_sd must be finite, got {self.noise_sd}")
+                raise InvalidSpec(f"{name} must be finite, got {value}")
         if self.noise_sd < 0:
             raise InvalidSpec("noise_sd must be non-negative")
         if self.seed < 0:
@@ -148,13 +145,12 @@ def _treated_effects(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     """Unit x period grids: the treated mask, and each treated cell's effect
     (0 elsewhere, and over units with no treated cell)."""
     periods = np.array(spec.periods, dtype=np.int64)
-    adoption = [spec.schedule.entries[u] for u in spec.units]
-    start = np.array([0 if a is None else a for a in adoption], dtype=np.int64)[:, None]
-    adopts = np.array([a is not None for a in adoption], dtype=bool)[:, None]
-    on = adopts & (periods >= start)
+    adopts, start = spec.schedule.by_unit(spec.units)
+    event_time = periods - start[:, None]  # wraps only in cells before adoption
+    on = adopts[:, None] & (periods >= start[:, None])
     rows = np.flatnonzero(on.any(axis=1))  # only units with a treated cell need an effect
     effect = np.zeros(on.shape)
-    effect[rows] = spec.effect.on_grid([spec.units[i] for i in rows.tolist()], periods - start[rows])
+    effect[rows] = spec.effect.on_grid([spec.units[i] for i in rows.tolist()], event_time[rows])
     return on, effect
 
 
@@ -191,14 +187,30 @@ def true_effect_summary(spec: SyntheticSpec) -> EffectSummary:
     )
 
 
-def _effect_from_dict(d: dict) -> EffectModel:
-    kind = d.get("kind")
+_KINDS = {"an object": (dict,), "an array": (list,), "a string": (str,),
+          "an integer": (int,), "a number": (int, float)}  # so an integer is not true or 2.5
+
+
+def _expect(value, kind: str, name: str):
+    """value (a float if kind is "a number") when it has the JSON kind
+    named, else InvalidSpec naming the field."""
+    if type(value) not in _KINDS[kind]:
+        shown = {dict: "an object", list: "an array"}.get(type(value)) or json.dumps(value)
+        raise InvalidSpec(f"{name} must be {kind}, got {shown}")
+    return float(value) if kind == "a number" else value
+
+
+def _effect_from_dict(d) -> EffectModel:
+    kind = _expect(d, "an object", "effect").get("kind")
     if kind == "constant":
-        return EffectModel.constant(float(d["delta"]))
+        return EffectModel.constant(_expect(d["delta"], "a number", "effect.delta"))
     if kind == "by_unit":
-        return EffectModel.by_unit({str(k): float(v) for k, v in d["per_unit"].items()})
+        per_unit = _expect(d["per_unit"], "an object", "effect.per_unit")
+        return EffectModel.by_unit(
+            {k: _expect(v, "a number", f"effect.per_unit[{k!r}]") for k, v in per_unit.items()})
     if kind == "event_time":
-        return EffectModel.event_time(float(d["slope"]), float(d.get("intercept", 0.0)))
+        intercept = _expect(d.get("intercept", 0.0), "a number", "effect.intercept")
+        return EffectModel.event_time(_expect(d["slope"], "a number", "effect.slope"), intercept)
     raise InvalidSpec(f"unknown effect kind {kind!r}")
 
 
@@ -211,27 +223,33 @@ def _effect_to_dict(e: EffectModel) -> dict:
 
 
 def spec_from_json(path: str | Path, seed: Optional[int] = None) -> SyntheticSpec:
-    """Load a generator spec from a JSON document; seed overrides the file's."""
+    """Load a generator spec from a JSON document; seed overrides the file's.
+    A value of the wrong JSON type (true or 2.5 for an integer, an array
+    for an object) is InvalidSpec naming its field."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise InvalidSpec(f"not UTF-8 text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"invalid JSON: {exc}")
+    _expect(doc, "an object", "the spec document")
     try:
-        units = tuple(str(u) for u in doc["units"])
-        periods = tuple(int(p) for p in doc["periods"])
-        baselines = {str(k): float(v) for k, v in doc["baselines"].items()}
-        shocks = {int(k): float(v) for k, v in doc["shocks"].items()}
-        schedule = AdoptionSchedule(
-            {
-                str(k): (None if v is None or str(v).lower() == "never" else int(v))
-                for k, v in doc["schedule"].items()
-            }
-        )
+        units = tuple(_expect(u, "a string", f"units[{i}]")
+                      for i, u in enumerate(_expect(doc["units"], "an array", "units")))
+        periods = tuple(_expect(p, "an integer", f"periods[{i}]")
+                        for i, p in enumerate(_expect(doc["periods"], "an array", "periods")))
+        baselines = {k: _expect(v, "a number", f"baselines[{k!r}]")
+                     for k, v in _expect(doc["baselines"], "an object", "baselines").items()}
+        shocks = {int(k): _expect(v, "a number", f"shocks[{k!r}]")
+                  for k, v in _expect(doc["shocks"], "an object", "shocks").items()}
+        schedule = AdoptionSchedule({
+            k: None if v is None or str(v).lower() == "never"
+            else _expect(v, "an integer", f"schedule[{k!r}]")
+            for k, v in _expect(doc["schedule"], "an object", "schedule").items()
+        })
         effect = _effect_from_dict(doc["effect"])
-        noise_sd = float(doc.get("noise_sd", 0.0))
-        file_seed = int(doc.get("seed", 0))
+        noise_sd = _expect(doc.get("noise_sd", 0.0), "a number", "noise_sd")
+        file_seed = _expect(doc.get("seed", 0), "an integer", "seed")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpec(f"malformed spec document: {exc}")
     return SyntheticSpec(

@@ -31,9 +31,10 @@ class TwfeFit:
     weights: np.ndarray
     treatment: np.ndarray  # 0/1 over the estimation sample
     outcome: np.ndarray  # the outcome over the estimation sample
-    unit_effects: dict[str, float]
-    period_effects: dict[int, float]
     units: tuple[str, ...]  # sample units in order of first appearance
+    periods: tuple[int, ...]  # sample periods, ascending
+    unit_effect: np.ndarray  # aligned with units
+    period_effect: np.ndarray  # aligned with periods; the first is 0
     unit: np.ndarray  # code of each sample row's unit, an index into units
     period: np.ndarray  # period of each sample row
     inference: str  # "cluster_by_unit" | "classical"
@@ -174,7 +175,7 @@ def fit_sample(
     period_code = sample.period_code[rows]
     present = np.bincount(period_code, minlength=len(sample.periods)) > 0
     p = (np.cumsum(present) - 1)[period_code]  # the kept periods renumbered from 0
-    periods = sample.periods[present].tolist()
+    periods = tuple(sample.periods[present].tolist())
     y = sample.outcome[rows]
     d = sample.treatment[rows]
     units = [sample.labels[i] for i in order.tolist()]
@@ -229,9 +230,10 @@ def fit_sample(
         weights=d_resid / ssd,
         treatment=d.astype(int),
         outcome=y,
-        unit_effects=dict(zip(units, alpha.tolist())),
-        period_effects=dict(zip(periods, gamma.tolist())),
         units=tuple(units),
+        periods=periods,
+        unit_effect=alpha,
+        period_effect=gamma,
         unit=u,
         period=sample.period[rows],
         inference=inference,

@@ -1,13 +1,15 @@
 """Repository checks that need no program run: the CI workflow runs the
 tier-1 command that ROADMAP.md names and the benchmark's oracle checks,
 the package parses as the lowest supported Python, the README's import
-block imports, the installed script and `python -m twfediag.cli` start
-through one function, and every function the benchmark reads a span of
-exists. Text and syntax-tree matches only, so no YAML
+block imports, every name the README lists as removed is gone, the
+installed script and `python -m twfediag.cli` start through one
+function, and every function the benchmark reads a span of exists. Text and syntax-tree matches only, so no YAML
 parser is needed and nothing under perfbench/ is run."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -56,6 +58,54 @@ def test_readme_library_surface_imports():
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     assert "from twfediag import" in block
     exec(compile(block, "README.md", "exec"), {})
+
+
+def _removed_names() -> list:
+    """The first backticked name of each bullet under "Removed public names"."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Removed public names\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.split(r"^- ", section, flags=re.MULTILINE)[1:]
+    return [re.search(r"`([^`]+)`", bullet).group(1) for bullet in bullets]
+
+
+def _resolves(name: str) -> bool:
+    """Whether a README name exists: `twfediag.X` or `twfediag.lsq.X` in
+    its module, a bare error name in twfediag.errors, or `Class.attr` of a
+    public class (a class attribute or a dataclass field). For a call with
+    keywords, `f(a=..., b=...)`, whether f exists and takes any of them."""
+    call = re.fullmatch(r"([\w.]+)\((.*)\)", name)
+    path = call.group(1) if call else name
+    if path.startswith("twfediag."):
+        parts = path.split(".")
+        for i in range(len(parts), 0, -1):  # the longest prefix that is a module
+            try:
+                target = importlib.import_module(".".join(parts[:i]))
+                break
+            except ModuleNotFoundError:
+                continue
+        for part in parts[i:]:
+            if not hasattr(target, part):
+                return False
+            target = getattr(target, part)
+    elif "." in path:
+        class_name, attr = path.split(".")
+        cls = getattr(importlib.import_module("twfediag"), class_name)
+        fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else ()
+        return hasattr(cls, attr) or attr in fields
+    else:
+        return hasattr(importlib.import_module("twfediag.errors"), path)
+    keywords = re.findall(r"(\w+)=", call.group(2)) if call else []
+    return not keywords or any(k in inspect.signature(target).parameters for k in keywords)
+
+
+def test_readme_removed_names_are_gone():
+    names = _removed_names()
+    assert "twfediag.residualize_treatment(ds)" in names and "TwfeFit.unit_effects" in names
+    for present in ("twfediag.fit_twfe", "twfediag.lsq.qr_lstsq(X, y)", "TwfeFit.beta",
+                    "TwfeFit.p_value", "SingularDesign", "twfediag.errors.UnknownUnit",
+                    "twfediag.load_panel_csv(treatment_col=...)"):
+        assert _resolves(present), present  # the check can see a name that exists
+    assert [name for name in names if _resolves(name)] == []
 
 
 def test_script_and_module_share_the_process_entry():

@@ -293,6 +293,18 @@ class TestDataConflicts:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_endyear_default_range_on_header_only_panel(self, tmp_path, capsys):
+        data = tmp_path / "empty.csv"
+        data.write_text("unit,year,y,d\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        argv = ["sweep-endyear", "--data", str(data), "--unit", "unit", "--time", "year",
+                "--outcome", "y", "--treatment", "d", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "no data rows" in err
+        assert not out.exists()
+
 
 def _append(path, data: bytes):
     path.write_bytes(path.read_bytes() + data)
@@ -387,6 +399,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_spec_field_of_wrong_json_type_exit_1(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_to_json(base_spec(), spec_path)
+        doc = json.loads(spec_path.read_text(encoding="utf-8"))
+        doc["baselines"] = list(doc["baselines"].values())
+        spec_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--spec", str(spec_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: baselines must be an object, got an array\n"
         assert not out.exists()
 
     def test_adoption_span_beyond_64_bits_exit_1(self, tmp_path, capsys):

@@ -1,0 +1,123 @@
+"""Edge-case panels through every data subcommand, in process through main().
+
+Each panel runs under every data subcommand, with the treatment column,
+with a complete adoption schedule and with one that lacks a unit, under
+both --cluster values. Whatever the outcome, the command must exit 0, 1
+or 2 and raise nothing else; stderr must hold no traceback, and on exit 1
+exactly one `error:` line (validate's verdict on an invalid panel is exit
+1 with the report and no error line).
+"""
+
+import json
+
+import pytest
+
+from twfediag.cli import main
+
+LOW, HIGH = -2**63, 2**63 - 1
+
+
+def _rows(adoption: dict, periods, missing=()):
+    """unit, period, outcome, treated cells; a unit adopts at its entry in
+    adoption (None: never); (unit, period) keys in missing have no outcome."""
+    rows = []
+    for i, (unit, start) in enumerate(adoption.items()):
+        for j, period in enumerate(periods):
+            treated = int(start is not None and period >= start)
+            outcome = "" if (unit, period) in missing else repr(1.5 * i + 0.25 * j + 2.0 * treated + (i * j) % 3)
+            rows.append([unit, str(period), outcome, str(treated)])
+    return rows
+
+
+STAGGERED = {"A": 2, "B": 3, "C": None, "D": None}
+BASE = _rows(STAGGERED, range(1, 5))
+
+PANELS = {
+    "header only": [],
+    "one unit": _rows({"A": 2}, range(1, 5)),
+    "one period": _rows(STAGGERED, [1]),
+    "a unit with every outcome missing": _rows(STAGGERED, range(1, 5), {("D", t) for t in range(1, 5)}),
+    "every outcome missing": [[u, p, "", d] for u, p, _, d in BASE],
+    "disconnected unit-period graph": _rows({"A": 2, "B": None}, [1, 2]) + _rows({"C": 4, "D": None}, [3, 4]),
+    "every row treated": [[u, p, y, "1"] for u, p, y, _ in BASE],
+    "repeated key": BASE + [BASE[0]],
+    "non-numeric period": BASE[:5] + [["B", "x", "1.0", "0"]] + BASE[5:],
+    "non-absorbing unit": [[u, p, y, str(int(p) % 2) if u == "A" else d] for u, p, y, d in BASE],
+    "periods at the int64 extremes": _rows({"A": 0, "B": HIGH, "C": None}, [LOW, LOW + 1, 0, HIGH]),
+}
+
+COMMANDS = {
+    "estimate": ["--out", "estimate.json", "--no-timestamp"],
+    "weights": ["--out-hist", "hist.csv", "--out-grid", "grid.csv"],
+    "scatter": ["--out-prefix", "scatter"],
+    "sweep-endyear": ["--out", "sweep.csv"],
+    "sweep-horizon": ["--horizons", "0,1,2", "--out", "sweep.csv"],
+    "jackknife": ["--out", "sweep.csv"],
+    "validate": ["--out", "validate.json"],
+}
+
+
+def _schedule(rows) -> dict:
+    """unit -> first treated period (None if never) over the rows whose
+    period is an integer."""
+    first = {}
+    for unit, period, _, treated in rows:
+        if period.lstrip("-").isdigit():
+            first.setdefault(unit, None)
+            if treated == "1" and (first[unit] is None or int(period) < first[unit]):
+                first[unit] = int(period)
+    return first
+
+
+def _write(path, header, rows):
+    path.write_text("\n".join(",".join(map(str, row)) for row in [header, *rows]) + "\n",
+                    encoding="utf-8")
+
+
+def _invocations(tmp_path, panel: str, command: str):
+    rows = PANELS[panel]
+    _write(tmp_path / "panel.csv", ["unit", "period", "outcome", "treated"], rows)
+    schedule = [[u, "never" if a is None else a] for u, a in _schedule(rows).items()]
+    _write(tmp_path / "complete.csv", ["unit", "adoption_period"], schedule)
+    _write(tmp_path / "incomplete.csv", ["unit", "adoption_period"], schedule[:-1])
+    data = ["--data", str(tmp_path / "panel.csv"), "--unit", "unit", "--time", "period",
+            "--outcome", "outcome"]
+    outputs = [str(tmp_path / a) if a.endswith((".csv", ".json")) or a == "scatter" else a
+               for a in COMMANDS[command]]
+    clusters = [[]] if command == "validate" else [["--cluster", "unit"], ["--cluster", "none"]]
+    for treatment in (["--treatment", "treated"], ["--adoption", str(tmp_path / "complete.csv")],
+                      ["--adoption", str(tmp_path / "incomplete.csv")]):
+        for cluster in clusters:
+            yield [command, *data, *treatment, *cluster, *outputs]
+
+
+def _cases():
+    for panel in PANELS:
+        for command in COMMANDS:
+            marks = ()
+            if panel == "periods at the int64 extremes" and command == "sweep-endyear":
+                # the default range is every integer from the first period to
+                # the last: about 2**64 points
+                marks = pytest.mark.skip(reason="the default end-year range has ~2**64 points")
+            yield pytest.param(panel, command, marks=marks, id=f"{command} on {panel}")
+
+
+@pytest.mark.parametrize("panel, command", _cases())
+def test_exit_code_and_one_error_line(tmp_path, capsys, panel, command):
+    for argv in _invocations(tmp_path, panel, command):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        where = " ".join(argv)
+        assert code in (0, 1, 2), where
+        assert "Traceback" not in err, where
+        errors = [line for line in err.splitlines() if "error:" in line]
+        if code == 0:
+            assert errors == [], where
+        elif code == 1 and command == "validate" and not errors:
+            report = json.loads((tmp_path / "validate.json").read_text(encoding="utf-8"))
+            assert report["is_valid"] is False, where
+        else:
+            assert len(errors) == 1, (where, err)

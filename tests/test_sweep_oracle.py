@@ -110,9 +110,9 @@ def _same(a: tuple, b: tuple) -> bool:
 def _assert_same_fit(got, want):
     assert (got.beta, got.se, got.dof, got.n_obs, got.n_treated) == \
         (want.beta, want.se, want.dof, want.n_obs, want.n_treated)
-    assert got.units == want.units
+    assert (got.units, got.periods) == (want.units, want.periods)
     for name in ("unit", "period", "treatment", "outcome", "weights",
-                 "residualized_treatment", "residualized_outcome"):
+                 "residualized_treatment", "residualized_outcome", "unit_effect", "period_effect"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
@@ -169,8 +169,8 @@ def test_bridge_and_lone_period_examples_change_the_sample_structure():
     assert bridged.dof == 32 - (7 + 8 - 1 + 1)
     assert split.dof == 24 - (6 + 8 - 2 + 1)
     lone = LONE_PERIOD.restrict(LONE_PERIOD.unit != LONE_PERIOD.units.index("x0"))
-    assert len(fit_twfe(LONE_PERIOD).period_effects) == 5
-    assert len(fit_twfe(lone).period_effects) == 4
+    assert len(fit_twfe(LONE_PERIOD).period_effect) == 5
+    assert len(fit_twfe(lone).period_effect) == 4
 
 
 def test_sweeps_build_no_dataset(monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -194,6 +195,35 @@ class TestSpecValidation:
         at_limit = base_spec(schedule=AdoptionSchedule({"A": 2 - 2**62, "B": None}), **kwargs)
         assert true_effect_summary(at_limit).minimum == float(2**63 - 2)
         assert true_effect_summary(at_limit).maximum == float(2**63 - 1)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda d: d.update(baselines=[10.0, 20.0, 5.0]), "baselines must be an object, got an array"),
+        (lambda d: d.update(shocks=[0.0, 1.0]), "shocks must be an object, got an array"),
+        (lambda d: d.update(schedule=["A", 3]), "schedule must be an object, got an array"),
+        (lambda d: d.update(effect={"kind": "by_unit", "per_unit": [1.0, 2.0, 0.0]}),
+         "effect.per_unit must be an object, got an array"),
+        (lambda d: d.update(effect="constant"), 'effect must be an object, got "constant"'),
+        (lambda d: d.update(effect=[3.0]), "effect must be an object, got an array"),
+        (lambda d: d.update(periods=[1.5, 2.5]), r"periods\[0\] must be an integer, got 1.5"),
+        (lambda d: d["schedule"].update(A=2.7), r"schedule\['A'\] must be an integer, got 2.7"),
+        (lambda d: d.update(seed=3.9), "seed must be an integer, got 3.9"),
+        (lambda d: d.update(periods=[True, 2, 3, 4, 5]), r"periods\[0\] must be an integer, got true"),
+        (lambda d: d.update(units="ab"), 'units must be an array, got "ab"'),
+        (lambda d: d.update(units=["A", 2, "C"]), r"units\[1\] must be a string, got 2"),
+        (lambda d: d["baselines"].update(A="10"), r"baselines\['A'\] must be a number, got \"10\""),
+        (lambda d: d["effect"].update(delta=None), "effect.delta must be a number, got null"),
+    ], ids=["baselines array", "shocks array", "schedule array", "per_unit array",
+            "effect string", "effect array", "non-integral periods", "non-integral adoption",
+            "non-integral seed", "period true", "units string", "unit label number",
+            "baseline string", "delta null"])
+    def test_field_of_wrong_json_type(self, tmp_path, change, message):
+        path = tmp_path / "spec.json"
+        spec_to_json(base_spec(), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        change(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(InvalidSpec, match=message):
+            spec_from_json(path)
 
 
 class TestTrueEffectSummary:

@@ -95,12 +95,15 @@ class TestFitTwfe:
         ds = homogeneous_panel()
         fit = fit_twfe(ds)
         # reported effects + beta reconstruct fitted values
+        assert fit.periods == ds.periods
+        assert fit.unit_effect.shape == (len(fit.units),)
+        assert fit.period_effect.shape == (len(fit.periods),)
         by_key = {(o.unit, o.period): o for o in ds.observations}
         for (unit, period), y in zip(sample_keys(fit), ds.outcome[ds.observed]):
             obs = by_key[(unit, period)]
             pred = (
-                fit.unit_effects[unit]
-                + fit.period_effects[period]
+                fit.unit_effect[fit.units.index(unit)]
+                + fit.period_effect[fit.periods.index(period)]
                 + fit.beta * obs.treated
             )
             assert pred == pytest.approx(y, abs=1e-8)

@@ -105,10 +105,14 @@ def test_fit_matches_dummy_oracles(inference, dataset):
 
     # the reported effects rebuild the oracle's fitted values
     sample = [o for o in dataset.observations if o.outcome is not None]
-    first_period = min(o.period for o in sample)
-    assert fit.period_effects[first_period] == 0.0
+    assert fit.periods == tuple(sorted({o.period for o in sample}))
+    assert fit.unit_effect.shape == (len(fit.units),)
+    assert fit.period_effect.shape == (len(fit.periods),)
+    assert fit.period_effect[0] == 0.0
+    unit = {u: i for i, u in enumerate(fit.units)}
+    period = {p: j for j, p in enumerate(fit.periods)}
     rebuilt = np.array([
-        fit.unit_effects[o.unit] + fit.period_effects[o.period] + fit.beta * o.treated
+        fit.unit_effect[unit[o.unit]] + fit.period_effect[period[o.period]] + fit.beta * o.treated
         for o in sample
     ])
     np.testing.assert_allclose(rebuilt, fitted, rtol=0, atol=1e-8 * (1 + np.abs(y).max()))
