@@ -9,10 +9,10 @@ from math import nan
 
 import numpy as np
 
-from .errors import DegenerateGroup
-from .lsq import classical_vcov, cluster_vcov, inner, qr_lstsq, t_test
+from .errors import DegenerateGroup, SingularDesign
+from .lsq import inner, qr_lstsq, standard_errors, t_test
 from .panel import AdoptionSchedule
-from .twfe import EXACT_FIT_TOL, NEGATIVE_WEIGHT_TOL, TwfeFit, negative_treated
+from .twfe import NEGATIVE_WEIGHT_TOL, TwfeFit, negative_treated
 
 DEFAULT_BINS = 40
 DEFAULT_BANDWIDTH = 0.8
@@ -135,32 +135,24 @@ def homogeneity_test(fit: TwfeFit, inference: str = "classical") -> HomogeneityT
     effect. The intercept is estimated (within-group means need not be zero)
     but not reported.
 
-    As in fit_twfe, a coefficient whose variance is round-off reports
-    se = 0 and nan t statistic and p-value: one whose variance is at most
-    what a residual sum of squares of EXACT_FIT_TOL times the raw outcome's
-    sum of squares could give. Classically every row is flagged exactly
-    when the residual sum of squares is that small; clustered, one row's
-    cluster scores can also cancel to round-off while the residuals do not.
+    Standard errors are lsq.standard_errors' with K = 4, and the outcome's
+    scale is the raw outcome's sum of squares, as in fit_twfe: a coefficient
+    whose variance is round-off reports se = 0 and nan t statistic and
+    p-value. A design with no residual degrees of freedom raises
+    SingularDesign.
     """
-    if inference not in ("classical", "cluster_by_unit"):
-        raise ValueError(f"unknown inference kind {inference!r}")
     d, y, treated = _groups(fit)
     g = treated.astype(float)
     X = np.column_stack([np.ones(len(d)), d, g, g * d])  # intercept, d, group, interaction
     beta, resid, R = qr_lstsq(X, y)
-    if inference == "cluster_by_unit":
-        cov, per_rss, clusters = cluster_vcov(X, R, resid, fit.unit)
-        dof = clusters - 1
-    else:
-        cov, per_rss = classical_vcov(R, resid)
-        dof = len(y) - X.shape[1]
-    var = np.diag(cov)
-    ses = np.sqrt(np.clip(var, 0.0, None))
-    exact = var <= EXACT_FIT_TOL * inner(fit.outcome, fit.outcome) * per_rss
+    if len(y) <= len(R):
+        raise SingularDesign("no residual degrees of freedom")
+    Rinv = np.linalg.solve(R, np.eye(len(R)))
+    ses, dof = standard_errors(X, resid, Rinv @ Rinv.T, len(R), inner(fit.outcome, fit.outcome),
+                               inference, fit.unit)
 
     def row(k: int) -> CoefficientRow:
-        est = float(beta[k])
-        se = 0.0 if exact[k] else float(ses[k])
+        est, se = float(beta[k]), float(ses[k])
         if se > 0:
             t, p = t_test(est, se, dof)
         else:

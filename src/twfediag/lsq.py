@@ -1,5 +1,5 @@
-"""Dense least squares by QR on plain arrays: classical and cluster-robust
-covariance, and t-based inference."""
+"""Dense least squares by QR on plain arrays, the standard errors of any
+OLS fit, classical or clustered, and t-based inference."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from .errors import NonpositiveSE, SingularDesign
 from .studentt import two_sided_p, two_sided_quantile
 
 SINGULAR_TOL = 1e-10  # |R diagonal| at most this, relative to the largest (or 1), is singular
+EXACT_FIT_TOL = 1e-20  # a variance this small, relative to the outcome's scale, is round-off
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -33,49 +34,59 @@ def qr_lstsq(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return beta, y - X @ beta, R
 
 
-def _bread(R: np.ndarray, n: int) -> np.ndarray:
-    """(X'X)^-1 from the triangular factor of an n-row design."""
-    if n <= len(R):
-        raise SingularDesign("no residual degrees of freedom")
-    Rinv = np.linalg.solve(R, np.eye(len(R)))
-    return Rinv @ Rinv.T
+def standard_errors(
+    X: np.ndarray,
+    residuals: np.ndarray,
+    bread: np.ndarray,
+    k: int,
+    yy: float,
+    inference: str,
+    clusters: np.ndarray,
+) -> tuple[np.ndarray, int]:
+    """(standard error of each coefficient, t degrees of freedom) of an OLS
+    fit on the N x m regressor columns X, from its residuals and
+    bread = (X'X)^-1. k is the model's parameter count, which exceeds m
+    when X holds only what is left after partialling the other regressors
+    out (Frisch-Waugh-Lovell); yy is the outcome's sum of squares.
 
+    inference "classical": the variance is RSS / (N - k) times the bread's
+    diagonal, on N - k degrees of freedom. "cluster_by_unit", on the
+    integer codes 0..G-1 of `clusters` (G >= 2): the diagonal of
+    bread (S'S) bread, S the G x m per-cluster score sums, times
+    [G/(G-1)] * [(N-1)/(N-k)] (Cameron & Miller 2015), on G - 1.
 
-def classical_vcov(R: np.ndarray, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(homoskedastic covariance (RSS / (N - K)) * (X'X)^-1, its diagonal
-    per unit of RSS)."""
-    n, k = len(residuals), len(R)
-    bread = _bread(R, n)
-    cov = inner(residuals, residuals) / (n - k) * bread
-    return 0.5 * (cov + cov.T), np.diag(bread) / (n - k)
+    A standard error is 0 when its variance is round-off: at most
+    EXACT_FIT_TOL * yy times its bread entry times the factor (1 / (N - k)
+    or the one above), which is what a residual sum of squares of
+    EXACT_FIT_TOL * yy gives classically and bounds clustered
+    (Cauchy-Schwarz). So a round-off RSS flags every coefficient, and
+    clustered, a coefficient whose scores cancel is flagged alone. With
+    N == k every standard error is 0: the fit is exact.
 
-
-def cluster_vcov(
-    X: np.ndarray, R: np.ndarray, residuals: np.ndarray, clusters: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """(sandwich covariance clustered on the integer codes `clusters`, a
-    bound on its diagonal per unit of RSS, the cluster count G), with the
-    finite-sample factor c = [G/(G-1)] * [(N-1)/(N-K)]; needs G >= 2.
-
-    By Cauchy-Schwarz each diagonal term of (X'X)^-1 meat (X'X)^-1 is at
-    most RSS times that of (X'X)^-1, so the bound is c * diag((X'X)^-1).
-
-    Rows are stably sorted by cluster, so each cluster's score sums its
-    rows in their original order.
+    Scores are bincount sums in row order and every sum over rows or
+    clusters is an `inner`, so no result depends on the BLAS thread count.
     """
-    n, k = X.shape
-    bread = _bread(R, n)
-    order = np.argsort(clusters, kind="stable")
-    X, residuals = X[order], residuals[order]
-    cuts = (np.flatnonzero(np.diff(clusters[order])) + 1).tolist()
-    meat = np.zeros((k, k))
-    for a, b in zip([0] + cuts, cuts + [n]):
-        score = X[a:b].T @ residuals[a:b]
-        meat += np.outer(score, score)
-    G = len(cuts) + 1
-    c = (G / (G - 1)) * ((n - 1) / (n - k))
-    cov = c * bread @ meat @ bread
-    return 0.5 * (cov + cov.T), c * np.diag(bread), G
+    n = len(residuals)
+    if inference == "classical":
+        dof = n - k
+    elif inference == "cluster_by_unit":
+        scores = [np.bincount(clusters, x * residuals) for x in X.T]
+        G = len(scores[0])
+        dof = G - 1
+    else:
+        raise ValueError(f"unknown inference kind {inference!r}")
+    if n == k:
+        return np.zeros(len(bread)), dof
+    scale = np.diag(bread)
+    if inference == "classical":
+        var = inner(residuals, residuals) / (n - k) * scale
+        factor = 1 / (n - k)
+    else:
+        meat = np.array([[inner(a, b) for b in scores] for a in scores])
+        factor = (G / (G - 1)) * ((n - 1) / (n - k))
+        var = np.diag(factor * bread @ meat @ bread)
+    exact = var <= EXACT_FIT_TOL * yy * factor * scale
+    return np.sqrt(np.where(exact, 0.0, var)), dof
 
 
 def t_test(coefficient: float, standard_error: float, dof: int) -> tuple[float, float]:

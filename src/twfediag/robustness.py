@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import nan
 
+import numpy as np
+
 from .errors import InvalidSweep, NoFeasiblePoint, TwfeDiagError
 from .lsq import t_critical
 from .panel import AdoptionSchedule, PanelDataset, schedule_from_data
@@ -81,11 +83,13 @@ def sweep_end_year(
     inference: str = "cluster_by_unit",
     level: float = DEFAULT_LEVEL,
 ) -> RobustnessSweep:
-    """Refit on samples truncated at each end period in [first_end, last_end]."""
-    if first_end > last_end:
-        raise InvalidSweep(f"first end period {first_end} is after last end period {last_end}")
+    """Refit on samples truncated at each of the panel's periods in
+    [first_end, last_end]."""
+    ends = [end for end in dataset.periods if first_end <= end <= last_end]
+    if not ends:
+        raise InvalidSweep(f"the panel has no period from {first_end} to {last_end}")
     sample = EncodedSample(dataset)
-    masks = ((str(end), sample.period <= end) for end in range(first_end, last_end + 1))
+    masks = ((str(end), sample.period <= end) for end in ends)
     return _run_sweep("end_year", sample, inference, level, masks)
 
 
@@ -108,7 +112,10 @@ def sweep_post_horizon(
     adopts, start = schedule.by_row(dataset)  # raises UnknownUnit
     sample = EncodedSample(dataset)
     adopts, start = adopts[dataset.observed], start[dataset.observed]
-    masks = ((str(h), ~adopts | (sample.period - start <= h)) for h in horizons)
+    before = ~adopts | (sample.period < start)
+    # from adoption on, period - start lies in [0, 2**64): exact in uint64
+    event_time = sample.period.view(np.uint64) - start.view(np.uint64)
+    masks = ((str(h), before | (event_time <= h)) for h in horizons)
     return _run_sweep("post_horizon", sample, inference, level, masks)
 
 

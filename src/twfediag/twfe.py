@@ -5,17 +5,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import nan, sqrt
+from math import nan
 from typing import Optional
 
 import numpy as np
 
 from .errors import CollinearTreatment, DegenerateTreatment
-from .lsq import inner, t_test
+from .lsq import inner, standard_errors, t_test
 from .panel import PanelDataset, first_appearance
 
 COLLINEARITY_TOL = 1e-12
-EXACT_FIT_TOL = 1e-20  # residual spread below this, relative to sum(y**2), is round-off
 NEGATIVE_WEIGHT_TOL = -1e-12  # weights below this count as negative
 
 
@@ -147,11 +146,10 @@ def fit_twfe(dataset: PanelDataset, inference: str = "cluster_by_unit") -> TwfeF
     one residual on the other. The residualized treatment also gives the
     per-observation weights behind the coefficient.
 
-    The standard error is zero, and the p-value nan, when the spread it is
-    computed from is round-off: the residual sum of squares (classical), or
-    the sum of squared cluster scores (clustered; zero whenever the
-    residuals are, and for any two-unit balanced panel), at most
-    EXACT_FIT_TOL relative to the outcome's scale.
+    The standard error is lsq.standard_errors' on the one-column design of
+    the residualized treatment, with K = the fixed effects' rank + 1: zero,
+    and the p-value nan, when its variance is round-off (clustered, that
+    includes any two-unit balanced panel, whose cluster scores cancel).
     """
     return fit_sample(EncodedSample(dataset), None, inference)
 
@@ -167,8 +165,6 @@ def fit_sample(
     So for a row mask over the dataset, fit_sample(EncodedSample(dataset),
     mask[dataset.observed]) is bit for bit fit_twfe(dataset.restrict(mask)).
     """
-    if inference not in ("cluster_by_unit", "classical"):
-        raise ValueError(f"unknown inference kind {inference!r}")
     rows = slice(None) if keep is None else keep
     order, u = first_appearance(sample.unit[rows])
     u = u.astype(np.intp)
@@ -193,26 +189,11 @@ def fit_sample(
     ssd = inner(d_resid, d_resid)
     if ssd < COLLINEARITY_TOL * len(d):
         raise CollinearTreatment("treatment is collinear with the fixed effects")
+    yy = inner(y, y)
     beta = inner(d_resid, y_resid) / ssd
     e = y_resid - beta * d_resid
-    rss = inner(e, e)
-
-    n, k, clusters = len(y), core.rank + 1, len(units)
-    yy = inner(y, y)
-    if inference == "cluster_by_unit":
-        dof = clusters - 1
-        scores = np.bincount(u, d_resid * e, clusters)
-        spread, scale = inner(scores, scores), ssd * yy  # spread <= ssd * rss
-    else:
-        dof = n - k
-        spread, scale = rss, yy
-    if n == k or spread <= EXACT_FIT_TOL * scale:
-        se = 0.0
-    elif inference == "cluster_by_unit":
-        c = (clusters / (clusters - 1)) * ((n - 1) / (n - k))
-        se = sqrt(c * spread) / ssd
-    else:
-        se = sqrt(spread / (n - k) / ssd)
+    se, dof = standard_errors(d_resid[:, None], e, np.array([[1 / ssd]]),
+                              core.rank + 1, yy, inference, u)
 
     # effects of y - beta*d, with the first period's effect set to 0 (on a
     # disconnected panel the other components' levels stay arbitrary)
@@ -221,9 +202,9 @@ def fit_sample(
     alpha, gamma = alpha + gamma[0], gamma - gamma[0]
     return TwfeFit(
         beta=beta,
-        se=se,
+        se=float(se[0]),
         dof=dof,
-        n_obs=n,
+        n_obs=len(y),
         n_treated=int(d.sum()),
         residualized_treatment=d_resid,
         residualized_outcome=y_resid,

@@ -48,6 +48,14 @@ def test_package_parses_as_lowest_supported_python():
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
+def test_workflow_matrix_includes_lowest_supported_python():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    lowest = re.search(r'requires-python = ">=(\d+\.\d+)"', pyproject).group(1)
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    matrix = re.search(r"python-version: \[(.*)\]", text).group(1)
+    assert lowest in re.findall(r'"([\d.]+)"', matrix)
+
+
 def test_workflow_runs_benchmark_oracle_checks():
     assert "python3 perfbench/run.py --report --seconds 5 --seed 5" in _workflow_commands()
 

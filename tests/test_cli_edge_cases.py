@@ -5,14 +5,19 @@ with a complete adoption schedule and with one that lacks a unit, under
 both --cluster values. Whatever the outcome, the command must exit 0, 1
 or 2 and raise nothing else; stderr must hold no traceback, and on exit 1
 exactly one `error:` line (validate's verdict on an invalid panel is exit
-1 with the report and no error line).
+1 with the report and no error line). Where estimate succeeds, its beta
+must be the dummy-variable OLS coefficient.
 """
 
+import csv
 import json
 
 import pytest
 
 from twfediag.cli import main
+from twfediag.panel import apply_adoption_schedule, load_panel_csv, load_schedule_csv
+
+from oracles import dummy_ols_beta
 
 LOW, HIGH = -2**63, 2**63 - 1
 
@@ -44,6 +49,7 @@ PANELS = {
     "non-numeric period": BASE[:5] + [["B", "x", "1.0", "0"]] + BASE[5:],
     "non-absorbing unit": [[u, p, y, str(int(p) % 2) if u == "A" else d] for u, p, y, d in BASE],
     "periods at the int64 extremes": _rows({"A": 0, "B": HIGH, "C": None}, [LOW, LOW + 1, 0, HIGH]),
+    "gapped periods": _rows(STAGGERED, [1, 2, 4, 7]),
 }
 
 COMMANDS = {
@@ -94,12 +100,16 @@ def _invocations(tmp_path, panel: str, command: str):
 def _cases():
     for panel in PANELS:
         for command in COMMANDS:
-            marks = ()
-            if panel == "periods at the int64 extremes" and command == "sweep-endyear":
-                # the default range is every integer from the first period to
-                # the last: about 2**64 points
-                marks = pytest.mark.skip(reason="the default end-year range has ~2**64 points")
-            yield pytest.param(panel, command, marks=marks, id=f"{command} on {panel}")
+            yield pytest.param(panel, command, id=f"{command} on {panel}")
+
+
+def _dataset(argv):
+    """The panel an invocation estimates on, loaded as the CLI loads it."""
+    option = dict(zip(argv[1::2], argv[2::2]))
+    dataset = load_panel_csv(option["--data"], "unit", "period", "outcome", option.get("--treatment"))
+    if "--adoption" in option:
+        dataset = apply_adoption_schedule(dataset, load_schedule_csv(option["--adoption"]))
+    return dataset
 
 
 @pytest.mark.parametrize("panel, command", _cases())
@@ -116,8 +126,26 @@ def test_exit_code_and_one_error_line(tmp_path, capsys, panel, command):
         errors = [line for line in err.splitlines() if "error:" in line]
         if code == 0:
             assert errors == [], where
+            if command == "estimate":
+                beta = json.loads((tmp_path / "estimate.json").read_text(encoding="utf-8"))["fit"]["beta"]
+                assert beta == pytest.approx(dummy_ols_beta(_dataset(argv)), abs=1e-8), where
         elif code == 1 and command == "validate" and not errors:
             report = json.loads((tmp_path / "validate.json").read_text(encoding="utf-8"))
             assert report["is_valid"] is False, where
         else:
             assert len(errors) == 1, (where, err)
+
+
+def test_sweep_endyear_points_are_the_panels_periods(tmp_path, capsys):
+    _write(tmp_path / "panel.csv", ["unit", "period", "outcome", "treated"], PANELS["gapped periods"])
+    data = ["--data", str(tmp_path / "panel.csv"), "--unit", "unit", "--time", "period",
+            "--outcome", "outcome", "--treatment", "treated"]
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-endyear", *data, "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as f:
+        labels = [row[0] for row in csv.reader(f)][1:]
+    assert labels == ["2", "4", "7"]  # not 3, 5 or 6
+    skipped = [line.split(":")[0] for line in capsys.readouterr().err.splitlines()]
+    assert skipped == ["skipped 1"]  # a single period
+    assert main(["sweep-endyear", *data, "--first-end", "5", "--last-end", "6", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: the panel has no period from 5 to 6"]

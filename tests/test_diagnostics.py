@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -14,7 +15,7 @@ from twfediag import (
     weight_grid,
     weight_report,
 )
-from twfediag.errors import DegenerateGroup, UnknownUnit
+from twfediag.errors import DegenerateGroup, SingularDesign, UnknownUnit
 
 from conftest import canonical_2x2, make_panel, random_panel, sample_keys
 from test_twfe import homogeneous_panel
@@ -191,6 +192,21 @@ class TestHomogeneityTest:
         classical = homogeneity_test(fit_twfe(ds, "classical"), "classical")
         for row in (classical.b_resid_treatment, classical.b_treat_group, classical.b_interaction):
             assert row.se > 0.3 and 0.0 <= row.p_value <= 1.0
+
+    @pytest.mark.parametrize("inference", ["classical", "cluster_by_unit"])
+    def test_no_residual_degrees_of_freedom(self, inference):
+        # 4 rows for the 4 coefficients; no panel's fit gets here (a 2x2
+        # panel whose groups both vary is collinear), so the fit is built
+        fit = dataclasses.replace(
+            fit_twfe(canonical_2x2()),
+            residualized_treatment=np.array([-1.0, 1.0, -2.0, 2.0]),
+            residualized_outcome=np.array([0.5, -0.25, 1.0, 3.0]),
+            treatment=np.array([0, 0, 1, 1]),
+            outcome=np.array([1.0, 2.0, 3.0, 4.0]),
+            unit=np.array([0, 0, 1, 1]),
+        )
+        with pytest.raises(SingularDesign, match="^no residual degrees of freedom$"):
+            homogeneity_test(fit, inference)
 
     def test_noisy_rows_unchanged(self):
         # estimate, se and t pinned bit for bit: the exact-fit rule must leave

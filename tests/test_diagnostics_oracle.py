@@ -16,7 +16,7 @@ from scipy import stats
 
 from twfediag import fit_twfe, homogeneity_test, schedule_from_data, weight_grid
 from twfediag.errors import CollinearTreatment, DegenerateGroup, DegenerateTreatment
-from twfediag.twfe import EXACT_FIT_TOL
+from twfediag.lsq import EXACT_FIT_TOL
 
 from conftest import make_panel
 from oracles import cluster_score_sandwich, naive_weight_grid, normal_equations_ols

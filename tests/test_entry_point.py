@@ -110,8 +110,9 @@ class TestProcess:
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     """OpenBLAS splits a long 1-D `@` (above 10000 elements) across threads,
     so a sum taken that way would change its last bits with
-    OPENBLAS_NUM_THREADS. estimate (both inference kinds) and weights write
-    the same bytes under 1 and 2 threads on a panel with more rows."""
+    OPENBLAS_NUM_THREADS. estimate, sweep-endyear and sweep-horizon (each
+    under both inference kinds) and weights write the same bytes under 1
+    and 2 threads on a panel with more rows."""
     rng = np.random.default_rng(5)
     n_units, n_periods = 400, 40
     start = np.where(rng.random(n_units) < 0.2, n_periods, rng.integers(3, n_periods, n_units))
@@ -132,11 +133,17 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
         for argv in (["estimate", *data, "--no-timestamp", "--out", out / "clustered.json"],
                      ["estimate", *data, "--cluster", "none", "--no-timestamp",
                       "--out", out / "classical.json"],
+                     ["sweep-endyear", *data, "--out", out / "endyear_clustered.csv"],
+                     ["sweep-endyear", *data, "--cluster", "none", "--out", out / "endyear_classical.csv"],
+                     ["sweep-horizon", *data, "--horizons", "0,1,2,5,10",
+                      "--out", out / "horizon_clustered.csv"],
+                     ["sweep-horizon", *data, "--horizons", "0,1,2,5,10", "--cluster", "none",
+                      "--out", out / "horizon_classical.csv"],
                      ["weights", *data, "--out-hist", out / "hist.csv", "--out-grid", out / "grid.csv"]):
             proc = cli_process(argv, tmp_path, OPENBLAS_NUM_THREADS=threads)
             assert proc.returncode == 0, proc.stderr
         written[threads] = {path.name: path.read_bytes() for path in out.iterdir()}
-    assert len(written["1"]) == 4
+    assert len(written["1"]) == 8
     assert written["1"] == written["2"]
 
 

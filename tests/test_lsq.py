@@ -5,9 +5,8 @@ import pytest
 from scipy import stats
 
 from twfediag.lsq import (
-    classical_vcov,
-    cluster_vcov,
     qr_lstsq,
+    standard_errors,
     t_critical,
     t_test,
 )
@@ -27,10 +26,6 @@ SCIPY_ABS = SCIPY_REL * sys.float_info.min
 
 def random_design(rng, n=10, k=3):
     return rng.normal(size=(n, k))
-
-
-def standard_errors(cov):
-    return np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
 
 class TestSolve:
@@ -92,41 +87,65 @@ class TestSolve:
             qr_lstsq(np.eye(3), np.zeros(4))
 
 
+def bread_of(R):
+    Rinv = np.linalg.solve(R, np.eye(len(R)))
+    return Rinv @ Rinv.T
+
+
+def fitted_errors(X, y, inference="classical", clusters=None):
+    """(standard errors, dof, residuals) of the OLS of y on X, K = X's columns."""
+    _, resid, R = qr_lstsq(X, y)
+    se, dof = standard_errors(X, resid, bread_of(R), X.shape[1], float(y @ y), inference, clusters)
+    return se, dof, resid
+
+
 class TestClassicalCovariance:
-    def test_zero_residuals_zero_matrix(self):
+    def test_zero_residuals_zero_errors(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
-        _, resid, R = qr_lstsq(X, np.array([0.0, 2.0, 4.0]))
-        cov, _ = classical_vcov(R, resid)
-        assert np.allclose(cov, 0.0)
-        assert standard_errors(cov) == pytest.approx([0.0, 0.0])
+        se, dof, _ = fitted_errors(X, np.array([0.0, 2.0, 4.0]))
+        assert list(se) == [0.0, 0.0]
+        assert dof == 1
 
     def test_against_direct_formula(self):
         rng = np.random.default_rng(5)
         X = random_design(rng)
         y = rng.normal(size=10)
-        _, resid, R = qr_lstsq(X, y)
-        cov, per_rss = classical_vcov(R, resid)
+        se, dof, resid = fitted_errors(X, y)
         sigma2 = (resid @ resid) / (10 - 3)
         expected = sigma2 * np.linalg.inv(X.T @ X)
-        assert cov == pytest.approx(expected, abs=1e-10)
-        # the diagonal per unit of RSS: equality, classically
-        assert (resid @ resid) * per_rss == pytest.approx(np.diag(expected), rel=1e-10)
+        assert se**2 == pytest.approx(np.diag(expected), abs=1e-10)
+        assert dof == 10 - 3
 
-    def test_symmetry_and_psd(self):
-        rng = np.random.default_rng(6)
-        X = random_design(rng, n=30, k=4)
-        y = rng.normal(size=30)
-        _, resid, R = qr_lstsq(X, y)
-        cov, _ = classical_vcov(R, resid)
-        assert np.max(np.abs(cov - cov.T)) < 1e-12
-        eigs = np.linalg.eigvalsh(cov)
-        assert eigs.min() >= -1e-10 * np.trace(cov)
+    def test_partialled_out_parameters_count_in_k(self):
+        # a Frisch-Waugh-Lovell design: one column, K parameters in all
+        rng = np.random.default_rng(9)
+        x, e = rng.normal(size=12), rng.normal(size=12)
+        se, dof = standard_errors(x[:, None], e, np.array([[1 / (x @ x)]]), 5, 1.0,
+                                  "classical", None)
+        assert dof == 12 - 5
+        assert se[0] == pytest.approx(np.sqrt((e @ e) / (12 - 5) / (x @ x)), rel=1e-14)
 
     def test_no_residual_degrees_of_freedom(self):
+        # N == K: the fit is exact and every standard error is 0
         X = np.array([[1.0, 0.0], [1.0, 1.0]])
-        _, resid, R = qr_lstsq(X, np.array([0.0, 2.0]))
-        with pytest.raises(SingularDesign):
-            classical_vcov(R, resid)
+        se, dof, _ = fitted_errors(X, np.array([0.0, 2.0]))
+        assert list(se) == [0.0, 0.0]
+        assert dof == 0
+
+    def test_roundoff_residuals_flag_every_coefficient(self):
+        rng = np.random.default_rng(11)
+        X = random_design(rng, n=30, k=3)
+        _, resid, R = qr_lstsq(X, rng.normal(size=30))
+        tiny = resid * 1e-12  # RSS 1e-24 of the outcome's scale 1
+        se, _ = standard_errors(X, tiny, bread_of(R), 3, 1.0, "classical", None)
+        assert list(se) == [0.0, 0.0, 0.0]
+        se, _ = standard_errors(X, tiny, bread_of(R), 3, 1e-6, "classical", None)
+        assert np.all(se > 0)
+
+    def test_unknown_inference_kind(self):
+        X = np.eye(3)
+        with pytest.raises(ValueError, match="unknown inference kind"):
+            standard_errors(X, np.zeros(3), np.eye(3), 2, 1.0, "robust", None)
 
 
 class TestClusterRobustCovariance:
@@ -135,40 +154,37 @@ class TestClusterRobustCovariance:
         n, k = 24, 3
         X = random_design(rng, n=n, k=k)
         y = rng.normal(size=n)
-        _, resid, R = qr_lstsq(X, y)
-        cov, _, clusters = cluster_vcov(X, R, resid, np.arange(n))
+        se, dof, resid = fitted_errors(X, y, "cluster_by_unit", np.arange(n))
         # G = N makes the finite-sample factor collapse to N/(N-K)
         expected = hc_sandwich(X, resid, n / (n - k))
-        assert cov == pytest.approx(expected, abs=1e-10)
-        assert clusters == n
+        assert se**2 == pytest.approx(np.diag(expected), abs=1e-10)
+        assert dof == n - 1
 
     def test_small_sample_factor(self):
         rng = np.random.default_rng(8)
         n, k = 20, 2
         X = random_design(rng, n=n, k=k)
         y = rng.normal(size=n)
-        _, resid, R = qr_lstsq(X, y)
-        # clusters interleaved and numbered out of order: the sort must group them
+        # clusters interleaved and numbered out of order
         codes = np.array([3, 0, 4, 1, 2] * 4)
-        cov, per_rss, G = cluster_vcov(X, R, resid, codes)
-        assert G == 5
-        c = (G / (G - 1)) * ((n - 1) / (n - k))
+        se, dof, resid = fitted_errors(X, y, "cluster_by_unit", codes)
+        assert dof == 5 - 1
+        c = (5 / (5 - 1)) * ((n - 1) / (n - k))
         expected = cluster_score_sandwich(X, resid, codes.tolist(), c)
-        assert cov == pytest.approx(expected, abs=1e-10)
-        # the diagonal's bound per unit of RSS is c * diag((X'X)^-1)
-        assert per_rss == pytest.approx(c * np.diag(np.linalg.inv(X.T @ X)), rel=1e-10)
-        assert np.all(np.diag(cov) <= (resid @ resid) * per_rss)
+        assert se**2 == pytest.approx(np.diag(expected), abs=1e-10)
+        # Cauchy-Schwarz: each variance is at most c * RSS * diag((X'X)^-1)
+        assert np.all(se**2 <= c * (resid @ resid) * np.diag(np.linalg.inv(X.T @ X)))
 
-    def test_symmetry_and_psd(self):
-        rng = np.random.default_rng(10)
-        n = 40
-        X = random_design(rng, n=n, k=4)
-        y = rng.normal(size=n)
-        _, resid, R = qr_lstsq(X, y)
-        cov, _, _ = cluster_vcov(X, R, resid, np.repeat(np.arange(8), 5))
-        assert np.max(np.abs(cov - cov.T)) < 1e-12
-        eigs = np.linalg.eigvalsh(cov)
-        assert eigs.min() >= -1e-10 * np.trace(cov)
+    def test_cancelling_scores_flag_one_coefficient(self):
+        # each cluster's residuals sum to 0, so the intercept's scores vanish
+        # while the RSS and the slope's scores do not; the centred slope
+        # makes (X'X)^-1 diagonal, so no other score enters its variance
+        X = np.column_stack([np.ones(6), np.arange(6.0) - 2.5])
+        resid = np.array([1.0, -1.0, 2.0, -2.0, 0.5, -0.5])
+        se, dof = standard_errors(X, resid, np.linalg.inv(X.T @ X), 2, 1.0, "cluster_by_unit",
+                                  np.array([0, 0, 1, 1, 2, 2]))
+        assert se[0] == 0.0 and se[1] > 0.0
+        assert dof == 2
 
 
 class TestTTest:

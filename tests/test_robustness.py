@@ -17,12 +17,27 @@ from twfediag import (
 )
 from twfediag.errors import NoFeasiblePoint, UnknownUnit
 
-from conftest import canonical_2x2, random_panel
+from conftest import canonical_2x2, make_panel, random_panel
 from test_twfe import homogeneous_panel
 
 
 def homogeneous_schedule():
     return AdoptionSchedule({"u1": 3, "u2": 6, "u3": None, "u4": 7})
+
+
+LOW, HIGH = -2**63, 2**63 - 1
+
+
+def extremes_panel():
+    """Periods at both ends of int64, where a period minus an adoption
+    period can overflow; unit D adopts 2**64 - 2 periods before its last."""
+    adoption = {"A": 0, "B": HIGH, "C": None, "D": LOW + 1}
+    return make_panel(
+        (unit, period, 1.5 * i + 0.25 * j + 2.0 * (start is not None and period >= start) + (i * j) % 3,
+         int(start is not None and period >= start))
+        for i, (unit, start) in enumerate(adoption.items())
+        for j, period in enumerate([LOW, LOW + 1, 0, HIGH])
+    ), AdoptionSchedule(adoption)
 
 
 class TestEndYearSweep:
@@ -124,6 +139,13 @@ class TestPostHorizonSweep:
         assert len(sweep.points) >= 2
         for point in sweep.points:
             assert point.beta == pytest.approx(3.0, abs=1e-8)
+
+    def test_event_time_does_not_wrap_at_int64_extremes(self):
+        # h = 0 keeps B's rows before its adoption at 2**63 - 1; h = 5 drops
+        # D's row 2**64 - 2 periods after adoption: 13 rows either way
+        ds, schedule = extremes_panel()
+        sweep = sweep_post_horizon(ds, schedule, [0, 5])
+        assert [(p.label, p.n_obs) for p in sweep.points] == [("0", 13), ("5", 13)]
 
     def test_unknown_unit(self):
         ds = homogeneous_panel()

@@ -38,6 +38,13 @@ class TestFitTwfe:
         assert fit.n_obs == 4
         assert fit.n_treated == 1
 
+    @pytest.mark.parametrize("inference, dof", [("classical", 0), ("cluster_by_unit", 1)])
+    def test_saturated_fit_reports_zero_se(self, inference, dof):
+        # N == K == 4: no residual degrees of freedom, the fit is exact
+        fit = fit_twfe(canonical_2x2(), inference)
+        assert fit.se == 0.0 and fit.dof == dof
+        assert math.isnan(fit.p_value)
+
     def test_noiseless_homogeneous_recovery(self):
         fit = fit_twfe(homogeneous_panel(delta=3.0))
         assert fit.beta == pytest.approx(3.0, abs=1e-8)
