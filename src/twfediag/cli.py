@@ -56,11 +56,11 @@ HORIZONS = _checked(
 )
 
 
-def _add_data_args(p: argparse.ArgumentParser, need_outcome: bool = True):
+def _add_data_args(p: argparse.ArgumentParser):
     p.add_argument("--data", required=True, help="panel CSV (long format, header row)")
     p.add_argument("--unit", required=True, help="unit-identifier column")
     p.add_argument("--time", required=True, help="integer period column")
-    p.add_argument("--outcome", required=need_outcome, help="outcome column")
+    p.add_argument("--outcome", required=True, help="outcome column")
     p.add_argument("--treatment", help="0/1 treatment column (omit when using --adoption)")
     p.add_argument("--adoption", help="adoption-schedule CSV (unit,adoption_period)")
     p.add_argument(
@@ -161,13 +161,16 @@ def cmd_estimate(args) -> int:
     import time
 
     from .diagnostics import homogeneity_test, weight_report
+    from .errors import TwfeDiagError
     from .twfe import fit_twfe
 
     dataset, _ = _load(args)
-    inference = _inference(args)
-    fit = fit_twfe(dataset, inference)
+    fit = fit_twfe(dataset, _inference(args))
     report = weight_report(fit)
-    homog = homogeneity_test(fit, inference)
+    try:
+        homog = homogeneity_test(fit, fit.inference)
+    except TwfeDiagError as exc:
+        homog, skipped = None, f"{type(exc).__name__}: {exc}"
     doc = {
         "config": {
             "data": args.data,
@@ -194,7 +197,7 @@ def cmd_estimate(args) -> int:
             "share_treated_negative": report.share_treated_negative,
             "n_control_positive": report.n_control_positive,
         },
-        "homogeneity": {
+        "homogeneity": None if homog is None else {
             "resid_treatment": _coef_dict(homog.b_resid_treatment),
             "treat_group": _coef_dict(homog.b_treat_group),
             "interaction": _coef_dict(homog.b_interaction),
@@ -216,6 +219,8 @@ def cmd_estimate(args) -> int:
         )
     else:
         sys.stdout.write(text)
+    if homog is None:
+        print(f"skipped homogeneity: {skipped}", file=sys.stderr)
     return 0
 
 
@@ -227,7 +232,7 @@ def cmd_weights(args) -> int:
     from .twfe import fit_twfe
 
     dataset, schedule = _load(args)
-    fit = fit_twfe(dataset, _inference(args))
+    fit = fit_twfe(dataset)
     report = weight_report(fit, **_given(args, "bins"))
     if args.out_hist:
         _write_rows(
@@ -260,7 +265,7 @@ def cmd_scatter(args) -> int:
     from .twfe import fit_twfe
 
     dataset, _ = _load(args)
-    fit = fit_twfe(dataset, _inference(args))
+    fit = fit_twfe(dataset)
     scatter = residual_scatter(fit, **_given(args, "bandwidth", "grid_points"))
     prefix = args.out_prefix
     _write_rows(
@@ -371,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="weight histogram and unit-by-period grid CSVs")
     _add_data_args(p)
-    _add_inference_arg(p)
     p.add_argument("--bins", type=BINS, default=argparse.SUPPRESS)
     p.add_argument("--out-hist", help="histogram CSV path")
     p.add_argument("--out-grid", help="grid CSV path")
@@ -379,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scatter", help="residual scatter, fit lines, smoothed curves CSVs")
     _add_data_args(p)
-    _add_inference_arg(p)
     p.add_argument("--bandwidth", type=BANDWIDTH, default=argparse.SUPPRESS)
     p.add_argument("--grid-points", type=GRID_POINTS, default=argparse.SUPPRESS)
     p.add_argument("--out-prefix", required=True,

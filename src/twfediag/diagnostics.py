@@ -9,7 +9,7 @@ from math import nan
 
 import numpy as np
 
-from .errors import DegenerateGroup, SingularDesign
+from .errors import DegenerateGroup
 from .lsq import inner, qr_lstsq, standard_errors, t_test
 from .panel import AdoptionSchedule
 from .twfe import NEGATIVE_WEIGHT_TOL, TwfeFit, negative_treated
@@ -138,26 +138,20 @@ def homogeneity_test(fit: TwfeFit, inference: str = "classical") -> HomogeneityT
     Standard errors are lsq.standard_errors' with K = 4, and the outcome's
     scale is the raw outcome's sum of squares, as in fit_twfe: a coefficient
     whose variance is round-off reports se = 0 and nan t statistic and
-    p-value. A design with no residual degrees of freedom raises
-    SingularDesign.
+    p-value, and so does every coefficient of a design with no residual
+    degrees of freedom (4 rows).
     """
     d, y, treated = _groups(fit)
     g = treated.astype(float)
     X = np.column_stack([np.ones(len(d)), d, g, g * d])  # intercept, d, group, interaction
     beta, resid, R = qr_lstsq(X, y)
-    if len(y) <= len(R):
-        raise SingularDesign("no residual degrees of freedom")
     Rinv = np.linalg.solve(R, np.eye(len(R)))
     ses, dof = standard_errors(X, resid, Rinv @ Rinv.T, len(R), inner(fit.outcome, fit.outcome),
                                inference, fit.unit)
 
     def row(k: int) -> CoefficientRow:
         est, se = float(beta[k]), float(ses[k])
-        if se > 0:
-            t, p = t_test(est, se, dof)
-        else:
-            t, p = nan, nan
-        return CoefficientRow(estimate=est, se=se, t_stat=t, p_value=p)
+        return CoefficientRow(est, se, *t_test(est, se, dof))
 
     return HomogeneityTest(
         b_resid_treatment=row(1),

@@ -44,10 +44,6 @@ class SingularDesign(TwfeDiagError):
     pass
 
 
-class NonpositiveSE(TwfeDiagError):
-    pass
-
-
 # --- estimation-level degeneracies ---
 
 class DegenerateTreatment(TwfeDiagError):

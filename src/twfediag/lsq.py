@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonpositiveSE, SingularDesign
+from .errors import SingularDesign
 from .studentt import two_sided_p, two_sided_quantile
 
 SINGULAR_TOL = 1e-10  # |R diagonal| at most this, relative to the largest (or 1), is singular
@@ -89,10 +89,22 @@ def standard_errors(
     return np.sqrt(np.where(exact, 0.0, var)), dof
 
 
+def _no_inference(standard_error: float) -> bool:
+    """Whether a standard error is 0, which makes its t, p and interval nan."""
+    if standard_error < 0:
+        raise ValueError(f"standard error must be non-negative, got {standard_error}")
+    return standard_error == 0
+
+
+def _check_level(level: float) -> None:
+    if not 0 < level < 1:
+        raise ValueError(f"confidence level must lie in (0, 1), got {level}")
+
+
 def t_test(coefficient: float, standard_error: float, dof: int) -> tuple[float, float]:
     """Two-sided t test of a zero null; returns (t statistic, p-value)."""
-    if standard_error <= 0:
-        raise NonpositiveSE(f"standard error must be positive, got {standard_error}")
+    if _no_inference(standard_error):
+        return np.nan, np.nan
     if dof <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {dof}")
     t = coefficient / standard_error
@@ -101,8 +113,14 @@ def t_test(coefficient: float, standard_error: float, dof: int) -> tuple[float, 
 
 def t_critical(level: float, dof: int) -> float:
     """Two-sided critical value, e.g. level=0.95 gives the 97.5% quantile."""
-    if not 0 < level < 1:
-        raise ValueError(f"confidence level must lie in (0, 1), got {level}")
+    _check_level(level)
     if dof <= 0:
         raise ValueError(f"degrees of freedom must be positive, got {dof}")
     return two_sided_quantile(1.0 - level, dof)
+
+
+def t_interval(estimate: float, standard_error: float, dof: int, level: float) -> tuple[float, float]:
+    """estimate -/+ t_critical(level, dof) * standard_error."""
+    _check_level(level)
+    half = np.nan if _no_inference(standard_error) else t_critical(level, dof) * standard_error
+    return estimate - half, estimate + half

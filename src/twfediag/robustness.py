@@ -8,12 +8,11 @@ it, with no new dataset."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import nan
 
 import numpy as np
 
 from .errors import InvalidSweep, NoFeasiblePoint, TwfeDiagError
-from .lsq import t_critical
+from .lsq import t_interval
 from .panel import AdoptionSchedule, PanelDataset, schedule_from_data
 from .twfe import EncodedSample, TwfeFit, fit_sample, negative_treated
 
@@ -40,15 +39,13 @@ class RobustnessSweep:
 
 
 def _point(label: str, fit: TwfeFit, level: float) -> SweepPoint:
-    """One sweep point; the interval is nan when the fit is exact (se == 0),
-    as its p-value is."""
     n_treated, _, share = negative_treated(fit)
-    half = t_critical(level, fit.dof) * fit.se if fit.se > 0 else nan
+    ci_low, ci_high = t_interval(fit.beta, fit.se, fit.dof, level)
     return SweepPoint(
         label=label,
         beta=fit.beta,
-        ci_low=fit.beta - half,
-        ci_high=fit.beta + half,
+        ci_low=ci_low,
+        ci_high=ci_high,
         share_negative_treated=share,
         n_obs=fit.n_obs,
         n_treated=n_treated,

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import nan
 from typing import Optional
 
 import numpy as np
@@ -40,10 +39,9 @@ class TwfeFit:
 
     @cached_property
     def p_value(self) -> float:
-        """Two-sided t-test p-value of beta, nan when the standard error is
-        zero (an exact fit). Computed on first read, so a fit that only
-        feeds weights, a scatter or a sweep point never computes it."""
-        return t_test(self.beta, self.se, self.dof)[1] if self.se > 0 else nan
+        """Two-sided t-test p-value of beta (nan at se 0), computed on first
+        read: a fit that only feeds weights, a scatter or a sweep never needs it."""
+        return t_test(self.beta, self.se, self.dof)[1]
 
 
 def negative_treated(fit: TwfeFit) -> tuple[int, int, float]:

@@ -6,6 +6,7 @@ installed script and `python -m twfediag.cli` start through one
 function, and every function the benchmark reads a span of exists. Text and syntax-tree matches only, so no YAML
 parser is needed and nothing under perfbench/ is run."""
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -80,7 +81,17 @@ def _resolves(name: str) -> bool:
     """Whether a README name exists: `twfediag.X` or `twfediag.lsq.X` in
     its module, a bare error name in twfediag.errors, or `Class.attr` of a
     public class (a class attribute or a dataclass field). For a call with
-    keywords, `f(a=..., b=...)`, whether f exists and takes any of them."""
+    keywords, `f(a=..., b=...)`, whether f exists and takes any of them.
+    For a CLI option, `twfediag <command> --<option>`, whether the parser
+    gives that subcommand that option."""
+    option = re.fullmatch(r"twfediag ([\w-]+) (--[\w-]+)", name)
+    if option:
+        from twfediag.cli import build_parser
+
+        commands = next(action.choices for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        command = commands.get(option.group(1))
+        return command is not None and option.group(2) in command._option_string_actions
     call = re.fullmatch(r"([\w.]+)\((.*)\)", name)
     path = call.group(1) if call else name
     if path.startswith("twfediag."):
@@ -111,8 +122,11 @@ def test_readme_removed_names_are_gone():
     assert "twfediag.residualize_treatment(ds)" in names and "TwfeFit.unit_effects" in names
     for present in ("twfediag.fit_twfe", "twfediag.lsq.qr_lstsq(X, y)", "TwfeFit.beta",
                     "TwfeFit.p_value", "SingularDesign", "twfediag.errors.UnknownUnit",
-                    "twfediag.load_panel_csv(treatment_col=...)"):
+                    "twfediag.load_panel_csv(treatment_col=...)", "twfediag estimate --cluster",
+                    "twfediag jackknife --cluster", "twfediag weights --bins"):
         assert _resolves(present), present  # the check can see a name that exists
+    for absent in ("twfediag estimate --bins", "twfediag fit --cluster"):
+        assert not _resolves(absent), absent
     assert [name for name in names if _resolves(name)] == []
 
 

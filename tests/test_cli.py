@@ -241,6 +241,11 @@ class TestUsageErrors:
             ["jackknife", "--level", "0"],
             ["weights", "--bins", "0"],
             ["sweep-endyear", "--first-end", "5", "--last-end", "3"],
+            # the weights and the scatter carry no inference
+            ["weights", "--cluster", "unit"],
+            ["weights", "--cluster", "none"],
+            ["scatter", "--cluster", "unit"],
+            ["scatter", "--cluster", "none"],
         ],
         ids=lambda argv: " ".join(argv),
     )

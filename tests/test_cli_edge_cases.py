@@ -2,11 +2,12 @@
 
 Each panel runs under every data subcommand, with the treatment column,
 with a complete adoption schedule and with one that lacks a unit, under
-both --cluster values. Whatever the outcome, the command must exit 0, 1
-or 2 and raise nothing else; stderr must hold no traceback, and on exit 1
-exactly one `error:` line (validate's verdict on an invalid panel is exit
-1 with the report and no error line). Where estimate succeeds, its beta
-must be the dummy-variable OLS coefficient.
+both --cluster values where the command takes the option. Every
+invocation is valid usage, so the command must exit 0 or 1 and raise
+nothing else; stderr must hold no traceback, and on exit 1 exactly one
+`error:` line (validate's verdict on an invalid panel is exit 1 with the
+report and no error line). Where estimate succeeds, its beta must be the
+dummy-variable OLS coefficient.
 """
 
 import csv
@@ -61,6 +62,7 @@ COMMANDS = {
     "jackknife": ["--out", "sweep.csv"],
     "validate": ["--out", "validate.json"],
 }
+CLUSTERED = {"estimate", "sweep-endyear", "sweep-horizon", "jackknife"}  # they report inference
 
 
 def _schedule(rows) -> dict:
@@ -90,7 +92,7 @@ def _invocations(tmp_path, panel: str, command: str):
             "--outcome", "outcome"]
     outputs = [str(tmp_path / a) if a.endswith((".csv", ".json")) or a == "scatter" else a
                for a in COMMANDS[command]]
-    clusters = [[]] if command == "validate" else [["--cluster", "unit"], ["--cluster", "none"]]
+    clusters = [["--cluster", "unit"], ["--cluster", "none"]] if command in CLUSTERED else [[]]
     for treatment in (["--treatment", "treated"], ["--adoption", str(tmp_path / "complete.csv")],
                       ["--adoption", str(tmp_path / "incomplete.csv")]):
         for cluster in clusters:
@@ -121,7 +123,7 @@ def test_exit_code_and_one_error_line(tmp_path, capsys, panel, command):
             code = exc.code
         err = capsys.readouterr().err
         where = " ".join(argv)
-        assert code in (0, 1, 2), where
+        assert code in (0, 1), where
         assert "Traceback" not in err, where
         errors = [line for line in err.splitlines() if "error:" in line]
         if code == 0:
@@ -149,3 +151,24 @@ def test_sweep_endyear_points_are_the_panels_periods(tmp_path, capsys):
     assert skipped == ["skipped 1"]  # a single period
     assert main(["sweep-endyear", *data, "--first-end", "5", "--last-end", "6", "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: the panel has no period from 5 to 6"]
+
+
+@pytest.mark.parametrize("cluster", ["unit", "none"])
+def test_estimate_reports_a_fit_whose_homogeneity_test_cannot_run(tmp_path, capsys, cluster):
+    # each block's treated unit is treated in one period, so the treated
+    # group's residualized treatment does not vary; the fit itself is exact
+    _write(tmp_path / "panel.csv", ["unit", "period", "outcome", "treated"],
+           PANELS["disconnected unit-period graph"])
+    out = tmp_path / "estimate.json"
+    argv = ["estimate", "--data", str(tmp_path / "panel.csv"), "--unit", "unit", "--time", "period",
+            "--outcome", "outcome", "--treatment", "treated", "--cluster", cluster,
+            "--out", str(out), "--no-timestamp"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "skipped homogeneity: DegenerateGroup: treated group has no residual-treatment variation"
+    ]
+    assert captured.out == "beta=1.00 se=0.00 p=nan n=8 treated=2 negative_treated=0\n"
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["homogeneity"] is None
+    assert report["fit"]["beta"] == pytest.approx(dummy_ols_beta(_dataset(argv)), abs=1e-8)

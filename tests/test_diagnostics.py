@@ -15,7 +15,7 @@ from twfediag import (
     weight_grid,
     weight_report,
 )
-from twfediag.errors import DegenerateGroup, SingularDesign, UnknownUnit
+from twfediag.errors import DegenerateGroup, UnknownUnit
 
 from conftest import canonical_2x2, make_panel, random_panel, sample_keys
 from test_twfe import homogeneous_panel
@@ -205,8 +205,12 @@ class TestHomogeneityTest:
             outcome=np.array([1.0, 2.0, 3.0, 4.0]),
             unit=np.array([0, 0, 1, 1]),
         )
-        with pytest.raises(SingularDesign, match="^no residual degrees of freedom$"):
-            homogeneity_test(fit, inference)
+        # as for an N == K fit: se 0, so no t statistic or p-value
+        result = homogeneity_test(fit, inference)
+        assert result.n_obs == 4
+        for row in (result.b_resid_treatment, result.b_treat_group, result.b_interaction):
+            assert math.isfinite(row.estimate)
+            assert row.se == 0.0 and math.isnan(row.t_stat) and math.isnan(row.p_value)
 
     def test_noisy_rows_unchanged(self):
         # estimate, se and t pinned bit for bit: the exact-fit rule must leave

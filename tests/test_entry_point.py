@@ -10,6 +10,7 @@ callers use, leaves the collector as it found it.
 
 import csv
 import gc
+import json
 import os
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from twfediag import (
 from twfediag.cli import main
 
 from test_cli import data_args, panel_files  # noqa: F401 (a fixture)
+from test_cli_edge_cases import PANELS as EDGE_PANELS
 
 SRC = str(Path(twfediag.__file__).resolve().parent.parent)
 
@@ -96,6 +98,20 @@ class TestProcess:
         assert proc.returncode == 1
         assert '"code": "NonAbsorbing"' in proc.stdout
         assert proc.stderr == ""
+
+    def test_estimate_without_homogeneity_exit_0(self, tmp_path):
+        # the fit succeeds, but the homogeneity regression cannot run
+        data = tmp_path / "panel.csv"
+        rows = [["unit", "period", "outcome", "treated"], *EDGE_PANELS["disconnected unit-period graph"]]
+        data.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+        proc = cli_process(["estimate", *data_args(data), "--no-timestamp",
+                            "--out", tmp_path / "report.json"], tmp_path)
+        assert proc.returncode == 0
+        assert proc.stderr == ("skipped homogeneity: DegenerateGroup: "
+                               "treated group has no residual-treatment variation\n")
+        assert proc.stdout == "beta=1.00 se=0.00 p=nan n=8 treated=2 negative_treated=0\n"
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert report["homogeneity"] is None and report["fit"]["beta"] == 1.0
 
     def test_estimate_bytes_match_in_process_main(self, panel_files, tmp_path):
         _, data, sched = panel_files

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -8,9 +9,10 @@ from twfediag.lsq import (
     qr_lstsq,
     standard_errors,
     t_critical,
+    t_interval,
     t_test,
 )
-from twfediag.errors import NonpositiveSE, SingularDesign
+from twfediag.errors import SingularDesign
 
 from oracles import (
     cluster_score_sandwich,
@@ -203,8 +205,12 @@ class TestTTest:
         assert p == pytest.approx(t_pvalue_quadrature(2.2405, 14), abs=1e-6)
 
     def test_nonpositive_se(self):
-        with pytest.raises(NonpositiveSE):
-            t_test(1.0, 0.0, 10)
+        # se 0 means no inference, checked before dof: an exact N == K fit has dof 0
+        for dof in (10, 0):
+            t, p = t_test(1.0, 0.0, dof)
+            assert math.isnan(t) and math.isnan(p)
+        with pytest.raises(ValueError, match="non-negative"):
+            t_test(1.0, -1e-300, 10)
 
     def test_critical_value_matches_test_boundary(self):
         crit = t_critical(0.95, 14)
@@ -239,3 +245,27 @@ class TestTTest:
     def test_critical_value_rejects_invalid_arguments(self, level, dof):
         with pytest.raises(ValueError):
             t_critical(level, dof)
+
+
+class TestTInterval:
+    @pytest.mark.parametrize("dof", [10, 0])
+    def test_zero_se_gives_nan(self, dof):
+        low, high = t_interval(1.5, 0.0, dof, 0.95)
+        assert math.isnan(low) and math.isnan(high)
+
+    @pytest.mark.parametrize("dof", [1, 14, 299])
+    @pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
+    def test_bit_identical_to_critical_value_times_se(self, level, dof):
+        beta, se = 20.43, 9.12
+        half = t_critical(level, dof) * se
+        assert t_interval(beta, se, dof, level) == (beta - half, beta + half)
+
+    @pytest.mark.parametrize("se", [0.0, 1.0])
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, float("nan")])
+    def test_invalid_level_raises_at_any_se(self, level, se):
+        with pytest.raises(ValueError, match="confidence level"):
+            t_interval(1.0, se, 10, level)
+
+    def test_negative_se(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            t_interval(1.0, -1.0, 10, 0.95)
