@@ -6,11 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import nan
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import DegenerateGroup
-from .lsq import inner, qr_lstsq, standard_errors, t_test
+from .lsq import inner, scale_exponent, standard_errors, t_test
 from .panel import AdoptionSchedule
 from .twfe import NEGATIVE_WEIGHT_TOL, TwfeFit, negative_treated
 
@@ -114,57 +115,68 @@ def weight_grid(fit: TwfeFit, schedule: AdoptionSchedule) -> WeightGrid:
 
 
 def _groups(fit: TwfeFit):
+    """(exponent, control, treated): each group's least-squares line of the
+    residualized outcome, scaled by 2**-exponent as fit_sample scales it, on
+    the residualized treatment d, from its count n, means and centred sums
+    S_dd and S_dy. The one singularity rule: a group needs 2 rows and a d
+    whose standard deviation exceeds 1e-10 of max|d|."""
     d = fit.residualized_treatment
-    y = fit.residualized_outcome
+    exponent = scale_exponent(fit.outcome)
+    y = np.ldexp(fit.residualized_outcome, -exponent)
     treated = fit.treatment == 1
     scale = max(float(np.abs(d).max()), 1e-300)
+    lines = []
     for name, mask in (("control", ~treated), ("treated", treated)):
-        if mask.sum() < 2:
+        n = int(mask.sum())
+        if n < 2:
             raise DegenerateGroup(f"{name} group has fewer than 2 observations")
-        if np.std(d[mask]) <= 1e-10 * scale:
+        mean_d, mean_y = np.add.reduce(d[mask]) / n, np.add.reduce(y[mask]) / n
+        dc, yc = d[mask] - mean_d, y[mask] - mean_y
+        s_dd = inner(dc, dc)
+        if np.sqrt(s_dd / n) <= 1e-10 * scale:  # np.std(d[mask]), by the same sums
             raise DegenerateGroup(f"{name} group has no residual-treatment variation")
-    return d, y, treated
+        slope = inner(dc, yc) / s_dd
+        lines.append(SimpleNamespace(mask=mask, n=n, mean_d=mean_d, s_dd=s_dd, slope=slope,
+                                     intercept=mean_y - slope * mean_d, residuals=yc - slope * dc))
+    return exponent, *lines
 
 
 def homogeneity_test(fit: TwfeFit, inference: str = "classical") -> HomogeneityTest:
     """Regression of the residualized outcome on residualized treatment, a
-    treated-group indicator, and their interaction.
+    treated-group indicator, and their interaction: the two lines of
+    _groups, whose control slope, and treated minus control intercept and
+    slope, are the coefficients. A nonzero interaction contradicts a single
+    homogeneous effect. The intercept is estimated but not reported.
 
-    A nonzero interaction coefficient means the residual slope differs between
-    the treated and comparison groups, contradicting a single homogeneous
-    effect. The intercept is estimated (within-group means need not be zero)
-    but not reported.
-
-    Standard errors are lsq.standard_errors' with K = 4, and the outcome's
-    scale is the raw outcome's sum of squares, as in fit_twfe: a coefficient
-    whose variance is round-off reports se = 0 and nan t statistic and
-    p-value, and so does every coefficient of a design with no residual
-    degrees of freedom (4 rows).
+    Standard errors are lsq.standard_errors' with K = 4, as in fit_twfe: se 0
+    and nan t statistic and p-value for a coefficient whose variance is
+    round-off, and for every coefficient of a design with 4 rows.
     """
-    d, y, treated = _groups(fit)
-    g = treated.astype(float)
+    exponent, c, t = _groups(fit)
+    d, g = fit.residualized_treatment, t.mask.astype(float)
     X = np.column_stack([np.ones(len(d)), d, g, g * d])  # intercept, d, group, interaction
-    beta, resid, R = qr_lstsq(X, y)
-    Rinv = np.linalg.solve(R, np.eye(len(R)))
-    ses, dof = standard_errors(X, resid, Rinv @ Rinv.T, len(R), inner(fit.outcome, fit.outcome),
-                               inference, fit.unit)
+    residuals = np.empty(len(d))
+    residuals[c.mask], residuals[t.mask] = c.residuals, t.residuals
+    # X = Z A with Z = [1_c, (d - m_c) 1_c, 1_t, (d - m_t) 1_t], whose Z'Z is
+    # diag(n_c, S_c, n_t, S_t); so (X'X)^-1 = A^-1 diag(1/n_c, 1/S_c, 1/n_t, 1/S_t) A^-T
+    a_inv = np.array([[1, -c.mean_d, 0, 0], [0, 1, 0, 0],
+                      [-1, c.mean_d, 1, -t.mean_d], [0, -1, 0, 1]])
+    bread = (a_inv / [c.n, c.s_dd, t.n, t.s_dd]) @ a_inv.T
+    outcome = np.ldexp(fit.outcome, -exponent)
+    ses, dof = standard_errors(X, residuals, bread, 4, inner(outcome, outcome), inference, fit.unit)
+    beta = [c.intercept, c.slope, t.intercept - c.intercept, t.slope - c.slope]
 
     def row(k: int) -> CoefficientRow:
-        est, se = float(beta[k]), float(ses[k])
+        est, se = float(np.ldexp(beta[k], exponent)), float(np.ldexp(ses[k], exponent))
         return CoefficientRow(est, se, *t_test(est, se, dof))
 
     return HomogeneityTest(
         b_resid_treatment=row(1),
         b_treat_group=row(2),
         b_interaction=row(3),
-        n_obs=len(y),
+        n_obs=len(d),
         inference=inference,
     )
-
-
-def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    beta = qr_lstsq(np.column_stack([np.ones(len(x)), x]), y)[0]
-    return float(beta[1]), float(beta[0])
 
 
 def _local_linear(
@@ -208,10 +220,9 @@ def residual_scatter(
         raise ValueError("bandwidth must be in (0, 1]")
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
-    d, y, treated = _groups(fit)
-    curves = {}
-    for name, mask in (("control", ~treated), ("treated", treated)):
-        slope, intercept = _ols_line(d[mask], y[mask])
-        smoothed = _local_linear(d[mask], y[mask], bandwidth, grid_points)
-        curves[name] = GroupCurve(slope=slope, intercept=intercept, smoothed=smoothed)
-    return ResidualScatter(control=curves["control"], treated=curves["treated"])
+    exponent, *lines = _groups(fit)
+    d, y = fit.residualized_treatment, fit.residualized_outcome
+    return ResidualScatter(*(
+        GroupCurve(float(np.ldexp(line.slope, exponent)), float(np.ldexp(line.intercept, exponent)),
+                   _local_linear(d[line.mask], y[line.mask], bandwidth, grid_points))
+        for line in lines))

@@ -38,12 +38,6 @@ class InvalidSpec(TwfeDiagError):
     pass
 
 
-# --- linear algebra ---
-
-class SingularDesign(TwfeDiagError):
-    pass
-
-
 # --- estimation-level degeneracies ---
 
 class DegenerateTreatment(TwfeDiagError):

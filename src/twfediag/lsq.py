@@ -1,14 +1,16 @@
-"""Dense least squares by QR on plain arrays, the standard errors of any
-OLS fit, classical or clustered, and t-based inference."""
+"""The standard errors of any OLS fit, classical or clustered, t-based
+inference, and the two numeric rules every fit shares: sums that do not
+depend on the BLAS thread count, and an outcome scaled by a power of two
+so that no square of it overflows or underflows."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import SingularDesign
 from .studentt import two_sided_p, two_sided_quantile
 
-SINGULAR_TOL = 1e-10  # |R diagonal| at most this, relative to the largest (or 1), is singular
 EXACT_FIT_TOL = 1e-20  # a variance this small, relative to the outcome's scale, is round-off
 
 
@@ -19,19 +21,10 @@ def inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.add.reduce(a * b))
 
 
-def qr_lstsq(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(coefficients, residuals, R) of the OLS of y on the columns of X,
-    from the reduced QR factorization X = QR.
-
-    Raises SingularDesign when the columns are numerically dependent.
-    """
-    X = np.asfortranarray(X)  # column-major, as LAPACK factors it
-    Q, R = np.linalg.qr(X)
-    diag = np.abs(np.diag(R))
-    if diag.min() <= SINGULAR_TOL * max(1.0, diag.max()):
-        raise SingularDesign("design columns are numerically singular")
-    beta = np.linalg.solve(R, Q.T @ y)
-    return beta, y - X @ beta, R
+def scale_exponent(y: np.ndarray) -> int:
+    """The e that brings max|y| * 2**-e into [0.5, 1) (0 for y all 0): no square
+    of np.ldexp(y, -e) overflows or underflows, and scaling back by 2**e is exact."""
+    return math.frexp(float(np.abs(y).max()))[1]
 
 
 def standard_errors(

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CollinearTreatment, DegenerateTreatment
-from .lsq import inner, standard_errors, t_test
+from .lsq import inner, scale_exponent, standard_errors, t_test
 from .panel import PanelDataset, first_appearance
 
 COLLINEARITY_TOL = 1e-12
@@ -182,16 +182,17 @@ def fit_sample(
         raise DegenerateTreatment("estimation sample is all-treated or all-untreated")
 
     core = _WithinCore(u, p, len(units), len(periods))
-    resid, eff_u, eff_p = core.fit(np.column_stack([d, y]))
+    exponent = scale_exponent(y)  # fitted on y * 2**-exponent, scaled back below
+    y_scaled = np.ldexp(y, -exponent)
+    resid, eff_u, eff_p = core.fit(np.column_stack([d, y_scaled]))
     d_resid, y_resid = resid[:, 0], resid[:, 1]
     ssd = inner(d_resid, d_resid)
     if ssd < COLLINEARITY_TOL * len(d):
         raise CollinearTreatment("treatment is collinear with the fixed effects")
-    yy = inner(y, y)
     beta = inner(d_resid, y_resid) / ssd
     e = y_resid - beta * d_resid
     se, dof = standard_errors(d_resid[:, None], e, np.array([[1 / ssd]]),
-                              core.rank + 1, yy, inference, u)
+                              core.rank + 1, inner(y_scaled, y_scaled), inference, u)
 
     # effects of y - beta*d, with the first period's effect set to 0 (on a
     # disconnected panel the other components' levels stay arbitrary)
@@ -199,20 +200,20 @@ def fit_sample(
     gamma = eff_p[:, 1] - beta * eff_p[:, 0]
     alpha, gamma = alpha + gamma[0], gamma - gamma[0]
     return TwfeFit(
-        beta=beta,
-        se=float(se[0]),
+        beta=float(np.ldexp(beta, exponent)),
+        se=float(np.ldexp(se[0], exponent)),
         dof=dof,
         n_obs=len(y),
         n_treated=int(d.sum()),
         residualized_treatment=d_resid,
-        residualized_outcome=y_resid,
+        residualized_outcome=np.ldexp(y_resid, exponent),
         weights=d_resid / ssd,
         treatment=d.astype(int),
         outcome=y,
         units=tuple(units),
         periods=periods,
-        unit_effect=alpha,
-        period_effect=gamma,
+        unit_effect=np.ldexp(alpha, exponent),
+        period_effect=np.ldexp(gamma, exponent),
         unit=u,
         period=sample.period[rows],
         inference=inference,

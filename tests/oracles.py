@@ -21,7 +21,7 @@ def normal_equations_ols(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.solve(X.T @ X, X.T @ y)
 
 
-def _normal_equations_inverse(X: np.ndarray) -> np.ndarray:
+def normal_equations_inverse(X: np.ndarray) -> np.ndarray:
     """Pseudo-inverse of X'X. A disconnected panel's dummy design has one
     dependent column per extra component; the treatment coefficient stays
     identified and this inverse gives it."""
@@ -49,7 +49,7 @@ def dummy_design(dataset):
 def dummy_ols_beta(dataset) -> float:
     """Treatment coefficient from the dummy expansion via normal equations."""
     X, y = dummy_design(dataset)
-    return float((_normal_equations_inverse(X) @ (X.T @ y))[-1])
+    return float((normal_equations_inverse(X) @ (X.T @ y))[-1])
 
 
 def cluster_sandwich(dataset, inference: str = "cluster_by_unit"):
@@ -63,7 +63,7 @@ def cluster_sandwich(dataset, inference: str = "cluster_by_unit"):
     """
     X, y = dummy_design(dataset)
     clusters = [o.unit for o in dataset.observations if o.outcome is not None]
-    bread = _normal_equations_inverse(X)
+    bread = normal_equations_inverse(X)
     fitted = X @ (bread @ (X.T @ y))
     residuals = y - fitted
     n, k = X.shape[0], int(np.linalg.matrix_rank(X))

@@ -120,8 +120,9 @@ def _resolves(name: str) -> bool:
 def test_readme_removed_names_are_gone():
     names = _removed_names()
     assert "twfediag.residualize_treatment(ds)" in names and "TwfeFit.unit_effects" in names
-    for present in ("twfediag.fit_twfe", "twfediag.lsq.qr_lstsq(X, y)", "TwfeFit.beta",
-                    "TwfeFit.p_value", "SingularDesign", "twfediag.errors.UnknownUnit",
+    for present in ("twfediag.fit_twfe",
+                    "twfediag.lsq.standard_errors(X, residuals, bread, k, yy, inference, clusters)",
+                    "TwfeFit.beta", "TwfeFit.p_value", "DegenerateGroup", "twfediag.errors.UnknownUnit",
                     "twfediag.load_panel_csv(treatment_col=...)", "twfediag estimate --cluster",
                     "twfediag jackknife --cluster", "twfediag weights --bins"):
         assert _resolves(present), present  # the check can see a name that exists

@@ -15,6 +15,7 @@ from twfediag import (
     weight_grid,
     weight_report,
 )
+from twfediag.diagnostics import _groups
 from twfediag.errors import DegenerateGroup, UnknownUnit
 
 from conftest import canonical_2x2, make_panel, random_panel, sample_keys
@@ -227,6 +228,88 @@ class TestHomogeneityTest:
             assert [row[3] for row in got] == pytest.approx([row[3] for row in want], rel=1e-13)
 
 
+def _design(fit):
+    """The homogeneity regression's 4 columns: intercept, d, group, interaction."""
+    d, g = fit.residualized_treatment, fit.treatment.astype(float)
+    return np.column_stack([np.ones(len(d)), d, g, g * d])
+
+
+def _line_fit(fit):
+    """(coefficients, residuals) of the homogeneity regression, read from
+    the two lines: the control intercept from the scatter, the rest from
+    homogeneity_test, the residuals from _groups in sample-row order."""
+    result, control = homogeneity_test(fit), residual_scatter(fit).control
+    coef = np.array([control.intercept, result.b_resid_treatment.estimate,
+                     result.b_treat_group.estimate, result.b_interaction.estimate])
+    exponent, *lines = _groups(fit)
+    residuals = np.empty(fit.n_obs)
+    for line in lines:
+        residuals[line.mask] = np.ldexp(line.residuals, exponent)
+    return coef, residuals
+
+
+def _two_rows_per_group(d, y):
+    """A fit whose groups are rows 0-1 (control) and 2-3 (treated)."""
+    return dataclasses.replace(
+        fit_twfe(canonical_2x2()),
+        residualized_treatment=np.array(d), residualized_outcome=np.array(y),
+        treatment=np.array([0, 0, 1, 1]), outcome=np.array([1.0, 2.0, 3.0, 4.0]),
+        unit=np.array([0, 0, 1, 1]),
+    )
+
+
+class TestGroupLines:
+    """The per-group least-squares lines behind homogeneity_test and
+    residual_scatter, against the normal equations of the 4-column design."""
+
+    def test_two_point_lines(self):
+        fit = _two_rows_per_group([-1.0, 1.0, -2.0, 2.0], [0.5, -0.25, 1.0, 3.0])
+        scatter = residual_scatter(fit)
+        assert (scatter.control.slope, scatter.control.intercept) == pytest.approx((-0.375, 0.125))
+        assert (scatter.treated.slope, scatter.treated.intercept) == pytest.approx((0.5, 2.0))
+        assert _line_fit(fit)[1] == pytest.approx([0, 0, 0, 0], abs=1e-15)
+
+    def test_against_normal_equations(self):
+        for seed in range(5):
+            _, ds = random_panel(np.random.default_rng(seed), missing=True, noise_sd=1.0)
+            fit = fit_twfe(ds)
+            expected = normal_equations_ols(_design(fit), fit.residualized_outcome)
+            assert _line_fit(fit)[0] == pytest.approx(expected, abs=1e-8), seed
+
+    def test_residuals_match_normal_equations(self):
+        for seed in range(5):
+            _, ds = random_panel(np.random.default_rng(seed), missing=True, noise_sd=1.0)
+            fit = fit_twfe(ds)
+            X, y = _design(fit), fit.residualized_outcome
+            expected = y - X @ normal_equations_ols(X, y)
+            assert _line_fit(fit)[1] == pytest.approx(expected, abs=1e-8), seed
+
+    def test_residual_orthogonality(self):
+        _, ds = random_panel(np.random.default_rng(49), missing=True, noise_sd=3.0)
+        fit = fit_twfe(ds)
+        resid = _line_fit(fit)[1]
+        for col in _design(fit).T:
+            rel = abs(col @ resid) / (np.linalg.norm(col) * np.linalg.norm(resid) + 1e-300)
+            assert rel < 1e-8
+
+    def test_scale_equivariance(self):
+        _, ds = random_panel(np.random.default_rng(50), missing=True, noise_sd=1.0)
+        fit = fit_twfe(ds)
+        scaled = dataclasses.replace(fit, residualized_outcome=7.0 * fit.residualized_outcome,
+                                     outcome=7.0 * fit.outcome)
+        (base, base_resid), (coef, resid) = _line_fit(fit), _line_fit(scaled)
+        assert coef == pytest.approx(7.0 * base, rel=1e-12)
+        assert resid == pytest.approx(7.0 * base_resid, rel=1e-12)
+
+    def test_rank_deficiency_raises_degenerate_group(self):
+        # the treated rows' d is constant: the group and interaction columns
+        # are dependent, and _groups' rule is the only one that refuses it
+        fit = _two_rows_per_group([-1.0, 1.0, 0.5, 0.5], [0.5, -0.25, 1.0, 3.0])
+        for diagnostic in (homogeneity_test, residual_scatter):
+            with pytest.raises(DegenerateGroup, match="treated group has no residual-treatment"):
+                diagnostic(fit)
+
+
 class TestResidualScatter:
     def test_noiseless_lines_and_smoother(self):
         fit = fit_twfe(homogeneous_panel(delta=3.0))
@@ -244,9 +327,10 @@ class TestResidualScatter:
         fit = fit_twfe(ds)
         result = homogeneity_test(fit)
         scatter = residual_scatter(fit)
-        assert scatter.control.slope == pytest.approx(
-            result.b_resid_treatment.estimate, abs=1e-10
-        )
+        # one per-group summary gives both: the same floats, not nearby ones
+        assert scatter.control.slope == result.b_resid_treatment.estimate
+        assert scatter.treated.slope - scatter.control.slope == result.b_interaction.estimate
+        assert scatter.treated.intercept - scatter.control.intercept == result.b_treat_group.estimate
         assert scatter.treated.slope == pytest.approx(
             result.b_resid_treatment.estimate + result.b_interaction.estimate, abs=1e-10
         )

@@ -1,0 +1,119 @@
+"""The outcome's scale: every output follows it exactly.
+
+Multiplying the outcome by 2**k (k in [-1000, 1000]) is exact, and so is
+every result that follows it: beta, standard errors, effects, residuals,
+the homogeneity rows and every sweep point's interval scale by 2**k bit
+for bit, and t statistics, p-values and weights stay bit for bit the same.
+Any other factor s rounds the outcome once, so se / s and p stay within
+1e-12 of the unscaled fit's, with no se of 0 or p-value of nan from a sum
+of squares that overflows or underflows.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from twfediag import (
+    PanelDataset,
+    fit_twfe,
+    homogeneity_test,
+    leave_one_unit_out,
+    residual_scatter,
+    schedule_from_data,
+    sweep_end_year,
+    sweep_post_horizon,
+)
+
+from conftest import random_panel
+
+INFERENCE = ["classical", "cluster_by_unit"]
+EXPONENTS = [-1000, -1, 1, 1000, *np.random.default_rng(2026).integers(-1000, 1001, 6).tolist()]
+
+
+def _panel(seed: int) -> PanelDataset:
+    return random_panel(np.random.default_rng(seed), missing=True, noise_sd=1.0)[1]
+
+
+def _times(dataset: PanelDataset, factor) -> PanelDataset:
+    return PanelDataset(dataset.units, dataset.unit, dataset.period, dataset.outcome * factor,
+                        dataset.treated)
+
+
+def _rows(result):
+    return [(r.estimate, r.se, r.t_stat, r.p_value)
+            for r in (result.b_resid_treatment, result.b_treat_group, result.b_interaction)]
+
+
+def _sweeps(dataset, inference):
+    schedule = schedule_from_data(dataset)
+    return [
+        sweep_end_year(dataset, dataset.periods[0], dataset.periods[-1], inference),
+        sweep_post_horizon(dataset, schedule, [0, 1, 3], inference),
+        leave_one_unit_out(dataset, inference),
+    ]
+
+
+def _same(a, b) -> bool:
+    """Equal bit for bit, nan equal to nan."""
+    return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
+
+
+@pytest.mark.parametrize("inference", INFERENCE)
+@pytest.mark.parametrize("k", EXPONENTS)
+@pytest.mark.parametrize("seed", range(3))
+def test_power_of_two_scales_every_output_exactly(seed, k, inference):
+    base = _panel(seed)
+    scaled = _times(base, 2.0**k)
+    assert _same(scaled.outcome * 2.0**-k, base.outcome)  # the input itself scaled exactly
+
+    def up(x):
+        return np.ldexp(x, k)
+
+    fit, fit_k = fit_twfe(base, inference), fit_twfe(scaled, inference)
+    assert fit.se > 0
+    assert (fit_k.beta, fit_k.se) == (up(fit.beta), up(fit.se))
+    assert fit_k.beta / fit_k.se == fit.beta / fit.se
+    assert _same(fit_k.p_value, fit.p_value)
+    assert _same(fit_k.weights, fit.weights)
+    assert _same(fit_k.residualized_treatment, fit.residualized_treatment)
+    for name in ("residualized_outcome", "unit_effect", "period_effect"):
+        assert _same(getattr(fit_k, name), up(getattr(fit, name))), name
+
+    rows, rows_k = _rows(homogeneity_test(fit, inference)), _rows(homogeneity_test(fit_k, inference))
+    for (est, se, t, p), (est_k, se_k, t_k, p_k) in zip(rows, rows_k):
+        assert (est_k, se_k) == (up(est), up(se))
+        assert _same((t_k, p_k), (t, p))
+
+    scatter, scatter_k = residual_scatter(fit), residual_scatter(fit_k)
+    for curve, curve_k in ((scatter.control, scatter_k.control), (scatter.treated, scatter_k.treated)):
+        assert (curve_k.slope, curve_k.intercept) == (up(curve.slope), up(curve.intercept))
+
+    for sweep, sweep_k in zip(_sweeps(base, inference), _sweeps(scaled, inference)):
+        assert sweep_k.skipped == sweep.skipped
+        for point, point_k in zip((sweep.baseline, *sweep.points), (sweep_k.baseline, *sweep_k.points)):
+            assert point_k.label == point.label
+            assert _same((point_k.beta, point_k.ci_low, point_k.ci_high),
+                         up([point.beta, point.ci_low, point.ci_high]))
+            assert point_k.share_negative_treated == point.share_negative_treated
+            assert (point_k.n_obs, point_k.n_treated) == (point.n_obs, point.n_treated)
+
+
+def _relative(a: float, b: float) -> float:
+    return abs(a - b) / abs(b)
+
+
+@pytest.mark.parametrize("inference", INFERENCE)
+@pytest.mark.parametrize("factor", [1e150, 1e160, 1e-160, 1e-300])
+@pytest.mark.parametrize("seed", range(3))
+def test_any_scale_keeps_standard_errors_and_p_values(seed, factor, inference):
+    base = _panel(seed)
+    fit, fit_s = fit_twfe(base, inference), fit_twfe(_times(base, factor), inference)
+    assert fit.se > 0 and math.isfinite(fit_s.p_value)
+    assert _relative(fit_s.se / factor, fit.se) <= 1e-12
+    assert _relative(fit_s.p_value, fit.p_value) <= 1e-12
+    rows, rows_s = _rows(homogeneity_test(fit, inference)), _rows(homogeneity_test(fit_s, inference))
+    for (_, se, _, p), (_, se_s, _, p_s) in zip(rows, rows_s):
+        assert se > 0
+        assert _relative(se_s / factor, se) <= 1e-12
+        assert _relative(p_s, p) <= 1e-12
