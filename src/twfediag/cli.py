@@ -91,7 +91,8 @@ def _digest(*paths: str | None) -> str:
     for path in paths:
         if path:
             with open(path, "rb") as f:
-                h.update(f.read())
+                for block in iter(lambda: f.read(1 << 20), b""):  # 1 MiB at a time
+                    h.update(block)
     return h.hexdigest()
 
 

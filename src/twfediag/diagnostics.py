@@ -116,7 +116,7 @@ def weight_grid(fit: TwfeFit, schedule: AdoptionSchedule) -> WeightGrid:
 
 def _groups(fit: TwfeFit):
     """(exponent, control, treated): each group's least-squares line of the
-    residualized outcome, scaled by 2**-exponent as fit_sample scales it, on
+    residualized outcome, scaled by 2**-exponent as fit_twfe scales it, on
     the residualized treatment d, from its count n, means and centred sums
     S_dd and S_dy. The one singularity rule: a group needs 2 rows and a d
     whose standard deviation exceeds 1e-10 of max|d|."""

@@ -143,6 +143,11 @@ class PanelDataset:
         return tuple(np.concatenate((p[:1], p[1:][p[1:] != p[:-1]])).tolist())
 
     @cached_property
+    def _period_code(self) -> np.ndarray:
+        """Each row's index into periods."""
+        return np.searchsorted(np.array(self.periods, dtype=np.int64), self.period)
+
+    @cached_property
     def observed(self) -> np.ndarray:
         """Row mask of non-missing outcomes: the estimation sample."""
         return ~np.isnan(self.outcome)
@@ -162,12 +167,18 @@ class PanelDataset:
         """
         return int(self.observed.sum()) == len(self.units) * len(self.periods)
 
+    def _row_mask(self, keep) -> np.ndarray:
+        """keep as an array; ValueError unless it is a boolean mask with one
+        entry per row."""
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.shape != self.period.shape:
+            raise ValueError("a row mask is a boolean array with one entry per row")
+        return keep
+
     def restrict(self, keep: np.ndarray) -> "PanelDataset":
         """New dataset of the rows where the boolean row mask `keep` is true,
         in the same order; units left without rows are dropped."""
-        keep = np.asarray(keep)
-        if keep.dtype != bool or keep.shape != self.period.shape:
-            raise ValueError("restrict takes a boolean mask with one entry per row")
+        keep = self._row_mask(keep)
         order, unit = first_appearance(self.unit[keep])
         return PanelDataset(
             tuple(self.units[i] for i in order.tolist()),

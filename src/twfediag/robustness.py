@@ -1,9 +1,9 @@
 """Sample-restriction robustness sweeps: truncating later years, capping
 post-treatment horizons, and leave-one-unit-out re-estimation.
 
-The estimation sample is encoded once per sweep; each point is a boolean
-mask over its rows, fitted as fit_twfe(dataset.restrict(mask)) would fit
-it, with no new dataset."""
+Each point is a boolean mask over the dataset's rows, fitted by
+fit_twfe(dataset, inference, mask) as fit_twfe(dataset.restrict(mask))
+would fit it, with no new dataset."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import numpy as np
 from .errors import InvalidSweep, NoFeasiblePoint, TwfeDiagError
 from .lsq import t_interval
 from .panel import AdoptionSchedule, PanelDataset, schedule_from_data
-from .twfe import EncodedSample, TwfeFit, fit_sample, negative_treated
+from .twfe import TwfeFit, fit_twfe, negative_treated
 
 DEFAULT_LEVEL = 0.95
 
@@ -53,15 +53,15 @@ def _point(label: str, fit: TwfeFit, level: float) -> SweepPoint:
 
 
 def _run_sweep(
-    kind: str, sample: EncodedSample, inference: str, level: float, masks
+    kind: str, dataset: PanelDataset, inference: str, level: float, masks
 ) -> RobustnessSweep:
-    """Fit the whole sample, then each (label, row mask over the sample)."""
-    baseline = _point("full_sample", fit_sample(sample, None, inference), level)
+    """Fit the whole dataset, then each (label, row mask over the dataset)."""
+    baseline = _point("full_sample", fit_twfe(dataset, inference), level)
     points = []
     skipped = []
     for label, keep in masks:
         try:
-            fit = fit_sample(sample, keep, inference)
+            fit = fit_twfe(dataset, inference, keep)
         except TwfeDiagError as exc:
             skipped.append((label, f"{type(exc).__name__}: {exc}"))
             continue
@@ -85,9 +85,8 @@ def sweep_end_year(
     ends = [end for end in dataset.periods if first_end <= end <= last_end]
     if not ends:
         raise InvalidSweep(f"the panel has no period from {first_end} to {last_end}")
-    sample = EncodedSample(dataset)
-    masks = ((str(end), sample.period <= end) for end in ends)
-    return _run_sweep("end_year", sample, inference, level, masks)
+    masks = ((str(end), dataset.period <= end) for end in ends)
+    return _run_sweep("end_year", dataset, inference, level, masks)
 
 
 def sweep_post_horizon(
@@ -107,13 +106,11 @@ def sweep_post_horizon(
     if any(h < 0 for h in horizons):
         raise ValueError("horizons must be non-negative")
     adopts, start = schedule.by_row(dataset)  # raises UnknownUnit
-    sample = EncodedSample(dataset)
-    adopts, start = adopts[dataset.observed], start[dataset.observed]
-    before = ~adopts | (sample.period < start)
+    before = ~adopts | (dataset.period < start)
     # from adoption on, period - start lies in [0, 2**64): exact in uint64
-    event_time = sample.period.view(np.uint64) - start.view(np.uint64)
+    event_time = dataset.period.view(np.uint64) - start.view(np.uint64)
     masks = ((str(h), before | (event_time <= h)) for h in horizons)
-    return _run_sweep("post_horizon", sample, inference, level, masks)
+    return _run_sweep("post_horizon", dataset, inference, level, masks)
 
 
 def leave_one_unit_out(
@@ -127,6 +124,5 @@ def leave_one_unit_out(
         raise InvalidSweep(f"leave-one-out needs at least 3 units, got {len(dataset.units)}")
     order = schedule_from_data(dataset).ordered(dataset.units)
     code = {unit: i for i, unit in enumerate(dataset.units)}
-    sample = EncodedSample(dataset)
-    masks = ((unit, sample.unit != code[unit]) for unit in order)
-    return _run_sweep("leave_one_out", sample, inference, level, masks)
+    masks = ((unit, dataset.unit != code[unit]) for unit in order)
+    return _run_sweep("leave_one_out", dataset, inference, level, masks)

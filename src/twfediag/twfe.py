@@ -116,28 +116,17 @@ class _WithinCore:
         return v - eff_u.take(self.u, axis=0) - eff_p.take(self.p, axis=0), eff_u, eff_p
 
 
-class EncodedSample:
-    """A panel's estimation sample (the rows with an observed outcome, in
-    dataset order), encoded once. fit_sample estimates on all of it or on
-    any subset of its rows. A plain class: defining a frozen dataclass
-    takes about 0.9 ms (CPython 3.11), which every process that fits
-    would pay."""
-
-    __slots__ = ("labels", "unit", "period", "periods", "period_code", "outcome", "treatment")
-
-    def __init__(self, dataset: PanelDataset):
-        observed = dataset.observed
-        self.labels = dataset.units  # unit codes index these
-        self.unit = dataset.unit[observed]
-        self.period = dataset.period[observed]
-        self.periods, self.period_code = np.unique(self.period, return_inverse=True)
-        self.outcome = dataset.outcome[observed]
-        self.treatment = dataset.treated[observed].astype(float)
-
-
-def fit_twfe(dataset: PanelDataset, inference: str = "cluster_by_unit") -> TwfeFit:
+def fit_twfe(
+    dataset: PanelDataset, inference: str = "cluster_by_unit", keep: Optional[np.ndarray] = None
+) -> TwfeFit:
     """OLS of outcome on treatment plus full unit and period dummy sets, on
-    the dataset's rows with an observed outcome.
+    the dataset's rows with an observed outcome, or on those of them where
+    the boolean row mask keep is true.
+
+    The kept rows are coded afresh, units in order of first appearance and
+    periods ascending, as encoding the restricted panel would code them:
+    fit_twfe(dataset, inference, keep) is bit for bit
+    fit_twfe(dataset.restrict(keep), inference).
 
     Fitted by Frisch-Waugh-Lovell: the treatment and the outcome are
     residualized on the fixed effects, and the coefficient is the slope of
@@ -149,30 +138,18 @@ def fit_twfe(dataset: PanelDataset, inference: str = "cluster_by_unit") -> TwfeF
     and the p-value nan, when its variance is round-off (clustered, that
     includes any two-unit balanced panel, whose cluster scores cancel).
     """
-    return fit_sample(EncodedSample(dataset), None, inference)
-
-
-def fit_sample(
-    sample: EncodedSample, keep: Optional[np.ndarray] = None, inference: str = "cluster_by_unit"
-) -> TwfeFit:
-    """fit_twfe on the rows of sample where the boolean mask keep is true
-    (all rows when keep is None).
-
-    The kept rows are coded afresh, units in order of first appearance and
-    periods ascending, as encoding the restricted panel would code them.
-    So for a row mask over the dataset, fit_sample(EncodedSample(dataset),
-    mask[dataset.observed]) is bit for bit fit_twfe(dataset.restrict(mask)).
-    """
-    rows = slice(None) if keep is None else keep
-    order, u = first_appearance(sample.unit[rows])
+    kept = dataset.observed if keep is None else dataset.observed & dataset._row_mask(keep)
+    # row indices, gathered with take: a boolean gather per column costs more
+    rows = np.flatnonzero(kept)
+    order, u = first_appearance(dataset.unit.take(rows))
     u = u.astype(np.intp)
-    period_code = sample.period_code[rows]
-    present = np.bincount(period_code, minlength=len(sample.periods)) > 0
+    period_code = dataset._period_code.take(rows)
+    present = np.bincount(period_code, minlength=len(dataset.periods)) > 0
     p = (np.cumsum(present) - 1)[period_code]  # the kept periods renumbered from 0
-    periods = tuple(sample.periods[present].tolist())
-    y = sample.outcome[rows]
-    d = sample.treatment[rows]
-    units = [sample.labels[i] for i in order.tolist()]
+    periods = tuple(dataset.periods[i] for i in np.flatnonzero(present).tolist())
+    y = dataset.outcome.take(rows)
+    d = dataset.treated.take(rows).astype(float)
+    units = [dataset.units[i] for i in order.tolist()]
     if len(units) < 2 or len(periods) < 2:
         raise DegenerateTreatment(
             f"estimation sample needs >= 2 units and >= 2 periods, "
@@ -215,6 +192,6 @@ def fit_sample(
         unit_effect=np.ldexp(alpha, exponent),
         period_effect=np.ldexp(gamma, exponent),
         unit=u,
-        period=sample.period[rows],
+        period=dataset.period.take(rows),
         inference=inference,
     )

@@ -3,8 +3,10 @@ tier-1 command that ROADMAP.md names and the benchmark's oracle checks,
 the package parses as the lowest supported Python, the README's import
 block imports, every name the README lists as removed is gone, the
 installed script and `python -m twfediag.cli` start through one
-function, and every function the benchmark reads a span of exists. Text and syntax-tree matches only, so no YAML
-parser is needed and nothing under perfbench/ is run."""
+function, every function the benchmark reads a span of exists, and every
+sweep fit runs under the benchmark's fit span. Text and syntax-tree
+matches, and one in-process sweep run, so no YAML parser is needed and
+nothing under perfbench/ is run."""
 
 import argparse
 import ast
@@ -120,6 +122,8 @@ def _resolves(name: str) -> bool:
 def test_readme_removed_names_are_gone():
     names = _removed_names()
     assert "twfediag.residualize_treatment(ds)" in names and "TwfeFit.unit_effects" in names
+    assert {"twfediag.twfe.EncodedSample", "twfediag.twfe.fit_sample(sample, keep, inference)"} \
+        <= set(names)
     for present in ("twfediag.fit_twfe",
                     "twfediag.lsq.standard_errors(X, residuals, bread, k, yy, inference, clusters)",
                     "TwfeFit.beta", "TwfeFit.p_value", "DegenerateGroup", "twfediag.errors.UnknownUnit",
@@ -195,3 +199,38 @@ def test_benchmark_span_names_resolve():
         if not callable(target):
             unresolved.add(name)
     assert unresolved <= STALE_BENCHMARK_NAMES, sorted(unresolved - STALE_BENCHMARK_NAMES)
+
+
+def test_sweep_points_run_under_the_benchmark_span(monkeypatch):
+    """The benchmark times sweep fits through the twfe.fit_twfe span: each
+    sweep fits its baseline and every point, skipped or not, by that one
+    function."""
+    import numpy as np
+
+    from twfediag import robustness, schedule_from_data
+
+    from conftest import random_panel
+
+    assert "twfe.fit_twfe" in _benchmark_span_names()
+    fit_twfe = robustness.fit_twfe
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fit_twfe(*args, **kwargs)
+
+    monkeypatch.setattr(robustness, "fit_twfe", counting)
+    _, dataset = random_panel(np.random.default_rng(63), missing=True, noise_sd=1.0)
+    sweeps = {
+        "end_year": lambda: robustness.sweep_end_year(dataset, dataset.periods[0],
+                                                      dataset.periods[-1]),
+        "post_horizon": lambda: robustness.sweep_post_horizon(
+            dataset, schedule_from_data(dataset), [0, 1, 2, 4]),
+        "leave_one_out": lambda: robustness.leave_one_unit_out(dataset),
+    }
+    for kind, run in sweeps.items():
+        calls.clear()
+        sweep = run()
+        assert sweep.skipped or kind != "end_year"  # the first end year has one period
+        assert len(calls) == 1 + len(sweep.points) + len(sweep.skipped), kind
+        assert all(args[0] is dataset for args in calls), kind

@@ -18,7 +18,7 @@ from twfediag import (
     weight_report,
     write_panel_csv,
 )
-from twfediag.cli import main
+from twfediag.cli import _digest, main
 
 from conftest import random_panel
 from test_synth import base_spec
@@ -68,6 +68,14 @@ class TestEstimate:
         assert doc["homogeneity"]["interaction"]["estimate"] == homog.b_interaction.estimate
         assert doc["input_digest"] == hashlib.sha256(data.read_bytes()).hexdigest()
         assert "timestamp" not in doc
+
+    def test_input_digest_hashes_files_larger_than_one_block(self, tmp_path):
+        big, small = tmp_path / "big.csv", tmp_path / "small.csv"
+        big.write_bytes(np.random.default_rng(5).bytes(3 << 19 | 7))  # 1.5 MiB + 7 bytes
+        small.write_bytes(b"unit,adoption_period\r\nu0,never\r\n")
+        assert _digest(big, None) == hashlib.sha256(big.read_bytes()).hexdigest()
+        assert _digest(big, small) == \
+            hashlib.sha256(big.read_bytes() + small.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("cluster, inference", [("unit", "cluster_by_unit"), ("none", "classical")])
     def test_homogeneity_inference_follows_cluster(self, panel_files, tmp_path, cluster, inference):

@@ -5,11 +5,16 @@ A seeded generator makes each case: a panel file of random bytes, of
 random CSV-like text, or a valid panel with a few mutations (a flipped
 byte, a cell swapped for an awkward value, a line repeated, dropped or
 cut short, the header changed); some cases also mutate the adoption
-schedule. Each case runs under every data subcommand, with the treatment
-column and with the schedule, clustered by unit or not by turns. Every
-invocation is valid usage, so it must exit 0 or 1, raise nothing, print
-no traceback, and on exit 1 print exactly one `error:` line (validate's
-verdict on an invalid panel is exit 1 with the report and no error line).
+schedule. The value cases keep every line well formed and make the values
+awkward instead, so that most of them reach the estimators: outcomes of
+1e-320 or 1e300 or signed zeros, or all equal; a unit with no observed
+outcome; a period only one unit observes; periods near the int64 ends or
+with gaps; a treatment that switches off. Each case runs under every data
+subcommand, with the treatment column and with the schedule, clustered by
+unit or not by turns. Every invocation is valid usage, so it must exit 0
+or 1, raise nothing, print no traceback, and on exit 1 print exactly one
+`error:` line (validate's verdict on an invalid panel is exit 1 with the
+report and no error line).
 """
 
 import json
@@ -19,7 +24,8 @@ import pytest
 
 from twfediag.cli import main
 
-CASES = 120
+CASES = 120  # structural cases
+VALUE_CASES = 60  # value cases, seeds CASES onward
 HEADER = b"unit,period,outcome,treated"
 AWKWARD = [
     b"", b" ", b"nan", b"inf", b"-inf", b"1e999", b"-1e308", b"1e-320", b"0x10", b"1_000",
@@ -83,9 +89,46 @@ def _mutated(rng: random.Random, lines: list[bytes]) -> bytes:
     return ending.join(lines) + rng.choice([ending, b""])
 
 
+def _values(rng: random.Random) -> tuple[bytes, bytes]:
+    """(panel file, schedule file) bytes of a well-formed staggered panel
+    with some of the awkward values."""
+    n_units, n_periods = rng.randint(2, 6), rng.randint(2, 7)
+    step = rng.choice([1, 1, 2, 7, 2**40])
+    first = rng.choice([1, 1990, -2**63, 2**63 - 1 - step * (n_periods + 1), -2**62, 2**62])
+    periods = [first + step * t + rng.choice([0, 0, 0, step // 2]) for t in range(n_periods)]
+    adoption = {f"u{i}": rng.choice([None, *periods, periods[-1] + 1]) for i in range(n_units)}
+    scale = rng.choice([1.0, 1.0, 1e-320, 1e300, 0.0])
+    constant = rng.random() < 0.2  # every outcome equal
+    unobserved = rng.choice([None, *adoption]) if rng.random() < 0.3 else None
+    rows = [(u, t, int(a is not None and t >= a)) for u, a in adoption.items() for t in periods]
+    if rng.random() < 0.3:  # one more period, observed by one unit only
+        unit = rng.choice(list(adoption))
+        rows.append((unit, periods[-1] + step, int(adoption[unit] is not None)))
+    if rng.random() < 0.2:  # a cell after adoption switches treatment off
+        after = [i for i, (u, t, d) in enumerate(rows) if d and t > adoption[u]]
+        if after:
+            i = rng.choice(after)
+            rows[i] = (*rows[i][:2], 0)
+    panel = [HEADER]
+    for unit, period, treated in rows:
+        value = 1.0 if constant else rng.gauss(0, 5) + 2 * treated
+        if scale == 0.0:
+            outcome = rng.choice(["0.0", "-0.0", "0", "-0"])
+        else:
+            outcome = repr(value * scale)
+        if unit == unobserved or rng.random() < 0.05:
+            outcome = ""
+        panel.append(f"{unit},{period},{outcome},{treated}".encode())
+    schedule = [b"unit,adoption_period"]
+    schedule += [f"{u},{'never' if a is None else a}".encode() for u, a in adoption.items()]
+    return b"\n".join(panel) + b"\n", b"\n".join(schedule) + b"\n"
+
+
 def _case(seed: int) -> tuple[bytes, bytes]:
     """(panel file, schedule file) bytes of fuzz case `seed`."""
     rng = random.Random(seed)
+    if seed >= CASES:
+        return _values(rng)
     panel, schedule = _valid(rng)
     kind = seed % 4
     if kind == 0:  # random bytes after a valid header, or none at all
@@ -113,7 +156,7 @@ def _invocations(tmp_path, command: str, seed: int):
         yield [command, *data, *treatment, *cluster, *outputs]
 
 
-@pytest.mark.parametrize("seed", range(CASES))
+@pytest.mark.parametrize("seed", range(CASES + VALUE_CASES))
 def test_exit_code_and_one_error_line(tmp_path, capsys, seed):
     data, schedule = _case(seed)
     (tmp_path / "panel.csv").write_bytes(data)

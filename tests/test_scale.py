@@ -1,4 +1,5 @@
-"""The outcome's scale: every output follows it exactly.
+"""The outcome's scale and the panel's labels: every output follows them
+exactly.
 
 Multiplying the outcome by 2**k (k in [-1000, 1000]) is exact, and so is
 every result that follows it: beta, standard errors, effects, residuals,
@@ -7,6 +8,11 @@ for bit, and t statistics, p-values and weights stay bit for bit the same.
 Any other factor s rounds the outcome once, so se / s and p stay within
 1e-12 of the unscaled fit's, with no se of 0 or p-value of nan from a sum
 of squares that overflows or underflows.
+
+Shifting every period and adoption period by a constant, up to near the
+int64 ends, and renaming the units without changing their order of first
+appearance change only the labels: the end years, the periods and the
+unit names. Every number stays bit for bit the same.
 """
 
 import math
@@ -15,6 +21,7 @@ import numpy as np
 import pytest
 
 from twfediag import (
+    AdoptionSchedule,
     PanelDataset,
     fit_twfe,
     homogeneity_test,
@@ -45,8 +52,8 @@ def _rows(result):
             for r in (result.b_resid_treatment, result.b_treat_group, result.b_interaction)]
 
 
-def _sweeps(dataset, inference):
-    schedule = schedule_from_data(dataset)
+def _sweeps(dataset, inference, schedule=None):
+    schedule = schedule_from_data(dataset) if schedule is None else schedule
     return [
         sweep_end_year(dataset, dataset.periods[0], dataset.periods[-1], inference),
         sweep_post_horizon(dataset, schedule, [0, 1, 3], inference),
@@ -117,3 +124,75 @@ def test_any_scale_keeps_standard_errors_and_p_values(seed, factor, inference):
         assert se > 0
         assert _relative(se_s / factor, se) <= 1e-12
         assert _relative(p_s, p) <= 1e-12
+
+
+def _numbers(point) -> tuple:
+    return (point.beta, point.ci_low, point.ci_high, point.share_negative_treated,
+            point.n_obs, point.n_treated)
+
+
+def _assert_same_numbers(fit, fit_b):
+    assert (fit_b.beta, fit_b.se, fit_b.dof, fit_b.n_obs, fit_b.n_treated) == \
+        (fit.beta, fit.se, fit.dof, fit.n_obs, fit.n_treated)
+    assert _same(fit_b.p_value, fit.p_value)
+    for name in ("weights", "residualized_treatment", "residualized_outcome", "unit_effect",
+                 "period_effect", "treatment", "outcome", "unit"):
+        assert _same(getattr(fit_b, name), getattr(fit, name)), name
+
+
+@pytest.mark.parametrize("inference", INFERENCE)
+@pytest.mark.parametrize("shift", [-2**62, -1, 1, 2**62, 2**63 - 1 - 10])  # the last: up to 2**63-1
+@pytest.mark.parametrize("seed", range(3))
+def test_period_shift_moves_only_the_labels(seed, shift, inference):
+    base = _panel(seed)
+    moved = PanelDataset(base.units, base.unit, base.period + shift, base.outcome, base.treated)
+    schedule = schedule_from_data(base)
+    moved_schedule = AdoptionSchedule(
+        {u: None if a is None else a + shift for u, a in schedule.entries.items()})
+    assert moved_schedule == schedule_from_data(moved)
+
+    fit, fit_c = fit_twfe(base, inference), fit_twfe(moved, inference)
+    _assert_same_numbers(fit, fit_c)
+    assert fit_c.units == fit.units
+    assert fit_c.periods == tuple(p + shift for p in fit.periods)
+    assert _same(fit_c.period, fit.period + shift)
+
+    sweeps = _sweeps(base, inference, schedule)
+    sweeps_c = _sweeps(moved, inference, moved_schedule)
+    for sweep, sweep_c in zip(sweeps, sweeps_c):
+        def label(text):  # an end year moves with the periods
+            return str(int(text) + shift) if sweep.kind == "end_year" else text
+        assert sweep_c.skipped == tuple((label(lb), why) for lb, why in sweep.skipped)
+        assert _same(_numbers(sweep_c.baseline), _numbers(sweep.baseline))
+        assert [p.label for p in sweep_c.points] == [label(p.label) for p in sweep.points]
+        for point, point_c in zip(sweep.points, sweep_c.points):
+            assert _same(_numbers(point_c), _numbers(point)), point.label
+
+
+@pytest.mark.parametrize("inference", INFERENCE)
+@pytest.mark.parametrize("seed", range(3))
+def test_renaming_units_in_order_moves_only_the_labels(seed, inference):
+    base = _panel(seed)
+    # the new names sort in reverse, so the jackknife's order among units
+    # that adopt together changes
+    name = {u: f"Z{len(base.units) - i:02d},é" for i, u in enumerate(base.units)}
+    renamed = PanelDataset(tuple(name[u] for u in base.units), base.unit, base.period,
+                           base.outcome, base.treated)
+    schedule = schedule_from_data(base)
+    renamed_schedule = AdoptionSchedule({name[u]: a for u, a in schedule.entries.items()})
+
+    fit, fit_r = fit_twfe(base, inference), fit_twfe(renamed, inference)
+    _assert_same_numbers(fit, fit_r)
+    assert fit_r.units == tuple(name[u] for u in fit.units)
+    assert (fit_r.periods, fit_r.period.tolist()) == (fit.periods, fit.period.tolist())
+
+    for sweep, sweep_r in zip(_sweeps(base, inference, schedule),
+                              _sweeps(renamed, inference, renamed_schedule)):
+        def label(text):
+            return name[text] if sweep.kind == "leave_one_out" else text
+        assert _same(_numbers(sweep_r.baseline), _numbers(sweep.baseline))
+        assert dict(sweep_r.skipped) == {label(lb): why for lb, why in sweep.skipped}
+        points = {label(p.label): _numbers(p) for p in sweep.points}
+        assert sorted(p.label for p in sweep_r.points) == sorted(points)
+        for point_r in sweep_r.points:
+            assert _same(_numbers(point_r), points[point_r.label]), point_r.label

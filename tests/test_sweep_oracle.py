@@ -1,10 +1,10 @@
 """Property suite: every sweep point against a refit of the restricted panel.
 
-A sweep encodes its estimation sample once and fits each point from a row
-mask over it. The oracle restricts the panel with PanelDataset.restrict,
-which builds a new dataset, and fits that with fit_twfe. The two must
-agree bit for bit, on every point of all three sweeps and under both
-inference kinds, and skip the same points for the same reason.
+A sweep fits each point with fit_twfe and a row mask over the dataset.
+The oracle restricts the panel with PanelDataset.restrict, which builds a
+new dataset, and fits that with fit_twfe. The two must agree bit for bit,
+on every point of all three sweeps and under both inference kinds, and
+skip the same points for the same reason.
 
 Panels come from the TWFE property suite's strategy (missing cells, one
 block or two disconnected blocks), with their rows shuffled, so a
@@ -29,7 +29,6 @@ from twfediag import (
 )
 from twfediag.errors import InvalidSweep, NoFeasiblePoint, TwfeDiagError
 from twfediag.lsq import t_critical
-from twfediag.twfe import EncodedSample, fit_sample
 
 from conftest import make_panel, random_panel
 from test_twfe_oracle import panels
@@ -139,7 +138,6 @@ def test_every_point_equals_refit_of_restricted_panel(kind, inference, dataset):
     if baseline_error is not None:
         assert _error(lambda: _sweep(kind, dataset, inference)) == baseline_error
         return
-    sample = EncodedSample(dataset)
     points, skipped = [], []
     for label, keep in _masks(kind, dataset):
         try:
@@ -147,7 +145,7 @@ def test_every_point_equals_refit_of_restricted_panel(kind, inference, dataset):
         except TwfeDiagError as exc:
             skipped.append((label, f"{type(exc).__name__}: {exc}"))
             continue
-        _assert_same_fit(fit_sample(sample, keep[dataset.observed], inference), want)
+        _assert_same_fit(fit_twfe(dataset, inference, keep), want)
         points.append(_expected_point(label, want))
     if not points:
         with pytest.raises(NoFeasiblePoint):
