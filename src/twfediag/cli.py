@@ -46,8 +46,8 @@ def _parse_horizons(text: str) -> list[int]:
 
 LEVEL = _checked(float, lambda v: 0 < v < 1, "a confidence level in (0, 1)")
 BANDWIDTH = _checked(float, lambda v: 0 < v <= 1, "a bandwidth in (0, 1]")
-GRID_POINTS = _checked(int, lambda v: v >= 2, "an integer of at least 2")
-BINS = _checked(int, lambda v: v >= 1, "a positive integer")
+GRID_POINTS = _checked(int, lambda v: 2 <= v <= 10**6, "an integer from 2 to 1000000")
+BINS = _checked(int, lambda v: 1 <= v <= 10**6, "an integer from 1 to 1000000")
 SEED = _checked(int, lambda v: v >= 0, "a non-negative integer")
 HORIZONS = _checked(
     _parse_horizons,
@@ -67,7 +67,8 @@ def _add_data_args(p: argparse.ArgumentParser):
         "--treat-from",
         choices=["adoption-year", "next-year"],
         default="adoption-year",
-        help="whether the adoption period itself counts as treated",
+        help="with --adoption: treated from the adoption period, or from the period "
+             "after it (the schedule shifted by one, read by every command)",
     )
 
 
@@ -104,7 +105,7 @@ def _given(args, *names: str) -> dict:
 def _load(args):
     """(dataset, adoption schedule or None) from the data options."""
     from .errors import TwfeDiagError
-    from .panel import apply_adoption_schedule, load_panel_csv, load_schedule_csv
+    from .panel import AdoptionSchedule, apply_adoption_schedule, load_panel_csv, load_schedule_csv
 
     if args.treatment is None and args.adoption is None:
         raise TwfeDiagError("provide --treatment and/or --adoption")
@@ -114,9 +115,10 @@ def _load(args):
     schedule = None
     if args.adoption:
         schedule = load_schedule_csv(args.adoption)
-        dataset = apply_adoption_schedule(
-            dataset, schedule, include_adoption_period=args.treat_from == "adoption-year"
-        )
+        if args.treat_from == "next-year":  # one period later; no int64 period follows 2**63-1
+            schedule = AdoptionSchedule({u: None if a in (None, 2**63 - 1) else a + 1
+                                         for u, a in schedule.entries.items()})
+        dataset = apply_adoption_schedule(dataset, schedule)
     return dataset, schedule
 
 
@@ -377,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="weight histogram and unit-by-period grid CSVs")
     _add_data_args(p)
-    p.add_argument("--bins", type=BINS, default=argparse.SUPPRESS)
+    p.add_argument("--bins", type=BINS, default=argparse.SUPPRESS,
+                   help="histogram bins, 1 to 1000000")
     p.add_argument("--out-hist", help="histogram CSV path")
     p.add_argument("--out-grid", help="grid CSV path")
     p.set_defaults(func=cmd_weights)
@@ -385,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scatter", help="residual scatter, fit lines, smoothed curves CSVs")
     _add_data_args(p)
     p.add_argument("--bandwidth", type=BANDWIDTH, default=argparse.SUPPRESS)
-    p.add_argument("--grid-points", type=GRID_POINTS, default=argparse.SUPPRESS)
+    p.add_argument("--grid-points", type=GRID_POINTS, default=argparse.SUPPRESS,
+                   help="smoothing grid points per group, 2 to 1000000")
     p.add_argument("--out-prefix", required=True,
                    help="writes <prefix>_points.csv, <prefix>_lines.csv, <prefix>_smooth.csv")
     p.set_defaults(func=cmd_scatter)
@@ -433,6 +437,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (TwfeDiagError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error: out of memory. {exc}".strip(), file=sys.stderr)
         return 1
 
 

@@ -463,22 +463,14 @@ def load_schedule_csv(path: str | Path) -> AdoptionSchedule:
     return AdoptionSchedule(entries)
 
 
-def apply_adoption_schedule(
-    dataset: PanelDataset,
-    schedule: AdoptionSchedule,
-    include_adoption_period: bool = True,
-) -> PanelDataset:
-    """Recode treatment from an adoption schedule.
-
-    With include_adoption_period (the default) a unit counts as treated from
-    its adoption period onward; otherwise from the following period.
-    Idempotent: reapplying the same schedule changes nothing.
+def apply_adoption_schedule(dataset: PanelDataset, schedule: AdoptionSchedule) -> PanelDataset:
+    """Recode treatment from an adoption schedule: a unit counts as treated
+    from its adoption period onward. Idempotent: reapplying the same
+    schedule changes nothing.
     """
     adopts, start = schedule.by_row(dataset)
-    on = dataset.period >= start if include_adoption_period else dataset.period > start
-    return PanelDataset(
-        dataset.units, dataset.unit, dataset.period, dataset.outcome, (adopts & on).astype(np.int8)
-    )
+    treated = (adopts & (dataset.period >= start)).astype(np.int8)
+    return PanelDataset(dataset.units, dataset.unit, dataset.period, dataset.outcome, treated)
 
 
 def schedule_from_data(dataset: PanelDataset) -> AdoptionSchedule:

@@ -3,7 +3,8 @@ tier-1 command that ROADMAP.md names and the benchmark's oracle checks,
 the package parses as the lowest supported Python, the README's import
 block imports, every name the README lists as removed is gone, the
 installed script and `python -m twfediag.cli` start through one
-function, every function the benchmark reads a span of exists, and every
+function, every CLI option and choice is passed by some other test file,
+every function the benchmark reads a span of exists, and every
 sweep fit runs under the benchmark's fit span. Text and syntax-tree
 matches, and one in-process sweep run, so no YAML parser is needed and
 nothing under perfbench/ is run."""
@@ -71,6 +72,31 @@ def test_readme_library_surface_imports():
     exec(compile(block, "README.md", "exec"), {})
 
 
+def _subcommands() -> dict:
+    """The CLI's subcommand name -> its argument parser."""
+    from twfediag.cli import build_parser
+
+    return next(action.choices for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def test_every_cli_option_is_exercised_by_a_test():
+    """Every option string of every subcommand (-h/--help aside) and every
+    value an option's choices allow appears as a string literal in some
+    other test file."""
+    names = set()
+    for parser in _subcommands().values():
+        for action in parser._actions:
+            if not isinstance(action, argparse._HelpAction):
+                names.update(action.option_strings, map(str, action.choices or ()))
+    assert {"--treat-from", "next-year", "--cluster", "none", "--horizons"} <= names
+    tests = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "tests").glob("*.py"))
+             if path.name != Path(__file__).name]
+    untested = {name for name in names
+                if not any(f'"{name}"' in text or f"'{name}'" in text for text in tests)}
+    assert untested == set()
+
+
 def _removed_names() -> list:
     """The first backticked name of each bullet under "Removed public names"."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -88,11 +114,7 @@ def _resolves(name: str) -> bool:
     gives that subcommand that option."""
     option = re.fullmatch(r"twfediag ([\w-]+) (--[\w-]+)", name)
     if option:
-        from twfediag.cli import build_parser
-
-        commands = next(action.choices for action in build_parser()._actions
-                        if isinstance(action, argparse._SubParsersAction))
-        command = commands.get(option.group(1))
+        command = _subcommands().get(option.group(1))
         return command is not None and option.group(2) in command._option_string_actions
     call = re.fullmatch(r"([\w.]+)\((.*)\)", name)
     path = call.group(1) if call else name
@@ -122,8 +144,8 @@ def _resolves(name: str) -> bool:
 def test_readme_removed_names_are_gone():
     names = _removed_names()
     assert "twfediag.residualize_treatment(ds)" in names and "TwfeFit.unit_effects" in names
-    assert {"twfediag.twfe.EncodedSample", "twfediag.twfe.fit_sample(sample, keep, inference)"} \
-        <= set(names)
+    assert {"twfediag.twfe.EncodedSample", "twfediag.twfe.fit_sample(sample, keep, inference)",
+            "twfediag.apply_adoption_schedule(include_adoption_period=...)"} <= set(names)
     for present in ("twfediag.fit_twfe",
                     "twfediag.lsq.standard_errors(X, residuals, bread, k, yy, inference, clusters)",
                     "TwfeFit.beta", "TwfeFit.p_value", "DegenerateGroup", "twfediag.errors.UnknownUnit",

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from twfediag import (
+    PanelDataset,
     fit_twfe,
     homogeneity_test,
     leave_one_unit_out,
+    load_panel_csv,
+    load_schedule_csv,
     residual_scatter,
     schedule_from_data,
     spec_to_json,
@@ -18,7 +21,7 @@ from twfediag import (
     weight_report,
     write_panel_csv,
 )
-from twfediag.cli import _digest, main
+from twfediag.cli import BINS, GRID_POINTS, _digest, main
 
 from conftest import random_panel
 from test_synth import base_spec
@@ -248,6 +251,13 @@ class TestUsageErrors:
             ["jackknife", "--level", "1.5"],
             ["jackknife", "--level", "0"],
             ["weights", "--bins", "0"],
+            # too big for memory: refused before anything is allocated
+            ["weights", "--bins", "1000001"],
+            ["weights", "--bins", str(10**12)],
+            ["weights", "--bins", str(2**62)],
+            ["scatter", "--grid-points", "1000001"],
+            ["scatter", "--grid-points", str(10**12)],
+            ["scatter", "--grid-points", str(2**62)],
             ["sweep-endyear", "--first-end", "5", "--last-end", "3"],
             # the weights and the scatter carry no inference
             ["weights", "--cluster", "unit"],
@@ -274,6 +284,119 @@ class TestUsageErrors:
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
         assert "Traceback" not in err
         assert list(out_dir.iterdir()) == []
+
+
+class TestSizeLimits:
+    def test_largest_accepted_value_is_one_million(self):
+        assert BINS("1000000") == GRID_POINTS("1000000") == 10**6
+
+    @pytest.mark.parametrize("command, limit", [
+        ("weights", "--bins BINS histogram bins, 1 to 1000000"),
+        ("scatter", "--grid-points GRID_POINTS smoothing grid points per group, 2 to 1000000"),
+    ], ids=["weights", "scatter"])
+    def test_help_states_the_limit(self, capsys, command, limit):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert limit in " ".join(capsys.readouterr().out.split())
+
+
+def _raising(error):
+    def fail(*args, **kwargs):
+        raise error
+    return fail
+
+
+class TestOutOfMemory:
+    """A MemoryError inside a command: exit 1 with one error line."""
+
+    @pytest.mark.parametrize("raise_it, detail", [
+        # 2**57 float64s (1 EiB): numpy refuses them without allocating
+        (lambda *args: np.zeros(2**57), "Unable to allocate"),
+        (_raising(MemoryError()), ""),
+    ], ids=["numpy refuses an array", "bare MemoryError"])
+    def test_exit_1_with_one_error_line(self, panel_files, tmp_path, capsys, monkeypatch,
+                                        raise_it, detail):
+        _, data, _ = panel_files
+        monkeypatch.setattr("twfediag.twfe.fit_twfe", raise_it)
+        out = tmp_path / "report.json"
+        assert main(["estimate", *data_args(data), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: out of memory.")
+        assert detail in err and "Traceback" not in err
+        assert not out.exists()
+
+
+class TestTreatFrom:
+    """--treat-from next-year is the schedule shifted one period later,
+    read by every command: the same as a treatment column that turns on
+    the period after each adoption."""
+
+    @staticmethod
+    def _next_year_column(ds, sched, path):
+        """Write ds with treated 1 strictly after each unit's adoption period."""
+        adopts, start = sched.by_row(ds)
+        treated = adopts & (ds.period > start)
+        write_panel_csv(PanelDataset(ds.units, ds.unit, ds.period, ds.outcome, treated), path)
+
+    @staticmethod
+    def _outputs(argv, out, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out.read_bytes()
+
+    def test_sweep_horizon_matches_treatment_route(self, panel_files, tmp_path, capsys):
+        ds, data, sched = panel_files
+        recoded = tmp_path / "recoded.csv"
+        self._next_year_column(ds, load_schedule_csv(sched), recoded)
+        out = tmp_path / "sweep.csv"
+        tail = ["--horizons", "0,1,2,5,10", "--out", str(out)]
+        next_year = self._outputs(
+            ["sweep-horizon", *data_args(data, sched, treatment=False),
+             "--treat-from", "next-year", *tail], out, capsys)
+        by_column = self._outputs(["sweep-horizon", *data_args(recoded), *tail], out, capsys)
+        assert next_year == by_column
+        with out.open() as f:
+            assert [row["label"] for row in csv.DictReader(f)][0] == "0"  # h counts from 0
+
+    @pytest.mark.parametrize("command, tail", [
+        ("estimate", ["--no-timestamp"]),
+        ("weights", ["--out-grid"]),
+        ("sweep-horizon", ["--horizons", "0,1,2"]),
+    ])
+    def test_adoption_at_the_last_int64_period_is_never(self, tmp_path, capsys, command, tail):
+        # Z adopts at 2**63-1: no period follows it, so next-year never treats Z
+        # and the weight grid lists Z among the never-treated units
+        last = 2**63 - 1
+        periods = range(last - 3, last + 1)
+        adoption = {"A": last - 2, "Z": last, "C": None, "D": None}
+        data, sched, recoded = (tmp_path / n for n in ("panel.csv", "schedule.csv", "recoded.csv"))
+        rows = ["unit,period,outcome,treated"]
+        for i, (unit, start) in enumerate(adoption.items()):
+            for j, period in enumerate(periods):
+                treated = int(start is not None and period >= start)
+                rows.append(f"{unit},{period},{1.5 * i + 0.25 * j + 2.0 * treated + (i * j) % 3},"
+                            f"{treated}")
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        sched.write_text("unit,adoption_period\n" + "".join(
+            f"{u},{'never' if a is None else a}\n" for u, a in adoption.items()), encoding="utf-8")
+        self._next_year_column(load_panel_csv(data, "unit", "period", "outcome"),
+                               load_schedule_csv(sched), recoded)
+        out = tmp_path / "out"
+        tail = [*tail, str(out)] if command == "weights" else [*tail, "--out", str(out)]
+        next_year = self._outputs([command, *data_args(data, sched, treatment=False),
+                                   "--treat-from", "next-year", *tail], out, capsys)
+        by_column = self._outputs([command, *data_args(recoded), *tail], out, capsys)
+        assert next_year[:3] == by_column[:3]
+        if command == "estimate":  # the config and the input digest name the inputs
+            fit = json.loads(next_year[3])["fit"]
+            assert fit == json.loads(by_column[3])["fit"] and fit["n_treated"] == 2
+        else:
+            assert next_year[3] == by_column[3]
+        if command == "weights":
+            with out.open() as f:
+                units = list(dict.fromkeys(row["unit"] for row in csv.DictReader(f)))
+            assert units == ["A", "C", "D", "Z"]
 
 
 class TestDataConflicts:

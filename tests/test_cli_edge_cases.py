@@ -1,8 +1,9 @@
 """Edge-case panels through every data subcommand, in process through main().
 
 Each panel runs under every data subcommand, with the treatment column,
-with a complete adoption schedule and with one that lacks a unit, under
-both --cluster values where the command takes the option. Every
+with a complete adoption schedule and with one that lacks a unit (each
+schedule under both --treat-from values), under both --cluster values
+where the command takes the option. Every
 invocation is valid usage, so the command must exit 0 or 1 and raise
 nothing else; stderr must hold no traceback, and on exit 1 exactly one
 `error:` line (validate's verdict on an invalid panel is exit 1 with the
@@ -16,7 +17,12 @@ import json
 import pytest
 
 from twfediag.cli import main
-from twfediag.panel import apply_adoption_schedule, load_panel_csv, load_schedule_csv
+from twfediag.panel import (
+    AdoptionSchedule,
+    apply_adoption_schedule,
+    load_panel_csv,
+    load_schedule_csv,
+)
 
 from oracles import dummy_ols_beta
 
@@ -93,8 +99,11 @@ def _invocations(tmp_path, panel: str, command: str):
     outputs = [str(tmp_path / a) if a.endswith((".csv", ".json")) or a == "scatter" else a
                for a in COMMANDS[command]]
     clusters = [["--cluster", "unit"], ["--cluster", "none"]] if command in CLUSTERED else [[]]
-    for treatment in (["--treatment", "treated"], ["--adoption", str(tmp_path / "complete.csv")],
-                      ["--adoption", str(tmp_path / "incomplete.csv")]):
+    treatments = [["--treatment", "treated"]] + [
+        ["--adoption", str(tmp_path / schedule), "--treat-from", treat_from]
+        for schedule in ("complete.csv", "incomplete.csv")
+        for treat_from in ("adoption-year", "next-year")]
+    for treatment in treatments:
         for cluster in clusters:
             yield [command, *data, *treatment, *cluster, *outputs]
 
@@ -106,11 +115,17 @@ def _cases():
 
 
 def _dataset(argv):
-    """The panel an invocation estimates on, loaded as the CLI loads it."""
+    """The panel an invocation estimates on, loaded as the CLI loads it:
+    under --treat-from next-year, each adoption one period later (never,
+    after the last int64 period)."""
     option = dict(zip(argv[1::2], argv[2::2]))
     dataset = load_panel_csv(option["--data"], "unit", "period", "outcome", option.get("--treatment"))
     if "--adoption" in option:
-        dataset = apply_adoption_schedule(dataset, load_schedule_csv(option["--adoption"]))
+        schedule = load_schedule_csv(option["--adoption"])
+        if option.get("--treat-from") == "next-year":
+            schedule = AdoptionSchedule({u: None if a is None or a == HIGH else a + 1
+                                         for u, a in schedule.entries.items()})
+        dataset = apply_adoption_schedule(dataset, schedule)
     return dataset
 
 

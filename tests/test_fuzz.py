@@ -10,8 +10,8 @@ awkward instead, so that most of them reach the estimators: outcomes of
 1e-320 or 1e300 or signed zeros, or all equal; a unit with no observed
 outcome; a period only one unit observes; periods near the int64 ends or
 with gaps; a treatment that switches off. Each case runs under every data
-subcommand, with the treatment column and with the schedule, clustered by
-unit or not by turns. Every invocation is valid usage, so it must exit 0
+subcommand, with the treatment column and with the schedule (under both
+--treat-from values), clustered by unit or not by turns. Every invocation is valid usage, so it must exit 0
 or 1, raise nothing, print no traceback, and on exit 1 print exactly one
 `error:` line (validate's verdict on an invalid panel is exit 1 with the
 report and no error line).
@@ -145,14 +145,16 @@ def _case(seed: int) -> tuple[bytes, bytes]:
 
 
 def _invocations(tmp_path, command: str, seed: int):
-    """The command with the treatment column and with the schedule; the
-    commands that report inference cluster by unit in even cases."""
+    """The command with the treatment column, with the schedule, and with
+    the schedule under --treat-from next-year; the commands that report
+    inference cluster by unit in even cases."""
     data = ["--data", str(tmp_path / "panel.csv"), "--unit", "unit", "--time", "period",
             "--outcome", "outcome"]
     outputs = [str(tmp_path / a) if a.endswith((".csv", ".json")) or a == "scatter" else a
                for a in COMMANDS[command]]
     cluster = ["--cluster", ("unit", "none")[seed % 2]] if command in CLUSTERED else []
-    for treatment in (["--treatment", "treated"], ["--adoption", str(tmp_path / "schedule.csv")]):
+    schedule = ["--adoption", str(tmp_path / "schedule.csv")]
+    for treatment in (["--treatment", "treated"], schedule, [*schedule, "--treat-from", "next-year"]):
         yield [command, *data, *treatment, *cluster, *outputs]
 
 

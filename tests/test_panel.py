@@ -149,9 +149,10 @@ class TestAdoptionSchedule:
         assert all(treated[y] == 1 for y in range(1994, 2016))
 
     def test_next_year_coding(self):
+        # treated from the period after adoption: the schedule shifted one period later
         ds = make_panel([("A", y, 1.0, 0) for y in (1993, 1994, 1995)])
-        sched = AdoptionSchedule({"A": 1994})
-        out = apply_adoption_schedule(ds, sched, include_adoption_period=False)
+        sched = AdoptionSchedule({"A": 1994 + 1})
+        out = apply_adoption_schedule(ds, sched)
         assert [o.treated for o in out.observations] == [0, 0, 1]
 
     def test_never_treated(self):

@@ -13,6 +13,13 @@ Shifting every period and adoption period by a constant, up to near the
 int64 ends, and renaming the units without changing their order of first
 appearance change only the labels: the end years, the periods and the
 unit names. Every number stays bit for bit the same.
+
+Shuffling the rows changes the order in which sums are taken, and a
+factor of 10**k rounds the outcome once, so there every number stays
+within 1e-10 of its untouched value, relative to the largest magnitude of
+its output: the fit, the weights matched by (unit, period), the
+homogeneity rows, the scatter lines and smoothed curves, and every sweep
+point; labels and counts stay the same.
 """
 
 import math
@@ -32,7 +39,7 @@ from twfediag import (
     sweep_post_horizon,
 )
 
-from conftest import random_panel
+from conftest import random_panel, sample_keys
 
 INFERENCE = ["classical", "cluster_by_unit"]
 EXPONENTS = [-1000, -1, 1, 1000, *np.random.default_rng(2026).integers(-1000, 1001, 6).tolist()]
@@ -196,3 +203,69 @@ def test_renaming_units_in_order_moves_only_the_labels(seed, inference):
         assert sorted(p.label for p in sweep_r.points) == sorted(points)
         for point_r in sweep_r.points:
             assert _same(_numbers(point_r), points[point_r.label]), point_r.label
+
+
+TOL = 1e-10  # relative to the largest magnitude of each output
+
+
+def _outputs(dataset, inference) -> tuple[dict, list]:
+    """(numbers, exact): each output's values and whether they scale with
+    the outcome; and the labels and counts, which must not move. The
+    weights are in (unit label, period) order."""
+    fit = fit_twfe(dataset, inference)
+    keys = sample_keys(fit)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    numbers = {"beta": (fit.beta, True), "se": (fit.se, True), "p": (fit.p_value, False),
+               "weights": (fit.weights[order], False)}
+    exact = [fit.n_obs, fit.n_treated, fit.dof, sorted(keys)]
+    homog = homogeneity_test(fit, inference)
+    for i, (field, scales) in enumerate((("estimate", True), ("se", True), ("t", False),
+                                         ("p", False))):
+        numbers[f"homogeneity {field}"] = ([row[i] for row in _rows(homog)], scales)
+    scatter = residual_scatter(fit)
+    for group, curve in (("control", scatter.control), ("treated", scatter.treated)):
+        smoothed = np.reshape(curve.smoothed, (-1, 2))
+        numbers[f"{group} line"] = ((curve.slope, curve.intercept), True)
+        numbers[f"{group} smoothed x"] = (smoothed[:, 0], False)
+        numbers[f"{group} smoothed y"] = (smoothed[:, 1], True)
+    for sweep in _sweeps(dataset, inference):
+        points = (sweep.baseline, *sweep.points)
+        numbers[f"{sweep.kind} beta"] = ([p.beta for p in points], True)
+        numbers[f"{sweep.kind} interval"] = ([[p.ci_low, p.ci_high] for p in points], True)
+        numbers[f"{sweep.kind} share"] = ([p.share_negative_treated for p in points], False)
+        exact.append([(p.label, p.n_obs, p.n_treated) for p in points])
+        exact.append(sweep.skipped)
+    return numbers, exact
+
+
+def _assert_close(base, other, factor=1.0):
+    """other's outputs, those that scale with the outcome divided by factor,
+    equal base's within TOL of each output's largest magnitude."""
+    numbers, exact = base
+    numbers_o, exact_o = other
+    assert exact_o == exact
+    assert numbers_o.keys() == numbers.keys()
+    for name, (values, scales) in numbers.items():
+        a = np.asarray(values, dtype=float)
+        b = np.asarray(numbers_o[name][0], dtype=float) / (factor if scales else 1.0)
+        assert b.shape == a.shape and _same(np.isnan(b), np.isnan(a)), name
+        deviation = np.abs(b - a)[~np.isnan(a)].max(initial=0.0)
+        assert deviation <= TOL * np.abs(a[~np.isnan(a)]).max(initial=0.0), (name, deviation)
+
+
+@pytest.mark.parametrize("inference", INFERENCE)
+@pytest.mark.parametrize("seed", range(40))
+def test_row_order_moves_no_output(seed, inference):
+    base = _panel(seed)
+    rows = np.random.default_rng(seed).permutation(len(base))
+    shuffled = PanelDataset.encode([base.units[c] for c in base.unit[rows].tolist()],
+                                   base.period[rows], base.outcome[rows], base.treated[rows])
+    _assert_close(_outputs(base, inference), _outputs(shuffled, inference))
+
+
+@pytest.mark.parametrize("inference", INFERENCE)
+@pytest.mark.parametrize("factor", [10.0, 1e-3, 1e150, 1e-300])
+@pytest.mark.parametrize("seed", range(20))
+def test_decimal_scale_moves_no_output(seed, factor, inference):
+    base = _panel(seed)
+    _assert_close(_outputs(base, inference), _outputs(_times(base, factor), inference), factor)
