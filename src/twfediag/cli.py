@@ -122,40 +122,33 @@ def _load(args):
     return dataset, schedule
 
 
-def _write_rows(path: str, header: list[str], rows) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
 
 
 def _sweep_csv(path: str, sweep) -> None:
-    _write_rows(
-        path,
-        SWEEP_HEADER,
-        (
-            [p.label, repr(p.beta), repr(p.ci_low), repr(p.ci_high),
-             repr(p.share_negative_treated), p.n_obs, p.n_treated]
-            for p in sweep.points
-        ),
-    )
+    from .panel import coded, write_csv
+
+    # every cell as text, so a nan interval (se 0) reads nan, not missing
+    write_csv(path, SWEEP_HEADER, [coded([p.label for p in sweep.points]),
+                                   *(coded([repr(getattr(p, name)) for p in sweep.points])
+                                     for name in SWEEP_HEADER[1:])])
     for label, reason in sweep.skipped:
         print(f"skipped {label}: {reason}", file=sys.stderr)
+
+
+def _null_nan(x: float):
+    """x, or None (JSON null) for a nan, which JSON cannot hold."""
+    return None if x != x else x
 
 
 def _coef_dict(row) -> dict:
     return {
         "estimate": row.estimate,
         "se": row.se,
-        "t_stat": row.t_stat,
-        "p_value": row.p_value,
+        "t_stat": _null_nan(row.t_stat),
+        "p_value": _null_nan(row.p_value),
     }
 
 
@@ -188,7 +181,7 @@ def cmd_estimate(args) -> int:
         "fit": {
             "beta": fit.beta,
             "se": fit.se,
-            "p_value": fit.p_value,
+            "p_value": _null_nan(fit.p_value),
             "dof": fit.dof,
             "n_obs": fit.n_obs,
             "n_treated": fit.n_treated,
@@ -212,7 +205,7 @@ def cmd_estimate(args) -> int:
     }
     if not args.no_timestamp:
         doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if args.out:
         _write_text(args.out, text)
         print(
@@ -228,33 +221,28 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    from itertools import product
+    import numpy as np
 
     from .diagnostics import weight_grid, weight_report
-    from .panel import schedule_from_data
+    from .panel import coded, schedule_from_data, write_csv
     from .twfe import fit_twfe
 
     dataset, schedule = _load(args)
     fit = fit_twfe(dataset)
     report = weight_report(fit, **_given(args, "bins"))
     if args.out_hist:
-        _write_rows(
-            args.out_hist,
-            ["bin_low", "bin_high", "treated_count", "control_count"],
-            ([repr(lo), repr(hi), t, c] for lo, hi, t, c in report.histogram),
-        )
+        write_csv(args.out_hist, ["bin_low", "bin_high", "treated_count", "control_count"],
+                  [list(column) for column in zip(*report.histogram)])  # a tuple is labels
     if args.out_grid:
         if schedule is None:
             schedule = schedule_from_data(dataset)
         grid = weight_grid(fit, schedule)
-        _write_rows(
-            args.out_grid,
-            ["unit", "period", "status", "weight"],
-            ([u, p, status, "" if status == "missing" else repr(weight)]
-             for (u, p), status, weight in zip(product(grid.units, grid.periods),
-                                               grid.status.ravel().tolist(),
-                                               grid.weight.ravel().tolist())),
-        )
+        # each cell's row and column code, row by row
+        row, column = np.divmod(np.arange(grid.weight.size, dtype=np.int32), len(grid.periods))
+        write_csv(args.out_grid, ["unit", "period", "status", "weight"], [
+            (grid.units, row), (grid.periods, column),
+            coded(grid.status.ravel().tolist()), grid.weight.ravel(),  # nan where missing
+        ])
     print(
         f"treated={report.n_treated} negative_treated={report.n_treated_negative} "
         f"share={report.share_treated_negative:.2f}",
@@ -265,36 +253,22 @@ def cmd_weights(args) -> int:
 
 def cmd_scatter(args) -> int:
     from .diagnostics import residual_scatter
+    from .panel import coded, write_csv
     from .twfe import fit_twfe
 
     dataset, _ = _load(args)
     fit = fit_twfe(dataset)
     scatter = residual_scatter(fit, **_given(args, "bandwidth", "grid_points"))
     prefix = args.out_prefix
-    _write_rows(
-        f"{prefix}_points.csv",
-        ["resid_treatment", "resid_outcome", "treated"],
-        ([repr(x), repr(y), t] for x, y, t in zip(fit.residualized_treatment.tolist(),
-                                                   fit.residualized_outcome.tolist(),
-                                                   fit.treatment.tolist())),
-    )
-    _write_rows(
-        f"{prefix}_lines.csv",
-        ["group", "slope", "intercept"],
-        [
-            ["control", repr(scatter.control.slope), repr(scatter.control.intercept)],
-            ["treated", repr(scatter.treated.slope), repr(scatter.treated.intercept)],
-        ],
-    )
-    _write_rows(
-        f"{prefix}_smooth.csv",
-        ["group", "x", "y"],
-        (
-            [group, repr(x), repr(y)]
-            for group, curve in (("control", scatter.control), ("treated", scatter.treated))
-            for x, y in curve.smoothed
-        ),
-    )
+    curves = {"control": scatter.control, "treated": scatter.treated}
+    write_csv(f"{prefix}_points.csv", ["resid_treatment", "resid_outcome", "treated"],
+              [fit.residualized_treatment, fit.residualized_outcome, ((0, 1), fit.treatment)])
+    write_csv(f"{prefix}_lines.csv", ["group", "slope", "intercept"],
+              [coded(list(curves)), [c.slope for c in curves.values()],
+               [c.intercept for c in curves.values()]])
+    smooth = [(group, x, y) for group, c in curves.items() for x, y in c.smoothed]
+    write_csv(f"{prefix}_smooth.csv", ["group", "x", "y"],
+              [coded([g for g, _, _ in smooth]), [x for _, x, _ in smooth], [y for _, _, y in smooth]])
     return 0
 
 
@@ -353,7 +327,7 @@ def cmd_validate(args) -> int:
 
     dataset, _ = _load(args)
     report = validate(dataset)
-    text = json.dumps(report.to_dict(), indent=2) + "\n"
+    text = json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
     if args.out:
         _write_text(args.out, text)
     else:

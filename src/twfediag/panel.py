@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -39,9 +40,9 @@ def first_appearance(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, renumber[codes]
 
 
-def _coded(labels: list) -> tuple[tuple, np.ndarray]:
+def coded(labels: list) -> tuple[tuple, np.ndarray]:
     """The distinct labels in order of first appearance, and int32 codes
-    of `labels` into them."""
+    of `labels` into them: a label column of write_csv."""
     code = dict.fromkeys(labels)
     code = dict(zip(code, range(len(code))))
     return tuple(code), np.fromiter(map(code.__getitem__, labels), np.int32, len(labels))
@@ -106,7 +107,7 @@ class PanelDataset:
     @classmethod
     def encode(cls, labels: Iterable[str], period, outcome, treated) -> "PanelDataset":
         """A panel from one unit label per row, coded by first appearance."""
-        units, unit = _coded(list(labels))
+        units, unit = coded(list(labels))
         return cls(units, unit, period, outcome, treated)
 
     @classmethod
@@ -240,7 +241,7 @@ class ValidationReport:
 
 
 _INT64 = range(-2**63, 2**63)
-_HEADER = "unit,period,outcome,treated\r\n"  # as csv.writer writes the four names
+_BLOCK = 1 << 16  # lines write_csv formats and joins at a time, which bounds the text it holds
 
 
 class _BadCell(ValueError):
@@ -302,7 +303,7 @@ def _converted(cells: list, convert: Callable, dtype) -> np.ndarray:
 
 
 def _unit_column(cells: list) -> tuple[tuple, np.ndarray]:
-    units, unit = _coded(cells)
+    units, unit = coded(cells)
     if None in units:
         raise _BadCell("missing value", cells.index(None))
     return units, unit
@@ -404,35 +405,56 @@ def load_panel_csv(
     return PanelDataset(units, unit, period, outcome, treated)
 
 
-def write_panel_csv(dataset: PanelDataset, path: str | Path) -> None:
-    """Write a dataset in the standard long CSV format (full float precision),
-    under the header unit,period,outcome,treated, byte for byte as
-    csv.writer writes it: minimal quoting, CRLF line ends."""
-    # each distinct label quoted once by the csv module: as the first of two
-    # fields it is written exactly as in a data row, then a comma and the
-    # line end (which also decides what is quoted)
-    buffer = io.StringIO()
-    quoting = csv.writer(buffer)
-    unit_text = []
-    for label in dataset.units:
-        quoting.writerow((label, ""))
-        unit_text.append(buffer.getvalue()[:-2])  # keeps the comma
-        buffer.seek(0)
-        buffer.truncate()
-    periods = dataset.period.tolist()
-    period_text = {p: f"{p}," for p in set(periods)}
-    outcomes = list(map(float.__repr__, dataset.outcome.tolist()))
-    for row in np.flatnonzero(np.isnan(dataset.outcome)).tolist():
-        outcomes[row] = ""  # missing
-    # every line's four pieces, interleaved in one list and joined once
-    pieces = [""] * (4 * len(periods))
-    pieces[0::4] = [unit_text[u] for u in dataset.unit.tolist()]
-    pieces[1::4] = [period_text[p] for p in periods]
-    pieces[2::4] = outcomes
-    pieces[3::4] = [(",0\r\n", ",1\r\n")[d] for d in dataset.treated.tolist()]
+def _quoted(labels: Iterable) -> list[str]:
+    """Each label as csv.writer writes it as one field of a row of two or
+    more: quoted only when it must be."""
+    rows = []  # writerow makes one write call per row
+    csv.writer(SimpleNamespace(write=rows.append)).writerows((label, "") for label in labels)
+    return [row[:-3] for row in rows]  # less the empty field's comma and the line end
+
+
+def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write a UTF-8 CSV file byte for byte as csv.writer writes the header
+    and then one row per entry of the columns (two or more, of equal
+    length): minimal quoting, CRLF line ends. Every CSV file the program
+    writes goes through here.
+
+    A column is either numbers (an array or a list), each written as its
+    repr and a nan as an empty (missing) cell, or a label column (values,
+    codes), whose cell in row i is values[codes[i]], quoted as the csv
+    module quotes it (see coded).
+    """
+    ends = [","] * (len(columns) - 1) + ["\r\n"]
+    # a label column's text carries its separator; numbers are followed by theirs
+    labels = [[q + end for q in _quoted(c[0])] if isinstance(c, tuple) else None
+              for c, end in zip(columns, ends)]
+    columns = [c[1] if isinstance(c, tuple) else c for c in columns]  # codes or numbers
     with Path(path).open("w", newline="", encoding="utf-8") as f:
-        f.write(_HEADER)
-        f.write("".join(pieces))
+        f.write(",".join(_quoted(header)) + "\r\n")
+        for start in range(0, len(columns[0]), _BLOCK):
+            slots = []
+            for column, text, end in zip(columns, labels, ends):
+                block = np.asarray(column[start:start + _BLOCK])
+                if text is not None:
+                    slots.append([text[c] for c in block.tolist()])
+                    continue
+                cells = list(map(repr, block.tolist()))
+                for row in np.flatnonzero(np.isnan(block)).tolist():
+                    cells[row] = ""
+                slots += [cells, [end] * len(cells)]
+            pieces = [""] * (len(slots) * len(slots[0]))  # the block's pieces, joined once
+            for k, slot in enumerate(slots):
+                pieces[k::len(slots)] = slot
+            f.write("".join(pieces))
+
+
+def write_panel_csv(dataset: PanelDataset, path: str | Path) -> None:
+    """Write a dataset in the standard long CSV format (full float precision)
+    under the header unit,period,outcome,treated."""
+    write_csv(path, ("unit", "period", "outcome", "treated"), (
+        (dataset.units, dataset.unit), (dataset.periods, dataset._period_code),
+        dataset.outcome, ((0, 1), dataset.treated),
+    ))
 
 
 def load_schedule_csv(path: str | Path) -> AdoptionSchedule:

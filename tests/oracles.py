@@ -2,13 +2,14 @@
 
 These deliberately avoid the library's solver paths: OLS via explicitly
 formed normal equations, sandwich covariance via naive loops, and the t
-p-value via numerical quadrature of the density. The panel CSV reader and
-writer and the synthetic generator are kept here in their row-by-row and
-unit-by-unit forms, as references for the column passes.
+p-value via numerical quadrature of the density. The panel CSV reader,
+the CSV row writer and the synthetic generator are kept here in their
+row-by-row and unit-by-unit forms, as references for the column passes.
 """
 
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.integrate
@@ -50,6 +51,45 @@ def dummy_ols_beta(dataset) -> float:
     """Treatment coefficient from the dummy expansion via normal equations."""
     X, y = dummy_design(dataset)
     return float((normal_equations_inverse(X) @ (X.T @ y))[-1])
+
+
+def exact_dummy_ols_beta(dataset) -> Fraction:
+    """The treatment coefficient of dummy_design's expansion in exact
+    rational arithmetic: the normal equations X'X b = X'y, each float
+    outcome an exact Fraction, reduced by Gauss-Jordan elimination on
+    sparse rows. The rank is found exactly: a column with no pivot is free
+    and set to zero (one per component after the first in a disconnected
+    panel), which leaves an identified treatment coefficient unchanged.
+    ValueError when the treatment coefficient is not identified."""
+    X, y = dummy_design(dataset)
+    k = X.shape[1]
+    rows = []  # row j of [X'X | X'y] as {column: value}, the right side at column k
+    for j in range(k):
+        on = np.flatnonzero(X[:, j])
+        row = {c: Fraction(int(n)) for c, n in enumerate(X[on].sum(axis=0).tolist()) if n}
+        row[k] = sum(map(Fraction, y[on].tolist()), Fraction(0))
+        rows.append(row)
+    pivot, free = {}, set()  # column -> the row it is pivot of
+    for col in [*range(1, k - 1), 0, k - 1]:  # the dummies first keep the rows sparse
+        used = set(pivot.values())
+        candidates = [r for r in range(k) if r not in used and rows[r].get(col)]
+        if not candidates:
+            free.add(col)
+            continue
+        r = min(candidates, key=lambda r: len(rows[r]))
+        scale = rows[r][col]
+        rows[r] = {c: v / scale for c, v in rows[r].items()}
+        pivot[col] = r
+        for other in rows:
+            factor = other.get(col)
+            if factor and other is not rows[r]:
+                for c, v in rows[r].items():
+                    other[c] = other.get(c, 0) - factor * v
+                    if not other[c]:
+                        del other[c]
+    if k - 1 in free or free & rows[pivot[k - 1]].keys():
+        raise ValueError("the treatment coefficient is not identified")
+    return rows[pivot[k - 1]].get(k, Fraction(0))
 
 
 def cluster_sandwich(dataset, inference: str = "cluster_by_unit"):
@@ -385,15 +425,22 @@ def load_panel_csv_reference(path, unit_col, period_col, outcome_col, treatment_
     )
 
 
+def write_rows_reference(path, header, rows):
+    """The row writer: the header and then each row, one Python list per
+    row, through csv.writer (minimal quoting, CRLF line ends)."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_panel_csv_reference(dataset, path):
     """The panel writer as csv.writer rows: label, period, repr of the
     outcome (empty when missing), treatment."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["unit", "period", "outcome", "treated"])
+    write_rows_reference(path, ["unit", "period", "outcome", "treated"], (
+        [dataset.units[u], p, "" if math.isnan(y) else repr(y), d]
         for u, p, y, d in zip(dataset.unit.tolist(), dataset.period.tolist(),
-                              dataset.outcome.tolist(), dataset.treated.tolist()):
-            writer.writerow([dataset.units[u], p, "" if math.isnan(y) else repr(y), d])
+                              dataset.outcome.tolist(), dataset.treated.tolist())))
 
 
 def generate_panel_reference(spec):

@@ -4,8 +4,9 @@ the package parses as the lowest supported Python, the README's import
 block imports, every name the README lists as removed is gone, the
 installed script and `python -m twfediag.cli` start through one
 function, every CLI option and choice is passed by some other test file,
-every function the benchmark reads a span of exists, and every
-sweep fit runs under the benchmark's fit span. Text and syntax-tree
+every function the benchmark reads a span of exists, every
+sweep fit runs under the benchmark's fit span, and one function holds
+the CSV writer. Text and syntax-tree
 matches, and one in-process sweep run, so no YAML parser is needed and
 nothing under perfbench/ is run."""
 
@@ -256,3 +257,29 @@ def test_sweep_points_run_under_the_benchmark_span(monkeypatch):
         assert sweep.skipped or kind != "end_year"  # the first end year has one period
         assert len(calls) == 1 + len(sweep.points) + len(sweep.skipped), kind
         assert all(args[0] is dataset for args in calls), kind
+
+
+def test_one_function_quotes_csv_cells():
+    """Every CSV file is written by panel.write_csv, so the dialect is
+    decided in one place: under src/, csv.writer is called only in
+    panel._quoted, no module imports a name from csv, and cli.py imports
+    neither csv nor itertools."""
+    calls, from_csv = [], []
+    for path in sorted((ROOT / "src" / "twfediag").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        from_csv += [path.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module == "csv"]
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls += [(path.name, function.name) for node in ast.walk(function)
+                          if isinstance(node, ast.Call) and ast.unparse(node.func) == "csv.writer"]
+        if path.name != "panel.py":
+            assert "csv.writer" not in path.read_text(encoding="utf-8"), path.name
+    assert calls == [("panel.py", "_quoted")]
+    assert from_csv == []
+    cli = ast.parse((ROOT / "src" / "twfediag" / "cli.py").read_text(encoding="utf-8"))
+    imported = {alias.name.split(".")[0] for node in ast.walk(cli) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(cli)
+                 if isinstance(node, ast.ImportFrom) and node.module and node.level == 0}
+    assert not imported & {"csv", "itertools"}, imported

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from twfediag import (
+    AdoptionSchedule,
     PanelDataset,
     fit_twfe,
     homogeneity_test,
@@ -112,6 +113,26 @@ class TestEstimate:
         main(["estimate", *data_args(data), "--out", str(out1), "--no-timestamp"])
         main(["estimate", *data_args(data), "--out", str(out2), "--no-timestamp"])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("cluster", ["unit", "none"])
+    def test_exact_fit_report_is_strict_json(self, tmp_path, capsys, cluster):
+        """A noiseless 3x3 panel fits exactly: se 0, so the p-value and the
+        homogeneity t statistics are nan, written as null (JSON has no nan)."""
+        spec, data, out = tmp_path / "spec.json", tmp_path / "panel.csv", tmp_path / "report.json"
+        spec_to_json(base_spec(periods=(1, 2, 3), shocks={1: 0.0, 2: 1.0, 3: -2.0},
+                               schedule=AdoptionSchedule({"A": 2, "B": 3, "C": None})), spec)
+        assert main(["simulate", "--spec", str(spec), "--out", str(data)]) == 0
+        assert main(["estimate", *data_args(data), "--cluster", cluster, "--out", str(out)]) == 0
+        assert "p=nan" in capsys.readouterr().out
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        doc = json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse)
+        assert doc["fit"]["se"] == 0.0 and doc["fit"]["p_value"] is None
+        for name in ("resid_treatment", "treat_group", "interaction"):
+            row = doc["homogeneity"][name]
+            assert row["t_stat"] is None and row["p_value"] is None, name
 
     def test_missing_required_flag_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,9 @@ against their row-by-row references in oracles.py.
   mark and quoted fields holding commas and line breaks. It must give the
   reference loader's columns bit for bit, or raise the same error.
 - write_panel_csv must write the bytes a csv.writer row loop writes, on
-  labels that need quoting, and read back to the same columns.
+  labels that need quoting, and read back to the same columns. So must
+  write_csv on random label and number columns, and every CSV file the
+  CLI writes from a panel whose unit labels need quoting.
 - generate_panel must give the unit-by-unit generator's columns bit for
   bit, for every effect kind, with and without noise.
 """
@@ -26,13 +28,29 @@ from twfediag import (
     EffectModel,
     PanelDataset,
     SyntheticSpec,
+    fit_twfe,
     generate_panel,
+    leave_one_unit_out,
     load_panel_csv,
+    residual_scatter,
+    schedule_from_data,
+    sweep_end_year,
+    sweep_post_horizon,
+    weight_grid,
+    weight_report,
     write_panel_csv,
 )
+from twfediag.cli import SWEEP_HEADER, main
 from twfediag.errors import TwfeDiagError
+from twfediag import panel
+from twfediag.panel import write_csv
 
-from oracles import generate_panel_reference, load_panel_csv_reference, write_panel_csv_reference
+from oracles import (
+    generate_panel_reference,
+    load_panel_csv_reference,
+    write_panel_csv_reference,
+    write_rows_reference,
+)
 
 # cells a valid file holds, and cells that stress the parsers: padding,
 # underscores, signs and non-ASCII digits that int() and float() accept,
@@ -175,6 +193,168 @@ def test_write_matches_csv_writer_and_round_trips(dataset):
             assert f.read() == g.read()
         back = load_panel_csv(got, "unit", "period", "outcome", "treated")
     assert_same_columns(back, dataset)
+
+
+# every kind of label the csv module must quote, or must leave as it is
+HOSTILE_LABELS = ["a,b", 'q"uote', "line\nbreak", "cr\rx", "crlf\r\nx", ",\r\n", "", " sp ",
+                  "é€ü", "plain"]
+number_kinds = st.sampled_from([st.floats(), st.integers(-2**63, 2**63 - 1)])
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, write_csv columns, the same table as csv.writer rows)."""
+    n_rows = draw(st.integers(0, 6))
+    header = draw(st.lists(st.sampled_from(HOSTILE_LABELS), min_size=2, max_size=5))
+    columns, cells = [], []
+    for _ in header:
+        if draw(st.booleans()):
+            values = draw(st.lists(st.sampled_from(HOSTILE_LABELS), min_size=1, unique=True))
+            codes = draw(st.lists(st.integers(0, len(values) - 1), min_size=n_rows, max_size=n_rows))
+            columns.append((values, np.array(codes)))
+            cells.append([values[c] for c in codes])
+        else:
+            column = draw(st.lists(draw(number_kinds), min_size=n_rows, max_size=n_rows))
+            columns.append(np.array(column) if draw(st.booleans()) else column)
+            cells.append(["" if x != x else repr(x) for x in column])  # a nan is missing
+    return header, columns, [list(row) for row in zip(*cells)]
+
+
+def same_bytes(write, write_reference):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+        write(got)
+        write_reference(want)
+        with open(got, "rb") as f, open(want, "rb") as g:
+            assert f.read() == g.read()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(table=csv_tables())
+def test_write_csv_matches_row_writer(table):
+    header, columns, rows = table
+    same_bytes(lambda path: write_csv(path, header, columns),
+               lambda path: write_rows_reference(path, header, rows))
+
+
+def test_write_csv_matches_row_writer_across_blocks():
+    """More lines than one written block, so block edges fall inside each
+    kind of column."""
+    rng = np.random.default_rng(21)
+    n_rows = 2 * panel._BLOCK + 3
+    labels = rng.integers(0, len(HOSTILE_LABELS), n_rows)
+    numbers = rng.normal(size=n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+    numbers[rng.random(n_rows) < 0.1] = np.nan
+    counts = rng.integers(-2**63, 2**63 - 1, n_rows)
+    rows = ([HOSTILE_LABELS[u], "" if y != y else repr(y), c, d]
+            for u, y, c, d in zip(labels.tolist(), numbers.tolist(), counts.tolist(),
+                                  (labels % 2).tolist()))
+    same_bytes(lambda path: write_csv(path, ["unit", "y", "count", "odd"],
+                                      [(HOSTILE_LABELS, labels), numbers, counts, ((0, 1), labels % 2)]),
+               lambda path: write_rows_reference(path, ["unit", "y", "count", "odd"], rows))
+
+
+def hostile_panel(directory, noise_sd: float, effect: EffectModel):
+    """(CLI data options, dataset): a staggered panel whose unit labels are
+    HOSTILE_LABELS, about one outcome in seven missing, as write_panel_csv
+    writes it (checked against the row writer)."""
+    units, periods = tuple(HOSTILE_LABELS), tuple(range(2000, 2008))
+    spec = SyntheticSpec(
+        units=units, periods=periods,
+        baselines={u: float(i) for i, u in enumerate(units)},
+        shocks={p: 0.25 * i for i, p in enumerate(periods)},
+        schedule=AdoptionSchedule({u: None if i % 4 == 3 else 2002 + i % 4
+                                   for i, u in enumerate(units)}),
+        effect=effect, noise_sd=noise_sd, seed=5,
+    )
+    panel = generate_panel(spec)
+    outcome = panel.outcome.copy()
+    outcome[::7] = np.nan
+    dataset = PanelDataset(panel.units, panel.unit, panel.period, outcome, panel.treated)
+    path = directory / "panel.csv"
+    write_panel_csv(dataset, path)
+    same_bytes(lambda got: write_panel_csv(dataset, got),
+               lambda want: write_panel_csv_reference(dataset, want))
+    data = ["--data", str(path), "--unit", "unit", "--time", "period", "--outcome", "outcome",
+            "--treatment", "treated"]
+    return data, dataset
+
+
+def _sweep_rows(sweep):
+    return ([p.label, repr(p.beta), repr(p.ci_low), repr(p.ci_high),
+             repr(p.share_negative_treated), p.n_obs, p.n_treated] for p in sweep.points)
+
+
+def assert_written_as_rows(expected: dict, tmp_path):
+    """Each file holds what the row writer writes for its (header, rows)."""
+    for got, (header, rows) in expected.items():
+        want = str(tmp_path / "want.csv")
+        write_rows_reference(want, header, rows)
+        with open(got, "rb") as f, open(want, "rb") as g:
+            assert f.read() == g.read(), got
+
+
+def test_cli_csv_files_match_row_writer(tmp_path):
+    """Every CSV file the CLI writes from a panel, as the row writer writes
+    the same results: the histogram, the weight grid (every unit label in
+    it), the scatter's points, lines and smooth files, and the sweeps (the
+    jackknife's labels are the unit labels)."""
+    data, dataset = hostile_panel(tmp_path, 1.0, EffectModel.event_time(0.3, 1.0))
+    out = {name: str(tmp_path / f"{name}.csv")
+           for name in ("hist", "grid", "jackknife", "endyear", "horizon")}
+    assert main(["weights", *data, "--out-hist", out["hist"], "--out-grid", out["grid"]]) == 0
+    assert main(["scatter", *data, "--out-prefix", str(tmp_path / "scatter")]) == 0
+    assert main(["jackknife", *data, "--out", out["jackknife"]]) == 0
+    assert main(["sweep-endyear", *data, "--out", out["endyear"]]) == 0
+    assert main(["sweep-horizon", *data, "--horizons", "0,1,3", "--out", out["horizon"]]) == 0
+
+    fit = fit_twfe(dataset)
+    grid = weight_grid(fit, schedule_from_data(dataset))
+    assert set(grid.units) == set(HOSTILE_LABELS) and (grid.status == "missing").any()
+    scatter = residual_scatter(fit)
+    curves = (("control", scatter.control), ("treated", scatter.treated))
+    expected = {
+        out["hist"]: (["bin_low", "bin_high", "treated_count", "control_count"],
+                      ([repr(lo), repr(hi), t, c] for lo, hi, t, c in weight_report(fit).histogram)),
+        out["grid"]: (["unit", "period", "status", "weight"],
+                      ([u, p, status, "" if status == "missing" else repr(weight)]
+                       for (u, p), status, weight in zip(
+                           ((u, p) for u in grid.units for p in grid.periods),
+                           grid.status.ravel().tolist(), grid.weight.ravel().tolist()))),
+        str(tmp_path / "scatter_points.csv"): (
+            ["resid_treatment", "resid_outcome", "treated"],
+            ([repr(x), repr(y), t] for x, y, t in zip(fit.residualized_treatment.tolist(),
+                                                       fit.residualized_outcome.tolist(),
+                                                       fit.treatment.tolist()))),
+        str(tmp_path / "scatter_lines.csv"): (
+            ["group", "slope", "intercept"],
+            ([group, repr(c.slope), repr(c.intercept)] for group, c in curves)),
+        str(tmp_path / "scatter_smooth.csv"): (
+            ["group", "x", "y"],
+            ([group, repr(x), repr(y)] for group, c in curves for x, y in c.smoothed)),
+        out["jackknife"]: (SWEEP_HEADER, _sweep_rows(leave_one_unit_out(dataset))),
+        out["endyear"]: (SWEEP_HEADER, _sweep_rows(
+            sweep_end_year(dataset, dataset.periods[0], dataset.periods[-1]))),
+        out["horizon"]: (SWEEP_HEADER, _sweep_rows(
+            sweep_post_horizon(dataset, schedule_from_data(dataset), [0, 1, 3]))),
+    }
+    assert_written_as_rows(expected, tmp_path)
+
+
+def test_cli_sweeps_write_nan_intervals_as_the_row_writer(tmp_path):
+    """A noiseless constant effect fits every sweep point exactly: se 0, so
+    each interval is nan, written as repr writes it."""
+    data, dataset = hostile_panel(tmp_path, 0.0, EffectModel.constant(2.0))
+    out = {name: str(tmp_path / f"{name}.csv") for name in ("jackknife", "endyear")}
+    assert main(["jackknife", *data, "--cluster", "none", "--out", out["jackknife"]]) == 0
+    assert main(["sweep-endyear", *data, "--cluster", "none", "--out", out["endyear"]]) == 0
+    jackknife = leave_one_unit_out(dataset, "classical")
+    assert all(np.isnan([p.ci_low for p in jackknife.points]))
+    assert_written_as_rows({
+        out["jackknife"]: (SWEEP_HEADER, _sweep_rows(jackknife)),
+        out["endyear"]: (SWEEP_HEADER, _sweep_rows(
+            sweep_end_year(dataset, dataset.periods[0], dataset.periods[-1], "classical"))),
+    }, tmp_path)
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)

@@ -4,22 +4,30 @@ Panels are drawn at random sizes, with missing cells, arbitrary or
 staggered treatment, and as one block or two disconnected blocks (no
 shared unit or period). Every fit is checked against the normal-equations
 oracles in oracles.py, which share no code with the library's fit.
+
+Fixed panel families on which the float oracle is itself off by up to
+~1e-7 (chains, blocks joined by one cell, disconnected blocks, levels near
+1e6) are checked against the exact rational oracle at EXACT_REL.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twfediag import fit_twfe
+from twfediag import PanelDataset, fit_twfe
 from twfediag.errors import CollinearTreatment, DegenerateTreatment
 
 from conftest import make_panel
-from oracles import cluster_sandwich, dummy_design, dummy_ols_beta
+from oracles import cluster_sandwich, dummy_design, dummy_ols_beta, exact_dummy_ols_beta
 
 REL = 1e-8
+# fixed before any fast-path change: on these families the fast path
+# measured <= 4.2e-15 and the float oracle up to 8.6e-8
+EXACT_REL = 1e-12
 # Round-off floors, relative to _scale and to its square. They matter only
 # where beta or the variance is itself round-off: the oracle's sandwich
 # element cancels terms of the whole covariance, so its variance is good
@@ -116,3 +124,81 @@ def test_fit_matches_dummy_oracles(inference, dataset):
         for o in sample
     ])
     np.testing.assert_allclose(rebuilt, fitted, rtol=0, atol=1e-8 * (1 + np.abs(y).max()))
+
+
+def _cells(rows) -> PanelDataset:
+    unit, period, outcome, treated = zip(*rows)
+    return PanelDataset.encode(unit, period, outcome, treated)
+
+
+def chain(n_units: int, span: int) -> PanelDataset:
+    """Unit i seen in periods i to i + span - 1, at a level of 1e3 * i plus
+    N(0, 1) noise; every third unit adopts one period after it enters,
+    every third two periods after, and the rest never."""
+    rng = np.random.default_rng(n_units * 10 + span)
+    return _cells(
+        (f"u{i}", t, float(rng.normal()) + 1e3 * i,
+         int(i % 3 != 2 and t >= i + 1 + i % 3))
+        for i in range(n_units) for t in range(i, i + span))
+
+
+def blocks(joined: bool) -> PanelDataset:
+    """Two 6-unit blocks over periods 0-5 and 6-11, sharing no unit or
+    period, joined by unit a0's cell in period 6 or not at all."""
+    rng = np.random.default_rng(11 + joined)
+    rows = [(f"{b}{i}", t, float(rng.normal()) + 50.0 * i, int(i % 3 != 2 and t >= first + 2 + i))
+            for b, first in (("a", 0), ("b", 6)) for i in range(6) for t in range(first, first + 6)]
+    if joined:
+        rows.append(("a0", 6, float(rng.normal()), 1))
+    return _cells(rows)
+
+
+def levels_near_1e6() -> PanelDataset:
+    """A 12-unit, 8-period staggered panel at levels of 1e6 + unit with
+    N(0, 1) noise and about one cell in ten missing."""
+    rng = np.random.default_rng(6)
+    return _cells(
+        (f"u{i}", t, math.nan if rng.random() < 0.1 else 1e6 + i + float(rng.normal()),
+         int(i % 4 != 3 and t >= 2 + i % 4))
+        for i in range(12) for t in range(8))
+
+
+EXACT_FAMILIES = {
+    "chain20": lambda: chain(20, 3),
+    "chain30": lambda: chain(30, 3),
+    "chain40x4": lambda: chain(40, 4),
+    "chain60": lambda: chain(60, 3),
+    "blocks_joined": lambda: blocks(joined=True),
+    "blocks_disconnected": lambda: blocks(joined=False),
+    "levels_1e6": levels_near_1e6,
+}
+
+
+@pytest.mark.parametrize("family", sorted(EXACT_FAMILIES))
+def test_fit_matches_exact_oracle(family):
+    dataset = EXACT_FAMILIES[family]()
+    exact = exact_dummy_ols_beta(dataset)
+    assert exact != 0
+    for inference in ("cluster_by_unit", "classical"):
+        beta = fit_twfe(dataset, inference).beta
+        assert abs(Fraction(beta) - exact) <= EXACT_REL * abs(exact), inference
+
+
+def test_exact_oracle_recovers_an_integer_effect_exactly():
+    """Noiseless integer outcomes with a constant effect of 3, over two
+    disconnected blocks: the exact coefficient is 3, with no round-off."""
+    dataset = blocks(joined=False)
+    outcome = [100 * u + 7 * (p % 5) + 3 * d for u, p, d in zip(
+        dataset.unit.tolist(), dataset.period.tolist(), dataset.treated.tolist())]
+    dataset = PanelDataset(dataset.units, dataset.unit, dataset.period, outcome, dataset.treated)
+    assert exact_dummy_ols_beta(dataset) == 3
+    assert fit_twfe(dataset).beta == pytest.approx(3, rel=EXACT_REL)
+
+
+def test_exact_oracle_refuses_a_treatment_the_fixed_effects_absorb():
+    """Treatment fixed within each unit is a sum of unit dummies."""
+    dataset = _cells((f"u{i}", t, float(i * t), int(i < 2)) for i in range(4) for t in range(3))
+    with pytest.raises(ValueError, match="not identified"):
+        exact_dummy_ols_beta(dataset)
+    with pytest.raises(CollinearTreatment):
+        fit_twfe(dataset)
