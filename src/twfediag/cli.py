@@ -223,8 +223,8 @@ def cmd_estimate(args) -> int:
 def cmd_weights(args) -> int:
     import numpy as np
 
-    from .diagnostics import weight_grid, weight_report
-    from .panel import coded, schedule_from_data, write_csv
+    from .diagnostics import STATUS, weight_grid, weight_report
+    from .panel import schedule_from_data, write_csv
     from .twfe import fit_twfe
 
     dataset, schedule = _load(args)
@@ -241,7 +241,7 @@ def cmd_weights(args) -> int:
         row, column = np.divmod(np.arange(grid.weight.size, dtype=np.int32), len(grid.periods))
         write_csv(args.out_grid, ["unit", "period", "status", "weight"], [
             (grid.units, row), (grid.periods, column),
-            coded(grid.status.ravel().tolist()), grid.weight.ravel(),  # nan where missing
+            (STATUS, grid.status.ravel()), grid.weight.ravel(),  # nan where missing
         ])
     print(
         f"treated={report.n_treated} negative_treated={report.n_treated_negative} "

@@ -18,6 +18,7 @@ from .twfe import NEGATIVE_WEIGHT_TOL, TwfeFit, negative_treated
 DEFAULT_BINS = 40
 DEFAULT_BANDWIDTH = 0.8
 DEFAULT_GRID_POINTS = 50
+STATUS = ("missing", "untreated", "treated_negative", "treated_positive")  # WeightGrid.status codes
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class WeightReport:
 class WeightGrid:
     units: tuple[str, ...]   # rows, ordered by adoption period, never-treated last
     periods: tuple[int, ...]  # columns
-    status: np.ndarray  # rows x columns: missing, untreated, treated_negative, treated_positive
+    status: np.ndarray  # rows x columns, int8 codes into STATUS
     weight: np.ndarray  # rows x columns, nan where missing
 
 
@@ -104,13 +105,8 @@ def weight_grid(fit: TwfeFit, schedule: AdoptionSchedule) -> WeightGrid:
     p = np.searchsorted(fit.periods, fit.period)
     weight = np.full((len(units), len(fit.periods)), nan)
     weight[r, p] = fit.weights
-    treated = np.full(weight.shape, -1, dtype=np.int8)  # -1: no observed outcome
-    treated[r, p] = fit.treatment
-    status = np.select(
-        [treated == -1, treated == 0, weight < NEGATIVE_WEIGHT_TOL],
-        ["missing", "untreated", "treated_negative"],
-        "treated_positive",
-    )
+    status = np.zeros(weight.shape, dtype=np.int8)  # 0: no observed outcome
+    status[r, p] = np.where(fit.treatment == 0, 1, np.where(fit.weights < NEGATIVE_WEIGHT_TOL, 2, 3))
     return WeightGrid(units=units, periods=fit.periods, status=status, weight=weight)
 
 

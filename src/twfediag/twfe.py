@@ -52,68 +52,60 @@ def negative_treated(fit: TwfeFit) -> tuple[int, int, float]:
     return n_treated, n_negative, n_negative / n_treated if n_treated else 0.0
 
 
-def _component_roots(cells: np.ndarray) -> list[int]:
-    """The first column of each connected component of the bipartite graph
-    whose edges are the positive entries of cells (rows x columns, every
-    row and column with a positive entry)."""
-    unseen = np.ones(cells.shape[1], dtype=bool)
+def _component_roots(linked: np.ndarray) -> list[int]:
+    """The lowest node of each connected component of the graph whose
+    edges are the true entries of linked (square, symmetric). Each
+    component is grown from its lowest unseen node one frontier at a time,
+    reading only the frontier's rows, so the work is len(linked)**2
+    whatever the graph's diameter."""
+    unseen = np.ones(len(linked), dtype=bool)
     roots = []
     while unseen.any():
-        roots.append(int(np.argmax(unseen)))
-        cols = np.zeros(len(unseen), dtype=bool)
-        cols[roots[-1]] = True
-        while True:  # add the columns that share a row with one reached
-            grown = cells.T @ (cells @ cols) > 0
-            if np.array_equal(grown, cols):
-                break
-            cols = grown
-        unseen &= ~cols
+        frontier = [int(np.argmax(unseen))]
+        roots.append(frontier[0])
+        while len(frontier):
+            unseen[frontier] = False
+            frontier = np.flatnonzero(linked[frontier].any(axis=0) & unseen)
     return roots
 
 
-class _WithinCore:
-    """Least squares on the unit and period dummies of one estimation sample.
+def _within(u: np.ndarray, p: np.ndarray, n_units: int, n_periods: int, v: np.ndarray):
+    """(residuals, unit effects, period effects, rank): least squares of
+    each column of v (N x k) on the unit and period dummies, whose codes
+    are u and p, and the rank of those dummies.
 
     The normal equations of both dummy sets are reduced to the smaller set
-    by eliminating the larger one (a Schur complement of the dummy
-    cross-product). The dummy block has rank U + T - C, with C the
-    connected components of the unit-period graph: the Schur complement is
-    singular with one null direction per component. Pinning the first
-    level of each component at 0 leaves a nonsingular system, which one
-    exact solve handles.
+    (b) by eliminating the larger one (a): a Schur complement of the dummy
+    cross-product. Cell counts are non-negative, so the complement's entry
+    (i, j) off the diagonal is minus a sum of non-negative terms, nonzero
+    exactly when some level of a is seen with both i and j: its pattern is
+    the unit-period graph seen from b, and gives the C connected components.
+    The dummies have rank U + T - C and the complement one null direction
+    per component; pinning the lowest level of each component at 0 leaves
+    a nonsingular system, which one exact solve handles.
     """
-
-    def __init__(self, u: np.ndarray, p: np.ndarray, n_units: int, n_periods: int):
-        cells = np.bincount(u * n_periods + p, minlength=n_units * n_periods)
-        cells = cells.reshape(n_units, n_periods).astype(float)
-        self.u, self.p = u, p
-        # eliminate the larger dummy set (a), solve on the smaller (b)
-        self._units_eliminated = n_units >= n_periods
-        if not self._units_eliminated:
-            cells = cells.T
-        roots = _component_roots(cells)
-        self.rank = n_units + n_periods - len(roots)
-        self._free = np.ones(cells.shape[1], dtype=bool)
-        self._free[roots] = False
-        self._cells = cells
-        self._count_a = cells.sum(axis=1)
-        schur = np.diag(cells.sum(axis=0)) - cells.T @ (cells / self._count_a[:, None])
-        self._schur = schur[np.ix_(self._free, self._free)]
-
-    def fit(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(residuals, unit effects, period effects) of each column of v (N x k)."""
-        a, b = (self.u, self.p) if self._units_eliminated else (self.p, self.u)
-        n_a, n_b = self._cells.shape
-        sum_a = np.column_stack([np.bincount(a, c, n_a) for c in v.T])
-        sum_b = np.column_stack([np.bincount(b, c, n_b) for c in v.T])
-        mean_a = sum_a / self._count_a[:, None]
-        rhs = sum_b - self._cells.T @ mean_a
-        eff_b = np.zeros_like(rhs)
-        eff_b[self._free] = np.linalg.solve(self._schur, rhs[self._free])
-        eff_a = mean_a - (self._cells @ eff_b) / self._count_a[:, None]
-        eff_u, eff_p = (eff_a, eff_b) if self._units_eliminated else (eff_b, eff_a)
-        # take, not eff_u[self.u]: a row gather that fancy indexing does several times slower
-        return v - eff_u.take(self.u, axis=0) - eff_p.take(self.p, axis=0), eff_u, eff_p
+    units_eliminated = n_units >= n_periods
+    a, b = (u, p) if units_eliminated else (p, u)
+    cells = np.bincount(u * n_periods + p, minlength=n_units * n_periods)
+    cells = cells.reshape(n_units, n_periods).astype(float)
+    cells = cells if units_eliminated else cells.T  # a x b
+    n_a, n_b = cells.shape
+    count_a = cells.sum(axis=1)
+    schur = np.diag(cells.sum(axis=0)) - cells.T @ (cells / count_a[:, None])
+    roots = _component_roots(schur != 0)
+    free = np.ones(n_b, dtype=bool)
+    free[roots] = False
+    sum_a = np.column_stack([np.bincount(a, c, n_a) for c in v.T])
+    sum_b = np.column_stack([np.bincount(b, c, n_b) for c in v.T])
+    mean_a = sum_a / count_a[:, None]
+    rhs = sum_b - cells.T @ mean_a
+    eff_b = np.zeros_like(rhs)
+    eff_b[free] = np.linalg.solve(schur[np.ix_(free, free)], rhs[free])
+    eff_a = mean_a - (cells @ eff_b) / count_a[:, None]
+    eff_u, eff_p = (eff_a, eff_b) if units_eliminated else (eff_b, eff_a)
+    # take, not eff_u[u]: a row gather that fancy indexing does several times slower
+    residuals = v - eff_u.take(u, axis=0) - eff_p.take(p, axis=0)
+    return residuals, eff_u, eff_p, n_units + n_periods - len(roots)
 
 
 def fit_twfe(
@@ -158,10 +150,10 @@ def fit_twfe(
     if d.sum() in (0, len(d)):
         raise DegenerateTreatment("estimation sample is all-treated or all-untreated")
 
-    core = _WithinCore(u, p, len(units), len(periods))
     exponent = scale_exponent(y)  # fitted on y * 2**-exponent, scaled back below
     y_scaled = np.ldexp(y, -exponent)
-    resid, eff_u, eff_p = core.fit(np.column_stack([d, y_scaled]))
+    resid, eff_u, eff_p, rank = _within(u, p, len(units), len(periods),
+                                        np.column_stack([d, y_scaled]))
     d_resid, y_resid = resid[:, 0], resid[:, 1]
     ssd = inner(d_resid, d_resid)
     if ssd < COLLINEARITY_TOL * len(d):
@@ -169,7 +161,7 @@ def fit_twfe(
     beta = inner(d_resid, y_resid) / ssd
     e = y_resid - beta * d_resid
     se, dof = standard_errors(d_resid[:, None], e, np.array([[1 / ssd]]),
-                              core.rank + 1, inner(y_scaled, y_scaled), inference, u)
+                              rank + 1, inner(y_scaled, y_scaled), inference, u)
 
     # effects of y - beta*d, with the first period's effect set to 0 (on a
     # disconnected panel the other components' levels stay arbitrary)

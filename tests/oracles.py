@@ -53,24 +53,22 @@ def dummy_ols_beta(dataset) -> float:
     return float((normal_equations_inverse(X) @ (X.T @ y))[-1])
 
 
-def exact_dummy_ols_beta(dataset) -> Fraction:
-    """The treatment coefficient of dummy_design's expansion in exact
-    rational arithmetic: the normal equations X'X b = X'y, each float
-    outcome an exact Fraction, reduced by Gauss-Jordan elimination on
-    sparse rows. The rank is found exactly: a column with no pivot is free
-    and set to zero (one per component after the first in a disconnected
-    panel), which leaves an identified treatment coefficient unchanged.
-    ValueError when the treatment coefficient is not identified."""
-    X, y = dummy_design(dataset)
+def _exact_normal_equations(X: np.ndarray, y: np.ndarray, order: list) -> tuple:
+    """Gauss-Jordan elimination of the normal equations X'X b = X'y in exact
+    rational arithmetic, each float an exact Fraction, on sparse rows,
+    pivoting on the columns in the given order. Returns (rows, pivot,
+    free): row j of the reduced [X'X | X'y] as {column: value}, the right
+    side at column X.shape[1]; the row each pivot column is pivot of; and
+    the columns with no pivot, whose coefficients are free."""
     k = X.shape[1]
-    rows = []  # row j of [X'X | X'y] as {column: value}, the right side at column k
+    rows = []
     for j in range(k):
         on = np.flatnonzero(X[:, j])
         row = {c: Fraction(int(n)) for c, n in enumerate(X[on].sum(axis=0).tolist()) if n}
         row[k] = sum(map(Fraction, y[on].tolist()), Fraction(0))
         rows.append(row)
-    pivot, free = {}, set()  # column -> the row it is pivot of
-    for col in [*range(1, k - 1), 0, k - 1]:  # the dummies first keep the rows sparse
+    pivot, free = {}, set()
+    for col in order:
         used = set(pivot.values())
         candidates = [r for r in range(k) if r not in used and rows[r].get(col)]
         if not candidates:
@@ -87,9 +85,65 @@ def exact_dummy_ols_beta(dataset) -> Fraction:
                     other[c] = other.get(c, 0) - factor * v
                     if not other[c]:
                         del other[c]
+    return rows, pivot, free
+
+
+def exact_dummy_ols_beta(dataset) -> Fraction:
+    """The treatment coefficient of dummy_design's expansion in exact
+    rational arithmetic, by _exact_normal_equations, the dummies pivoted
+    first to keep the rows sparse. The rank is found exactly: a free column
+    is set to zero (one per component after the first in a disconnected
+    panel), which leaves an identified treatment coefficient unchanged.
+    ValueError when the treatment coefficient is not identified."""
+    X, y = dummy_design(dataset)
+    k = X.shape[1]
+    rows, pivot, free = _exact_normal_equations(X, y, [*range(1, k - 1), 0, k - 1])
     if k - 1 in free or free & rows[pivot[k - 1]].keys():
         raise ValueError("the treatment coefficient is not identified")
     return rows[pivot[k - 1]].get(k, Fraction(0))
+
+
+def exact_residualized_treatment(dataset) -> list:
+    """The treatment less its exact fitted values on dummy_design's
+    intercept and unit and period dummies, one Fraction per sample row, in
+    row order: the same elimination as exact_dummy_ols_beta, with every
+    free coefficient set to zero, which leaves the fitted values unchanged."""
+    X, _ = dummy_design(dataset)
+    dummies, d = X[:, :-1], X[:, -1]
+    k = dummies.shape[1]
+    rows, pivot, _ = _exact_normal_equations(dummies, d, [*range(1, k), 0])
+    b = [rows[pivot[c]].get(k, Fraction(0)) if c in pivot else Fraction(0) for c in range(k)]
+    return [Fraction(int(treated)) - sum((b[c] for c in np.flatnonzero(row).tolist()), Fraction(0))
+            for row, treated in zip(dummies, d.tolist())]
+
+
+def union_find_roots(n: int, edges) -> list:
+    """The root of each of n nodes under a plain union-find over the edges
+    (pairs of nodes): the lowest node of its connected component, as each
+    union hangs the higher root under the lower."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]  # path halving
+            x = parent[x]
+        return x
+
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        parent[max(ri, rj)] = min(ri, rj)
+    return [find(x) for x in range(n)]
+
+
+def unit_period_components(dataset) -> int:
+    """Connected components of the graph whose nodes are the estimation
+    sample's units and periods and whose edges are its Observation rows."""
+    sample = [o for o in dataset.observations if o.outcome is not None]
+    units = {u: i for i, u in enumerate(dict.fromkeys(o.unit for o in sample))}
+    periods = {p: len(units) + j for j, p in enumerate(sorted({o.period for o in sample}))}
+    roots = union_find_roots(len(units) + len(periods),
+                             ((units[o.unit], periods[o.period]) for o in sample))
+    return len(set(roots))
 
 
 def cluster_sandwich(dataset, inference: str = "cluster_by_unit"):

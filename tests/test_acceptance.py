@@ -27,6 +27,7 @@ from twfediag import (
     weight_report,
 )
 from twfediag.cli import main
+from twfediag.diagnostics import STATUS
 from twfediag.panel import Observation, PanelDataset
 from twfediag.synth import EffectModel
 
@@ -112,7 +113,7 @@ def test_c05_weight_grid_facts(replication_primary, replication_secondary):
 
     def negative_cells(dataset):
         grid = weight_grid(fit_twfe(dataset), schedule)
-        rows, cols = np.nonzero(grid.status == "treated_negative")
+        rows, cols = np.nonzero(grid.status == STATUS.index("treated_negative"))
         return [(grid.units[i], grid.periods[j]) for i, j in zip(rows.tolist(), cols.tolist())]
 
     primary_neg = negative_cells(replication_primary)

@@ -1,7 +1,8 @@
 """Repository checks that need no program run: the CI workflow runs the
 tier-1 command that ROADMAP.md names and the benchmark's oracle checks,
 the package parses as the lowest supported Python, the README's import
-block imports, every name the README lists as removed is gone, the
+block imports, every name the README lists as removed is gone, every
+`module.name` it names elsewhere exists, the
 installed script and `python -m twfediag.cli` start through one
 function, every CLI option and choice is passed by some other test file,
 every function the benchmark reads a span of exists, every
@@ -156,6 +157,26 @@ def test_readme_removed_names_are_gone():
     for absent in ("twfediag estimate --bins", "twfediag fit --cluster"):
         assert not _resolves(absent), absent
     assert [name for name in names if _resolves(name)] == []
+
+
+def _readme_module_names() -> list:
+    """(module, name) of each backticked `module.name` or
+    `twfediag.module.name` in README.md outside "Removed public names",
+    where module is one of the package's modules."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    text = re.sub(r"\n## Removed public names\n.*?(?=\n## |\Z)", "\n", readme, flags=re.DOTALL)
+    modules = sorted(path.stem for path in (ROOT / "src" / "twfediag").glob("*.py")
+                     if path.stem != "__init__")
+    return re.findall(r"`(?:twfediag\.)?(%s)\.(\w+)" % "|".join(modules), text)
+
+
+def test_readme_module_names_exist():
+    names = _readme_module_names()
+    assert ("lsq", "standard_errors") in names and ("cli", "run") in names
+    assert len(names) >= 7
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(f"twfediag.{module}"), name)]
+    assert missing == []
 
 
 def test_script_and_module_share_the_process_entry():

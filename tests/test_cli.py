@@ -23,6 +23,7 @@ from twfediag import (
     write_panel_csv,
 )
 from twfediag.cli import BINS, GRID_POINTS, _digest, main
+from twfediag.diagnostics import STATUS
 
 from conftest import random_panel
 from test_synth import base_spec
@@ -183,7 +184,8 @@ class TestWeights:
             cells = list(csv.DictReader(f))
         keys = [(u, p) for u in grid.units for p in grid.periods]  # rows by unit, then period
         assert [(row["unit"], int(row["period"])) for row in cells] == keys
-        for row, status, weight in zip(cells, grid.status.ravel(), grid.weight.ravel()):
+        for row, code, weight in zip(cells, grid.status.ravel().tolist(), grid.weight.ravel()):
+            status = STATUS[code]
             assert row["status"] == status
             if status == "missing":
                 assert row["weight"] == ""

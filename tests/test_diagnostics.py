@@ -15,7 +15,7 @@ from twfediag import (
     weight_grid,
     weight_report,
 )
-from twfediag.diagnostics import _groups
+from twfediag.diagnostics import STATUS, _groups
 from twfediag.errors import DegenerateGroup, UnknownUnit
 
 from conftest import canonical_2x2, make_panel, random_panel, sample_keys
@@ -64,10 +64,11 @@ class TestWeightGrid:
         fit = fit_twfe(ds)
         grid = weight_grid(fit, schedule_from_data(ds))
         assert grid.status.shape == grid.weight.shape == (len(grid.units), len(grid.periods))
+        assert grid.status.dtype == np.int8
         present = set(sample_keys(fit))
         for i, u in enumerate(grid.units):
             for j, p in enumerate(grid.periods):
-                status, w = grid.status[i, j], grid.weight[i, j]
+                status, w = STATUS[grid.status[i, j]], grid.weight[i, j]
                 if (u, p) in present:
                     assert status in ("untreated", "treated_positive", "treated_negative")
                 else:
@@ -78,7 +79,7 @@ class TestWeightGrid:
         _, ds = random_panel(rng, missing=True, noise_sd=1.0)
         fit = fit_twfe(ds)
         grid = weight_grid(fit, schedule_from_data(ds))
-        grid_weights = sorted(grid.weight[grid.status != "missing"].tolist())
+        grid_weights = sorted(grid.weight[grid.status != STATUS.index("missing")].tolist())
         assert grid_weights == pytest.approx(sorted(fit.weights))
 
     def test_rows_ordered_by_adoption(self):
@@ -100,7 +101,7 @@ class TestWeightGrid:
         by_key = dict(zip(sample_keys(fit), zip(fit.treatment, fit.weights)))
         for i, u in enumerate(grid.units):
             for j, p in enumerate(grid.periods):
-                status = grid.status[i, j]
+                status = STATUS[grid.status[i, j]]
                 if status == "missing":
                     continue
                 treated, weight = by_key[(u, p)]

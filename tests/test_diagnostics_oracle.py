@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from scipy import stats
 
 from twfediag import fit_twfe, homogeneity_test, schedule_from_data, weight_grid
+from twfediag.diagnostics import STATUS
 from twfediag.errors import CollinearTreatment, DegenerateGroup, DegenerateTreatment
 from twfediag.lsq import EXACT_FIT_TOL
 
@@ -109,5 +110,5 @@ def test_weight_grid_matches_observation_rows(dataset):
         for j, p in enumerate(periods):
             status, weight = cells[(u, p)]
             got_weight = float(grid.weight[i, j])
-            assert grid.status[i, j] == status
+            assert STATUS[grid.status[i, j]] == status
             assert got_weight == weight or math.isnan(got_weight) and math.isnan(weight)

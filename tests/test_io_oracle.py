@@ -41,6 +41,7 @@ from twfediag import (
     write_panel_csv,
 )
 from twfediag.cli import SWEEP_HEADER, main
+from twfediag.diagnostics import STATUS
 from twfediag.errors import TwfeDiagError
 from twfediag import panel
 from twfediag.panel import write_csv
@@ -310,7 +311,7 @@ def test_cli_csv_files_match_row_writer(tmp_path):
 
     fit = fit_twfe(dataset)
     grid = weight_grid(fit, schedule_from_data(dataset))
-    assert set(grid.units) == set(HOSTILE_LABELS) and (grid.status == "missing").any()
+    assert set(grid.units) == set(HOSTILE_LABELS) and (grid.status == STATUS.index("missing")).any()
     scatter = residual_scatter(fit)
     curves = (("control", scatter.control), ("treated", scatter.treated))
     expected = {
@@ -320,7 +321,8 @@ def test_cli_csv_files_match_row_writer(tmp_path):
                       ([u, p, status, "" if status == "missing" else repr(weight)]
                        for (u, p), status, weight in zip(
                            ((u, p) for u in grid.units for p in grid.periods),
-                           grid.status.ravel().tolist(), grid.weight.ravel().tolist()))),
+                           (STATUS[c] for c in grid.status.ravel().tolist()),
+                           grid.weight.ravel().tolist()))),
         str(tmp_path / "scatter_points.csv"): (
             ["resid_treatment", "resid_outcome", "treated"],
             ([repr(x), repr(y), t] for x, y, t in zip(fit.residualized_treatment.tolist(),

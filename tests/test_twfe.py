@@ -169,6 +169,29 @@ class TestFitTwfe:
         assert fit_twfe(ds).dof == 5
         assert fit_twfe(ds).beta == pytest.approx(dummy_ols_beta(ds), rel=1e-10)
 
+    def test_noiseless_chain_recovers_the_effect(self):
+        """1000 units, unit i kept in periods i to i + 2 only, so the
+        unit-period graph is one chain of diameter about 1000; two units in
+        three adopt inside their window. The noiseless fit is the effect."""
+        n = 1000
+        units, periods = tuple(f"u{i}" for i in range(n)), tuple(range(n + 2))
+        rng = np.random.default_rng(8)
+        spec = SyntheticSpec(
+            units=units,
+            periods=periods,
+            baselines={u: float(rng.normal(0, 10)) for u in units},
+            shocks={p: 0.0 if p == 0 else float(rng.normal(0, 2)) for p in periods},
+            schedule=AdoptionSchedule({u: None if i % 3 == 2 else i + 1 + i % 3
+                                       for i, u in enumerate(units)}),
+            effect=EffectModel.constant(2.5),
+        )
+        ds = generate_panel(spec)
+        keep = (ds.period >= ds.unit) & (ds.period <= ds.unit + 2)
+        fit = fit_twfe(ds, "classical", keep)
+        assert (fit.n_obs, len(fit.units), len(fit.periods)) == (3 * n, n, n + 2)
+        assert fit.dof == 3 * n - (n + n + 2 - 1 + 1)
+        assert abs(fit.beta - 2.5) <= 1e-10 * 2.5
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_outcome_rejected(self, bad):
         # no panel holds one: building it fails and names the row, so no fit

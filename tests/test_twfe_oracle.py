@@ -7,7 +7,12 @@ oracles in oracles.py, which share no code with the library's fit.
 
 Fixed panel families on which the float oracle is itself off by up to
 ~1e-7 (chains, blocks joined by one cell, disconnected blocks, levels near
-1e6) are checked against the exact rational oracle at EXACT_REL.
+1e6) are checked against the exact rational oracle: beta at EXACT_REL, the
+residualized treatment and the weights at EXACT_VECTOR_REL.
+
+The connected components that set the fixed effects' rank are checked
+against a plain union-find: the search itself on symmetric patterns, and
+the classical degrees of freedom on sparse panels of either orientation.
 """
 
 import math
@@ -20,14 +25,26 @@ from hypothesis import strategies as st
 
 from twfediag import PanelDataset, fit_twfe
 from twfediag.errors import CollinearTreatment, DegenerateTreatment
+from twfediag.twfe import _component_roots
 
 from conftest import make_panel
-from oracles import cluster_sandwich, dummy_design, dummy_ols_beta, exact_dummy_ols_beta
+from oracles import (
+    cluster_sandwich,
+    dummy_design,
+    dummy_ols_beta,
+    exact_dummy_ols_beta,
+    exact_residualized_treatment,
+    union_find_roots,
+    unit_period_components,
+)
 
 REL = 1e-8
 # fixed before any fast-path change: on these families the fast path
 # measured <= 4.2e-15 and the float oracle up to 8.6e-8
 EXACT_REL = 1e-12
+# of each vector's largest magnitude, fixed before measuring: the fast path
+# measured <= 1.4e-13 (chain60)
+EXACT_VECTOR_REL = 1e-12
 # Round-off floors, relative to _scale and to its square. They matter only
 # where beta or the variance is itself round-off: the oracle's sandwich
 # element cancels terms of the whole covariance, so its variance is good
@@ -202,3 +219,114 @@ def test_exact_oracle_refuses_a_treatment_the_fixed_effects_absorb():
         exact_dummy_ols_beta(dataset)
     with pytest.raises(CollinearTreatment):
         fit_twfe(dataset)
+
+
+@pytest.mark.parametrize("family", sorted(EXACT_FAMILIES))
+def test_residualized_treatment_and_weights_match_exact_oracle(family):
+    dataset = EXACT_FAMILIES[family]()
+    exact = exact_residualized_treatment(dataset)
+    ssd = sum(r * r for r in exact)
+    fit = fit_twfe(dataset)
+    for got, want in ((fit.residualized_treatment, exact), (fit.weights, [r / ssd for r in exact])):
+        assert len(got) == len(want)
+        error = max(abs(Fraction(g) - w) for g, w in zip(got.tolist(), want))
+        assert error <= EXACT_VECTOR_REL * max(map(abs, want))
+
+
+def _pattern(n: int, edges) -> np.ndarray:
+    linked = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        linked[i, j] = linked[j, i] = True
+    return linked
+
+
+def _check_roots(n: int, edges, diagonal=()):
+    linked = _pattern(n, edges)
+    linked[list(diagonal), list(diagonal)] = True  # a self-link joins nothing
+    assert _component_roots(linked) == sorted(set(union_find_roots(n, edges)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_component_roots_match_union_find(data, n):
+    node = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    _check_roots(n, edges, data.draw(st.lists(node, max_size=n)))
+
+
+@pytest.mark.parametrize("permuted", [False, True])
+def test_component_roots_on_a_long_path(permuted):
+    """3000 nodes, each linked to the next two: one component whose
+    diameter is 1500 steps, numbered along the path or at random."""
+    n = 3000
+    order = np.random.default_rng(3).permutation(n) if permuted else np.arange(n)
+    edges = [(int(order[i]), int(order[i + k])) for k in (1, 2) for i in range(n - k)]
+    assert _component_roots(_pattern(n, edges)) == [0]
+    _check_roots(n, edges)
+
+
+def test_component_roots_with_isolated_nodes_and_many_components():
+    """All-zero rows (a level seen only with one-row levels of the other
+    side) are components of their own, among 400 linked pairs."""
+    n = 1000
+    rng = np.random.default_rng(4)
+    order = rng.permutation(n)
+    edges = [(int(order[2 * i]), int(order[2 * i + 1])) for i in range(400)]
+    roots = _component_roots(_pattern(n, edges))
+    assert len(roots) == 400 + 200
+    _check_roots(n, edges, diagonal=rng.choice(n, 50, replace=False).tolist())
+    assert _component_roots(np.zeros((5, 5), dtype=bool)) == [0, 1, 2, 3, 4]
+
+
+@st.composite
+def sparse_panels(draw):
+    """A random set of cells of a grid of up to 8 x 8, either side the
+    larger: one-row units and periods, and disconnected blocks, are common."""
+    n_units, n_periods = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    size = n_units * n_periods
+    present = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    return make_panel((f"u{i}", t, draw(outcomes), int(draw(st.booleans())))
+                      for i in range(n_units) for t in range(n_periods) if present[i * n_periods + t])
+
+
+def _union_find_dof(dataset, fit) -> int:
+    """N - (U + T - C + 1), C counted by union-find on the sample rows."""
+    return fit.n_obs - (len(fit.units) + len(fit.periods) - unit_period_components(dataset) + 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(dataset=sparse_panels())
+def test_classical_dof_counts_union_find_components(dataset):
+    try:
+        fit = fit_twfe(dataset, "classical")
+    except (DegenerateTreatment, CollinearTreatment):
+        return
+    assert fit.dof == _union_find_dof(dataset, fit)
+
+
+def _one_row_units(transposed: bool) -> PanelDataset:
+    """A 6 x 4 block, plus one-row units in periods of their own (or, with
+    transposed, one-row periods of a unit of their own): those periods (or
+    that unit) are isolated from the block."""
+    rng = np.random.default_rng(12 + transposed)
+    rows = [(f"u{i}", t, float(rng.normal()), int(i % 2 == 0 and t >= 1 + i % 3))
+            for i in range(6) for t in range(4)]
+    rows += [("lone", 10 + k, float(rng.normal()), k % 2) if transposed
+             else (f"s{k}", 10 + k, float(rng.normal()), k % 2) for k in range(5)]
+    return _cells(rows)
+
+
+# the smaller side, solved for, is the units in the chain and in the panel
+# with a lone unit, and the periods in the others
+@pytest.mark.parametrize("dataset", [
+    chain(30, 3),
+    _cells((f"u{t}", i, float(i * t % 7), int(t >= i + 1)) for i in range(30) for t in range(i, i + 3)),
+    blocks(joined=False),
+    blocks(joined=True),
+    _one_row_units(transposed=False),
+    _one_row_units(transposed=True),
+], ids=["chain", "chain_transposed", "blocks_disconnected", "blocks_joined",
+        "one_row_units", "one_row_periods"])
+def test_classical_dof_on_fixed_panels(dataset):
+    fit = fit_twfe(dataset, "classical")
+    assert fit.dof == _union_find_dof(dataset, fit)
