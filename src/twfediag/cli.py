@@ -164,7 +164,7 @@ def cmd_estimate(args) -> int:
     fit = fit_twfe(dataset, _inference(args))
     report = weight_report(fit)
     try:
-        homog = homogeneity_test(fit, fit.inference)
+        homog = homogeneity_test(fit)
     except TwfeDiagError as exc:
         homog, skipped = None, f"{type(exc).__name__}: {exc}"
     doc = {

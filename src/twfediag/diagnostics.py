@@ -137,16 +137,17 @@ def _groups(fit: TwfeFit):
     return exponent, *lines
 
 
-def homogeneity_test(fit: TwfeFit, inference: str = "classical") -> HomogeneityTest:
+def homogeneity_test(fit: TwfeFit) -> HomogeneityTest:
     """Regression of the residualized outcome on residualized treatment, a
     treated-group indicator, and their interaction: the two lines of
     _groups, whose control slope, and treated minus control intercept and
     slope, are the coefficients. A nonzero interaction contradicts a single
     homogeneous effect. The intercept is estimated but not reported.
 
-    Standard errors are lsq.standard_errors' with K = 4, as in fit_twfe: se 0
-    and nan t statistic and p-value for a coefficient whose variance is
-    round-off, and for every coefficient of a design with 4 rows.
+    Standard errors are lsq.standard_errors' with K = 4 and the fit's
+    inference, as in fit_twfe: se 0 and nan t statistic and p-value for a
+    coefficient whose variance is round-off, and for every coefficient of
+    a design with 4 rows.
     """
     exponent, c, t = _groups(fit)
     d, g = fit.residualized_treatment, t.mask.astype(float)
@@ -159,7 +160,7 @@ def homogeneity_test(fit: TwfeFit, inference: str = "classical") -> HomogeneityT
                       [-1, c.mean_d, 1, -t.mean_d], [0, -1, 0, 1]])
     bread = (a_inv / [c.n, c.s_dd, t.n, t.s_dd]) @ a_inv.T
     outcome = np.ldexp(fit.outcome, -exponent)
-    ses, dof = standard_errors(X, residuals, bread, 4, inner(outcome, outcome), inference, fit.unit)
+    ses, dof = standard_errors(X, residuals, bread, 4, inner(outcome, outcome), fit.inference, fit.unit)
     beta = [c.intercept, c.slope, t.intercept - c.intercept, t.slope - c.slope]
 
     def row(k: int) -> CoefficientRow:
@@ -171,7 +172,7 @@ def homogeneity_test(fit: TwfeFit, inference: str = "classical") -> HomogeneityT
         b_treat_group=row(2),
         b_interaction=row(3),
         n_obs=len(d),
-        inference=inference,
+        inference=fit.inference,
     )
 
 

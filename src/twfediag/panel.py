@@ -21,8 +21,7 @@ from .errors import DuplicateKey, MissingColumn, NonFiniteOutcome, ParseError, U
 
 @dataclass(frozen=True)
 class Observation:
-    """One row as a value: builds small panels (PanelDataset.from_observations)
-    and shows them row by row (PanelDataset.observations)."""
+    """One row as a value: PanelDataset.observations shows a panel row by row."""
 
     unit: str
     period: int
@@ -109,23 +108,6 @@ class PanelDataset:
         """A panel from one unit label per row, coded by first appearance."""
         units, unit = coded(list(labels))
         return cls(units, unit, period, outcome, treated)
-
-    @classmethod
-    def from_observations(cls, observations: Iterable[Observation]) -> "PanelDataset":
-        """A panel from Observation rows, in the given order; a nan or
-        infinite outcome raises NonFiniteOutcome (a missing one is None)."""
-        rows = tuple(observations)
-        for o in rows:
-            if o.outcome is not None and not math.isfinite(o.outcome):
-                raise NonFiniteOutcome(
-                    f"outcome {float(o.outcome)} for unit {o.unit!r}, period {o.period} is not finite"
-                )
-        return cls.encode(
-            [o.unit for o in rows],
-            [o.period for o in rows],
-            [math.nan if o.outcome is None else o.outcome for o in rows],
-            [o.treated for o in rows],
-        )
 
     @cached_property
     def observations(self) -> tuple[Observation, ...]:

@@ -58,25 +58,24 @@ class EffectModel:
             if not math.isfinite(value):
                 raise InvalidSpec(f"effect {name} must be finite, got {value}")
 
-    def effect(self, unit: str, event_time: int) -> float:
-        if self.kind == "constant":
-            return self.delta
-        if self.kind == "by_unit":
-            if unit not in self.per_unit:
-                raise InvalidSpec(f"no effect entry for unit {unit!r}")
-            return self.per_unit[unit]
-        if self.kind == "event_time":
-            return self.intercept + self.slope * event_time
-        raise InvalidSpec(f"unknown effect kind {self.kind!r}")
-
     def on_grid(self, units: list[str], event_time: np.ndarray) -> np.ndarray:
         """The effect on a grid of cells whose row i belongs to units[i] and
         has the event times event_time[i]; broadcasts to event_time's shape.
-        Each cell's value is effect(unit, event time), computed by the same
-        floating-point operations."""
+        InvalidSpec names the first unit with no by_unit entry, and an
+        unknown kind when the grid has a row: a spec with no treated cell
+        never evaluates its effect."""
         if self.kind == "event_time":
             return self.intercept + self.slope * event_time
-        return np.array([self.effect(u, 0) for u in units], dtype=np.float64)[:, None]
+        if self.kind == "by_unit":
+            missing = [u for u in units if u not in self.per_unit]
+            if missing:
+                raise InvalidSpec(f"no effect entry for unit {missing[0]!r}")
+            column = [self.per_unit[u] for u in units]
+        elif self.kind == "constant" or not units:
+            column = [self.delta] * len(units)
+        else:
+            raise InvalidSpec(f"unknown effect kind {self.kind!r}")
+        return np.array(column, dtype=np.float64)[:, None]
 
 
 class EffectSummary(NamedTuple):

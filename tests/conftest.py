@@ -18,13 +18,15 @@ from twfediag import (
 )
 from twfediag.errors import TwfeDiagError
 
+from oracles import from_observations
+
 REPLICATION_CSV = Path(__file__).resolve().parent.parent / "data" / "replication" / "enrollment.csv"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def make_panel(rows) -> PanelDataset:
     """rows: iterable of (unit, period, outcome, treated)."""
-    return PanelDataset.from_observations(Observation(u, p, y, d) for u, p, y, d in rows)
+    return from_observations(Observation(u, p, y, d) for u, p, y, d in rows)
 
 
 def canonical_2x2() -> PanelDataset:
@@ -73,7 +75,7 @@ def with_missing(dataset: PanelDataset, rng: np.random.Generator, frac=0.15) -> 
             obs.append(Observation(o.unit, o.period, None, o.treated))
         else:
             obs.append(o)
-    return PanelDataset.from_observations(obs)
+    return from_observations(obs)
 
 
 def random_panel(rng: np.random.Generator, missing=False, effect=None, noise_sd=0.0):

@@ -4,7 +4,9 @@ These deliberately avoid the library's solver paths: OLS via explicitly
 formed normal equations, sandwich covariance via naive loops, and the t
 p-value via numerical quadrature of the density. The panel CSV reader,
 the CSV row writer and the synthetic generator are kept here in their
-row-by-row and unit-by-unit forms, as references for the column passes.
+row-by-row and unit-by-unit forms, as references for the column passes,
+beside a panel constructor from row objects and the effect models' formulas.
+From the package they import only PanelDataset and the errors.
 """
 
 import csv
@@ -15,7 +17,24 @@ import numpy as np
 import scipy.integrate
 
 from twfediag import PanelDataset
-from twfediag.errors import MissingColumn, ParseError
+from twfediag.errors import InvalidSpec, MissingColumn, NonFiniteOutcome, ParseError
+
+
+def from_observations(rows) -> PanelDataset:
+    """A panel from Observation rows (anything with unit, period, outcome
+    and treated), in the given order, the unit codes numbered by first
+    appearance in a plain dict. A nan or infinite outcome raises
+    NonFiniteOutcome; a missing one is None."""
+    rows = tuple(rows)
+    for o in rows:
+        if o.outcome is not None and not math.isfinite(o.outcome):
+            raise NonFiniteOutcome(
+                f"outcome {float(o.outcome)} for unit {o.unit!r}, period {o.period} is not finite")
+    codes = {}
+    unit = [codes.setdefault(o.unit, len(codes)) for o in rows]
+    return PanelDataset(tuple(codes), unit, [o.period for o in rows],
+                        [math.nan if o.outcome is None else o.outcome for o in rows],
+                        [o.treated for o in rows])
 
 
 def normal_equations_ols(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -53,19 +72,21 @@ def dummy_ols_beta(dataset) -> float:
     return float((normal_equations_inverse(X) @ (X.T @ y))[-1])
 
 
-def _exact_normal_equations(X: np.ndarray, y: np.ndarray, order: list) -> tuple:
-    """Gauss-Jordan elimination of the normal equations X'X b = X'y in exact
-    rational arithmetic, each float an exact Fraction, on sparse rows,
-    pivoting on the columns in the given order. Returns (rows, pivot,
-    free): row j of the reduced [X'X | X'y] as {column: value}, the right
-    side at column X.shape[1]; the row each pivot column is pivot of; and
-    the columns with no pivot, whose coefficients are free."""
+def _exact_normal_equations(X: np.ndarray, ys: list, order: list) -> tuple:
+    """Gauss-Jordan elimination of the normal equations X'X b = X'y, for
+    each y of ys, in exact rational arithmetic, each float an exact
+    Fraction, on sparse rows, pivoting on the columns in the given order.
+    Returns (rows, pivot, free): row j of the reduced [X'X | X'ys] as
+    {column: value}, the right side of ys[m] at column X.shape[1] + m; the
+    row each pivot column is pivot of; and the columns with no pivot, whose
+    coefficients are free."""
     k = X.shape[1]
     rows = []
     for j in range(k):
         on = np.flatnonzero(X[:, j])
         row = {c: Fraction(int(n)) for c, n in enumerate(X[on].sum(axis=0).tolist()) if n}
-        row[k] = sum(map(Fraction, y[on].tolist()), Fraction(0))
+        for m, y in enumerate(ys):
+            row[k + m] = sum(map(Fraction, y[on].tolist()), Fraction(0))
         rows.append(row)
     pivot, free = {}, set()
     for col in order:
@@ -97,24 +118,56 @@ def exact_dummy_ols_beta(dataset) -> Fraction:
     ValueError when the treatment coefficient is not identified."""
     X, y = dummy_design(dataset)
     k = X.shape[1]
-    rows, pivot, free = _exact_normal_equations(X, y, [*range(1, k - 1), 0, k - 1])
+    rows, pivot, free = _exact_normal_equations(X, [y], [*range(1, k - 1), 0, k - 1])
     if k - 1 in free or free & rows[pivot[k - 1]].keys():
         raise ValueError("the treatment coefficient is not identified")
     return rows[pivot[k - 1]].get(k, Fraction(0))
 
 
-def exact_residualized_treatment(dataset) -> list:
-    """The treatment less its exact fitted values on dummy_design's
-    intercept and unit and period dummies, one Fraction per sample row, in
-    row order: the same elimination as exact_dummy_ols_beta, with every
-    free coefficient set to zero, which leaves the fitted values unchanged."""
-    X, _ = dummy_design(dataset)
+def exact_residualized(dataset) -> tuple:
+    """(treatment, outcome, rank): the treatment and the outcome less their
+    exact fitted values on dummy_design's intercept and unit and period
+    dummies, one Fraction per sample row in row order, and the exact rank
+    of those dummies. The same elimination as exact_dummy_ols_beta, with
+    every free coefficient set to zero, which leaves the fitted values
+    unchanged."""
+    X, y = dummy_design(dataset)
     dummies, d = X[:, :-1], X[:, -1]
     k = dummies.shape[1]
-    rows, pivot, _ = _exact_normal_equations(dummies, d, [*range(1, k), 0])
-    b = [rows[pivot[c]].get(k, Fraction(0)) if c in pivot else Fraction(0) for c in range(k)]
-    return [Fraction(int(treated)) - sum((b[c] for c in np.flatnonzero(row).tolist()), Fraction(0))
-            for row, treated in zip(dummies, d.tolist())]
+    rows, pivot, _ = _exact_normal_equations(dummies, [d, y], [*range(1, k), 0])
+    residualized = []
+    for m, v in enumerate((d, y)):
+        b = [rows[pivot[c]].get(k + m, Fraction(0)) if c in pivot else Fraction(0) for c in range(k)]
+        residualized.append([
+            Fraction(x) - sum((b[c] for c in np.flatnonzero(row).tolist()), Fraction(0))
+            for row, x in zip(dummies, v.tolist())])
+    return *residualized, len(pivot)
+
+
+def exact_variances(dataset) -> dict:
+    """{inference: (se**2, dof)} of the treatment coefficient in exact
+    arithmetic, from exact_residualized: with d and y the residualized
+    treatment and outcome, S = sum d**2, beta = sum d y / S, residuals
+    e = y - beta d and K = rank + 1, classical is sum e**2 / (N - K) / S on
+    N - K degrees of freedom; clustered by unit, with g_c = sum of d e over
+    unit c's rows, it is [G/(G-1)] [(N-1)/(N-K)] sum g_c**2 / S**2 on G - 1.
+    The row of (X'X)^-1 X' that gives the treatment coefficient of the
+    full dummy regression is d / S, so these are its sandwich entries."""
+    sample = [o for o in dataset.observations if o.outcome is not None]
+    d, y, rank = exact_residualized(dataset)
+    ssd = sum(a * a for a in d)
+    beta = sum(a * b for a, b in zip(d, y)) / ssd
+    e = [b - beta * a for a, b in zip(d, y)]
+    n, k = len(e), rank + 1
+    scores = {}
+    for o, a, r in zip(sample, d, e):
+        scores[o.unit] = scores.get(o.unit, 0) + a * r
+    G = len(scores)
+    return {
+        "classical": (sum(r * r for r in e) / (n - k) / ssd, n - k),
+        "cluster_by_unit": (Fraction(G, G - 1) * Fraction(n - 1, n - k)
+                            * sum(s * s for s in scores.values()) / ssd ** 2, G - 1),
+    }
 
 
 def union_find_roots(n: int, edges) -> list:
@@ -497,10 +550,27 @@ def write_panel_csv_reference(dataset, path):
                               dataset.outcome.tolist(), dataset.treated.tolist())))
 
 
+def effect_reference(effect, unit, event_time):
+    """The effect of a treated cell of the unit at event_time (a number or
+    an array of them), from the kinds' definitions on the EffectModel's
+    fields: delta; the unit's per_unit entry; intercept + slope * event
+    time. InvalidSpec for a unit with no entry and for an unknown kind."""
+    if effect.kind == "constant":
+        return effect.delta
+    if effect.kind == "by_unit":
+        if unit not in effect.per_unit:
+            raise InvalidSpec(f"no effect entry for unit {unit!r}")
+        return effect.per_unit[unit]
+    if effect.kind == "event_time":
+        return effect.intercept + effect.slope * event_time
+    raise InvalidSpec(f"unknown effect kind {effect.kind!r}")
+
+
 def generate_panel_reference(spec):
     """The unit-by-unit synthetic generator: each unit's row of outcomes is
-    baseline + cumulative shocks, plus the effect on its treated cells,
-    plus its row of noise; rows coded by a per-row label dictionary."""
+    baseline + cumulative shocks, plus effect_reference on its treated
+    cells, plus its row of noise; rows coded by a per-row label dictionary.
+    It reads the spec's fields and calls nothing of twfediag.synth."""
     cum = []
     total = 0.0
     for p in spec.periods:
@@ -517,7 +587,7 @@ def generate_panel_reference(spec):
         if adoption is not None:
             on = periods >= adoption
             if on.any():
-                y[on] += spec.effect.effect(u, periods[on] - adoption)
+                y[on] += effect_reference(spec.effect, u, periods[on] - adoption)
             treated[i] = on
         if spec.noise_sd > 0:
             y += spec.noise_sd * noise[i]

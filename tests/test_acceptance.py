@@ -28,11 +28,11 @@ from twfediag import (
 )
 from twfediag.cli import main
 from twfediag.diagnostics import STATUS
-from twfediag.panel import Observation, PanelDataset
+from twfediag.panel import Observation
 from twfediag.synth import EffectModel
 
 from conftest import FIXTURES, bundled_schedule, random_panel
-from oracles import balanced_residualized_treatment, dummy_ols_beta
+from oracles import balanced_residualized_treatment, dummy_ols_beta, from_observations
 
 EARLY_FIVE = {"Malawi", "Ethiopia", "Ghana", "Uganda", "Cameroon"}
 
@@ -91,7 +91,7 @@ def test_c03_negative_weight_counts(replication_primary, replication_secondary):
 
 def test_c04_homogeneity_tables(replication_primary, replication_secondary):
     failures = []
-    col1 = homogeneity_test(fit_twfe(replication_primary))
+    col1 = homogeneity_test(fit_twfe(replication_primary, "classical"))
     _close("col1 slope", col1.b_resid_treatment.estimate, 23.76, 0.01, failures)
     _close("col1 group", col1.b_treat_group.estimate, 0.34, 0.01, failures)
     _close("col1 interaction", col1.b_interaction.estimate, -7.81, 0.01, failures)
@@ -99,7 +99,7 @@ def test_c04_homogeneity_tables(replication_primary, replication_secondary):
     _close("col1 group se", col1.b_treat_group.se, 1.51, 0.01, failures)
     _close("col1 interaction se", col1.b_interaction.se, 6.07, 0.01, failures)
     _close("col1 interaction p", col1.b_interaction.p_value, 0.20, 0.01, failures)
-    col2 = homogeneity_test(fit_twfe(replication_secondary))
+    col2 = homogeneity_test(fit_twfe(replication_secondary, "classical"))
     _close("col2 slope", col2.b_resid_treatment.estimate, -2.90, 0.01, failures)
     _close("col2 group", col2.b_treat_group.estimate, -0.19, 0.01, failures)
     _close("col2 interaction", col2.b_interaction.estimate, 5.25, 0.01, failures)
@@ -226,7 +226,7 @@ def test_c11_invariance_battery():
         beta = fit_twfe(ds).beta
 
         def refit(transform):
-            return fit_twfe(PanelDataset.from_observations(transform)).beta
+            return fit_twfe(from_observations(transform)).beta
 
         target_period = ds.periods[int(rng.integers(len(ds.periods)))]
         shock = refit(

@@ -6,8 +6,9 @@ block imports, every name the README lists as removed is gone, every
 installed script and `python -m twfediag.cli` start through one
 function, every CLI option and choice is passed by some other test file,
 every function the benchmark reads a span of exists, every
-sweep fit runs under the benchmark's fit span, and one function holds
-the CSV writer. Text and syntax-tree
+sweep fit runs under the benchmark's fit span, one function holds
+the CSV writer, and the test oracles import from the package only the
+panel class and the errors. Text and syntax-tree
 matches, and one in-process sweep run, so no YAML parser is needed and
 nothing under perfbench/ is run."""
 
@@ -147,11 +148,14 @@ def test_readme_removed_names_are_gone():
     names = _removed_names()
     assert "twfediag.residualize_treatment(ds)" in names and "TwfeFit.unit_effects" in names
     assert {"twfediag.twfe.EncodedSample", "twfediag.twfe.fit_sample(sample, keep, inference)",
-            "twfediag.apply_adoption_schedule(include_adoption_period=...)"} <= set(names)
+            "twfediag.apply_adoption_schedule(include_adoption_period=...)",
+            "PanelDataset.from_observations", "EffectModel.effect",
+            "twfediag.homogeneity_test(inference=...)"} <= set(names)
     for present in ("twfediag.fit_twfe",
                     "twfediag.lsq.standard_errors(X, residuals, bread, k, yy, inference, clusters)",
                     "TwfeFit.beta", "TwfeFit.p_value", "DegenerateGroup", "twfediag.errors.UnknownUnit",
                     "twfediag.load_panel_csv(treatment_col=...)", "twfediag estimate --cluster",
+                    "PanelDataset.encode", "EffectModel.on_grid",
                     "twfediag jackknife --cluster", "twfediag weights --bins"):
         assert _resolves(present), present  # the check can see a name that exists
     for absent in ("twfediag estimate --bins", "twfediag fit --cluster"):
@@ -304,3 +308,20 @@ def test_one_function_quotes_csv_cells():
     imported |= {node.module.split(".")[0] for node in ast.walk(cli)
                  if isinstance(node, ast.ImportFrom) and node.module and node.level == 0}
     assert not imported & {"csv", "itertools"}, imported
+
+
+def test_oracles_import_only_the_panel_and_the_errors():
+    """tests/oracles.py checks the package against code of its own: from
+    twfediag it imports PanelDataset and names from twfediag.errors, and
+    nothing else, so no oracle can reach a fast path it checks."""
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [(node.module or "", alias.name) for alias in node.names]
+    package = [(module, name) for module, name in imported if module.split(".")[0] == "twfediag"]
+    assert ("twfediag", "PanelDataset") in package and ("twfediag.errors", "ParseError") in package
+    assert [(module, name) for module, name in package
+            if (module, name) != ("twfediag", "PanelDataset") and module != "twfediag.errors"] == []

@@ -88,7 +88,7 @@ class TestEstimate:
         out = tmp_path / "report.json"
         assert main(["estimate", *data_args(data), "--cluster", cluster, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())["homogeneity"]
-        homog = homogeneity_test(fit_twfe(ds, inference), inference)
+        homog = homogeneity_test(fit_twfe(ds, inference))
         assert doc["inference"] == inference
         assert doc["interaction"]["se"] == homog.b_interaction.se
         assert doc["interaction"]["p_value"] == homog.b_interaction.p_value

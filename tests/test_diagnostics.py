@@ -141,16 +141,15 @@ class TestHomogeneityTest:
     def test_pvalues_in_unit_interval(self):
         rng = np.random.default_rng(45)
         _, ds = random_panel(rng, noise_sd=1.0)
-        result = homogeneity_test(fit_twfe(ds))
+        result = homogeneity_test(fit_twfe(ds, "classical"))
         for row in (result.b_resid_treatment, result.b_treat_group, result.b_interaction):
             assert 0.0 <= row.p_value <= 1.0
 
     def test_cluster_inference_option(self):
         rng = np.random.default_rng(46)
         _, ds = random_panel(rng, noise_sd=1.0)
-        fit = fit_twfe(ds)
-        classical = homogeneity_test(fit, inference="classical")
-        clustered = homogeneity_test(fit, inference="cluster_by_unit")
+        classical = homogeneity_test(fit_twfe(ds, "classical"))
+        clustered = homogeneity_test(fit_twfe(ds, "cluster_by_unit"))
         assert classical.inference == "classical"
         assert clustered.inference == "cluster_by_unit"
         # same point estimates, different standard errors in general
@@ -169,7 +168,7 @@ class TestHomogeneityTest:
         _, ds = random_panel(np.random.default_rng(seed))
         fit = fit_twfe(ds, "classical")
         assert fit.se == 0.0 and math.isnan(fit.p_value)
-        result = homogeneity_test(fit, inference)
+        result = homogeneity_test(fit_twfe(ds, inference))
         assert abs(result.b_interaction.estimate) < 1e-8
         for row in (result.b_resid_treatment, result.b_treat_group, result.b_interaction):
             assert row.se == 0.0
@@ -184,14 +183,14 @@ class TestHomogeneityTest:
             ("u2", 1, 0.0, 0), ("u2", 2, 0.0, 1), ("u3", 1, 0.0, 1), ("u3", 2, 0.0, 1),
             ("u4", 1, None, 0), ("u4", 2, None, 0),
         ])
-        clustered = homogeneity_test(fit_twfe(ds), "cluster_by_unit")
+        clustered = homogeneity_test(fit_twfe(ds, "cluster_by_unit"))
         row = clustered.b_resid_treatment
         assert row.estimate == pytest.approx(0.5)
         assert row.se == 0.0 and math.isnan(row.t_stat) and math.isnan(row.p_value)
         for row in (clustered.b_treat_group, clustered.b_interaction):
             assert row.se > 0.05 and 0.0 <= row.p_value <= 1.0
         # classically no row cancels: the residual sum of squares is not round-off
-        classical = homogeneity_test(fit_twfe(ds, "classical"), "classical")
+        classical = homogeneity_test(fit_twfe(ds, "classical"))
         for row in (classical.b_resid_treatment, classical.b_treat_group, classical.b_interaction):
             assert row.se > 0.3 and 0.0 <= row.p_value <= 1.0
 
@@ -206,9 +205,10 @@ class TestHomogeneityTest:
             treatment=np.array([0, 0, 1, 1]),
             outcome=np.array([1.0, 2.0, 3.0, 4.0]),
             unit=np.array([0, 0, 1, 1]),
+            inference=inference,
         )
         # as for an N == K fit: se 0, so no t statistic or p-value
-        result = homogeneity_test(fit, inference)
+        result = homogeneity_test(fit)
         assert result.n_obs == 4
         for row in (result.b_resid_treatment, result.b_treat_group, result.b_interaction):
             assert math.isfinite(row.estimate)
@@ -221,7 +221,7 @@ class TestHomogeneityTest:
         for case in doc["cases"]:
             _, ds = random_panel(np.random.default_rng(case["seed"]), missing=True, noise_sd=1.0)
             inference = case["inference"]
-            result = homogeneity_test(fit_twfe(ds, inference), inference)
+            result = homogeneity_test(fit_twfe(ds, inference))
             got = [[row.estimate, row.se, row.t_stat, row.p_value]
                    for row in (result.b_resid_treatment, result.b_treat_group, result.b_interaction)]
             want = [[float.fromhex(v) for v in row] for row in case["rows"]]

@@ -70,8 +70,8 @@ FIXED_EFFECTS_ONLY = make_panel([
 @example(dataset=FIXED_EFFECTS_ONLY)
 def test_homogeneity_matches_normal_equations(inference, dataset):
     try:
-        fit = fit_twfe(dataset, "classical")
-        result = homogeneity_test(fit, inference)
+        fit = fit_twfe(dataset, inference)
+        result = homogeneity_test(fit)
     except REFUSED + (DegenerateGroup,):
         return
     coef, cov, dof, per_rss, scale, factor = _oracle(fit, dataset, inference)

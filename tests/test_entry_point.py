@@ -128,7 +128,14 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     so a sum taken that way would change its last bits with
     OPENBLAS_NUM_THREADS. estimate, sweep-endyear and sweep-horizon (each
     under both inference kinds) and weights write the same bytes under 1
-    and 2 threads on a panel with more rows."""
+    and 2 threads on a panel with more rows.
+
+    The panel is 400×40 because that is a size at which the whole program
+    is thread-independent: the within core's dense Schur product and solve
+    are BLAS and LAPACK calls, which OpenBLAS threads by size. With
+    OpenBLAS 0.3.31 on 2 CPUs, 600×60 and 5000×40 panels, and a 110-unit
+    chain, give different last bits under 1 and 2 threads (see README's
+    numerical notes)."""
     rng = np.random.default_rng(5)
     n_units, n_periods = 400, 40
     start = np.where(rng.random(n_units) < 0.2, n_periods, rng.integers(3, n_periods, n_units))

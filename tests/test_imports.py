@@ -21,11 +21,11 @@ SRC = str(Path(twfediag.__file__).resolve().parent.parent)
 LAYERS = ("panel", "synth", "twfe", "lsq", "diagnostics", "robustness")
 
 FIT = """
-from twfediag import Observation, PanelDataset, fit_twfe
+from twfediag import PanelDataset, fit_twfe
 rows = [("A", 1, 0.0, 0), ("A", 2, 1.0, 0), ("A", 3, 1.5, 1),
         ("B", 1, 0.5, 0), ("B", 2, 0.9, 0), ("B", 3, 1.1, 0),
         ("C", 1, 0.2, 0), ("C", 2, 1.7, 1), ("C", 3, 2.9, 1)]
-fit = fit_twfe(PanelDataset.from_observations(Observation(*r) for r in rows))
+fit = fit_twfe(PanelDataset.encode(*zip(*rows)))
 assert "p_value" not in vars(fit)  # computed on first read
 assert 0.0 <= fit.p_value <= 1.0
 """

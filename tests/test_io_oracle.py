@@ -10,10 +10,15 @@ against their row-by-row references in oracles.py.
   write_csv on random label and number columns, and every CSV file the
   CLI writes from a panel whose unit labels need quoting.
 - generate_panel must give the unit-by-unit generator's columns bit for
-  bit, for every effect kind, with and without noise.
+  bit, for every effect kind, with and without noise, and the same
+  InvalidSpec messages. The generator reference calls nothing of
+  twfediag.synth, so the one effect formula there, EffectModel.on_grid,
+  is checked against the kinds' definitions in oracles.effect_reference.
 """
 
 import csv
+import dataclasses
+import inspect
 import io
 import os
 import tempfile
@@ -42,8 +47,8 @@ from twfediag import (
 )
 from twfediag.cli import SWEEP_HEADER, main
 from twfediag.diagnostics import STATUS
-from twfediag.errors import TwfeDiagError
-from twfediag import panel
+from twfediag.errors import InvalidSpec, TwfeDiagError
+from twfediag import panel, synth
 from twfediag.panel import write_csv
 
 from oracles import (
@@ -412,10 +417,11 @@ def fixed_spec(effect, noise_sd):
 @pytest.mark.parametrize("noise_sd", [0.0, 0.7])
 @pytest.mark.parametrize("effect", [
     EffectModel.constant(2.5),
+    EffectModel.constant(2),  # an int delta adds as the float 2.0
     # no entry for C or D: neither has a treated cell, so neither is looked up
     EffectModel.by_unit({"A": 1.0, "B": -2.0, "E": 0.3}),
     EffectModel.event_time(slope=0.3, intercept=1.0),
-], ids=["constant", "by_unit", "event_time"])
+], ids=["constant", "constant_int", "by_unit", "event_time"])
 def test_generate_matches_reference_on_fixed_spec(effect, noise_sd):
     spec = fixed_spec(effect, noise_sd)
     got = generate_panel(spec)
@@ -433,3 +439,78 @@ def test_generate_effect_errors_match_reference(kind):
     with pytest.raises(type(want.value)) as got:
         generate_panel(spec)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("effect", [
+    EffectModel.constant(2.5),
+    EffectModel.by_unit({"A": 1.0, "B": -2.0, "E": 0.3}),
+    EffectModel.event_time(slope=0.3, intercept=1.0),
+], ids=["constant", "by_unit", "event_time"])
+def test_generate_reference_calls_nothing_of_synth(monkeypatch, effect):
+    """With every method of synth's classes and every function of synth
+    made to raise, the reference still gives generate_panel's columns."""
+    spec = fixed_spec(effect, 0.7)
+    want = generate_panel(spec)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the generator reference called into twfediag.synth")
+
+    for cls in (synth.EffectModel, synth.SyntheticSpec):
+        for name, value in list(vars(cls).items()):
+            if callable(value) or isinstance(value, classmethod):
+                monkeypatch.setattr(cls, name, refuse)
+    for name, value in list(vars(synth).items()):
+        if inspect.isfunction(value) and value.__module__ == synth.__name__:
+            monkeypatch.setattr(synth, name, refuse)
+    with pytest.raises(AssertionError, match="called into twfediag.synth"):
+        generate_panel(spec)
+    assert_same_columns(generate_panel_reference(spec), want)
+
+
+def small_spec(effect, baselines, schedule, shocks=None):
+    """Periods 1 to 3, one unit per baseline, no noise."""
+    return SyntheticSpec(units=tuple(baselines), periods=(1, 2, 3), baselines=baselines,
+                         shocks=shocks or {1: 0.0, 2: 0.25, 3: -1.5},
+                         schedule=AdoptionSchedule(schedule), effect=effect)
+
+
+def test_unknown_effect_kind_is_evaluated_only_on_a_treated_cell():
+    # A never adopts and B after the last period: no cell is treated
+    spec = small_spec(EffectModel(kind="unknown"), {"A": 1.5, "B": -0.0}, {"A": None, "B": 9})
+    got = generate_panel(spec)
+    assert_same_columns(got, generate_panel_reference(spec))
+    assert got.outcome.tolist() == [1.5, 1.75, 0.25, 0.0, 0.25, -1.25]
+    assert not np.signbit(got.outcome[3]) and not got.treated.any()  # -0.0 + 0.0
+    treated = dataclasses.replace(spec, schedule=AdoptionSchedule({"A": None, "B": 2}))
+    for generate in (generate_panel, generate_panel_reference):
+        with pytest.raises(InvalidSpec, match=r"^unknown effect kind 'unknown'$"):
+            generate(treated)
+
+
+def test_on_grid_columns():
+    """A kind other than event_time gives one float64 column, walked in
+    unit order; an unknown kind is refused only when the grid has a row."""
+    event_time = np.zeros((2, 3), dtype=np.int64)
+    grid = EffectModel.constant(2).on_grid(["A", "B"], event_time)
+    assert grid.dtype == np.float64 and grid.tolist() == [[2.0], [2.0]]
+    assert EffectModel.by_unit({"B": 0.5, "A": -1.0}).on_grid(["A", "B"], event_time).tolist() == \
+        [[-1.0], [0.5]]
+    with pytest.raises(InvalidSpec, match=r"^no effect entry for unit 'B'$"):
+        EffectModel.by_unit({"A": 1.0}).on_grid(["A", "B", "C"], np.zeros((3, 3), dtype=np.int64))
+    with pytest.raises(InvalidSpec, match=r"^unknown effect kind 'x'$"):
+        EffectModel(kind="x").on_grid(["A", "B"], event_time)
+    for effect in (EffectModel(kind="x"), EffectModel.constant(2), EffectModel.by_unit({})):
+        empty = effect.on_grid([], np.zeros((0, 3), dtype=np.int64))
+        assert empty.dtype == np.float64 and empty.shape == (0, 1)
+
+
+@pytest.mark.parametrize("effect", [EffectModel.constant(-0.0), EffectModel.event_time(-0.0, -0.0)],
+                         ids=["constant", "event_time"])
+def test_negative_zero_baseline_and_effect(effect):
+    # the first cumulative shock is 0.0 + -0.0, so every outcome is +0.0
+    spec = small_spec(effect, {"A": -0.0, "B": -0.0}, {"A": None, "B": 1},
+                      shocks={1: -0.0, 2: -0.0, 3: -0.0})
+    got = generate_panel(spec)
+    assert_same_columns(got, generate_panel_reference(spec))
+    assert got.outcome.tolist() == [0.0] * 6 and not np.signbit(got.outcome).any()
+    assert got.treated.tolist() == [0, 0, 0, 1, 1, 1]

@@ -15,6 +15,7 @@ from twfediag import (
 from twfediag.errors import DuplicateKey, MissingColumn, ParseError, UnknownUnit
 
 from conftest import bundled_schedule, canonical_2x2, make_panel, random_panel
+from oracles import from_observations
 
 
 def write_csv(path, text):
@@ -295,7 +296,7 @@ class TestRoundTrip:
         _, ds = random_panel(rng, noise_sd=1.0)
         beta = fit_twfe(ds).beta
         order = rng.permutation(len(ds.observations))
-        shuffled = PanelDataset.from_observations(ds.observations[i] for i in order)
+        shuffled = from_observations(ds.observations[i] for i in order)
         assert fit_twfe(shuffled).beta == pytest.approx(beta, abs=1e-10)
 
 

@@ -17,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twfediag import Observation, PanelDataset, load_panel_csv, validate
+from twfediag import Observation, load_panel_csv, validate
 from twfediag.errors import DuplicateKey
 
-from oracles import first_repeated_key, validate_reference
+from oracles import first_repeated_key, from_observations, validate_reference
 
 labels = st.text(alphabet="zyXW10ab_", min_size=1, max_size=3)
 outcomes = st.one_of(st.none(), st.floats(-1e6, 1e6, allow_nan=False))
@@ -66,7 +66,7 @@ def load_rows(observations):
 @given(observations=rows())
 def test_validate_matches_reference(observations):
     want = validate_reference(observations)
-    for ds in (PanelDataset.from_observations(observations), load_rows(observations)):
+    for ds in (from_observations(observations), load_rows(observations)):
         assert ds.observations == tuple(observations)
         assert ds.units == tuple(dict.fromkeys(o.unit for o in observations))
         assert ds.periods == tuple(sorted({o.period for o in observations}))
@@ -85,7 +85,7 @@ def test_duplicate_key_matches_reference(data, observations):
         list(observations) + [Observation(o.unit, o.period, 1.5, 0) for o in repeats]
     ))
     want = first_repeated_key(rows_with_repeats)
-    for build in (PanelDataset.from_observations, load_rows):
+    for build in (from_observations, load_rows):
         with pytest.raises(DuplicateKey) as exc:
             build(rows_with_repeats)
         assert (exc.value.unit, exc.value.period) == want

@@ -94,7 +94,7 @@ def test_power_of_two_scales_every_output_exactly(seed, k, inference):
     for name in ("residualized_outcome", "unit_effect", "period_effect"):
         assert _same(getattr(fit_k, name), up(getattr(fit, name))), name
 
-    rows, rows_k = _rows(homogeneity_test(fit, inference)), _rows(homogeneity_test(fit_k, inference))
+    rows, rows_k = _rows(homogeneity_test(fit)), _rows(homogeneity_test(fit_k))
     for (est, se, t, p), (est_k, se_k, t_k, p_k) in zip(rows, rows_k):
         assert (est_k, se_k) == (up(est), up(se))
         assert _same((t_k, p_k), (t, p))
@@ -126,7 +126,7 @@ def test_any_scale_keeps_standard_errors_and_p_values(seed, factor, inference):
     assert fit.se > 0 and math.isfinite(fit_s.p_value)
     assert _relative(fit_s.se / factor, fit.se) <= 1e-12
     assert _relative(fit_s.p_value, fit.p_value) <= 1e-12
-    rows, rows_s = _rows(homogeneity_test(fit, inference)), _rows(homogeneity_test(fit_s, inference))
+    rows, rows_s = _rows(homogeneity_test(fit)), _rows(homogeneity_test(fit_s))
     for (_, se, _, p), (_, se_s, _, p_s) in zip(rows, rows_s):
         assert se > 0
         assert _relative(se_s / factor, se) <= 1e-12
@@ -218,7 +218,7 @@ def _outputs(dataset, inference) -> tuple[dict, list]:
     numbers = {"beta": (fit.beta, True), "se": (fit.se, True), "p": (fit.p_value, False),
                "weights": (fit.weights[order], False)}
     exact = [fit.n_obs, fit.n_treated, fit.dof, sorted(keys)]
-    homog = homogeneity_test(fit, inference)
+    homog = homogeneity_test(fit)
     for i, (field, scales) in enumerate((("estimate", True), ("se", True), ("t", False),
                                          ("p", False))):
         numbers[f"homogeneity {field}"] = ([row[i] for row in _rows(homog)], scales)

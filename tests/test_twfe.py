@@ -15,7 +15,12 @@ from twfediag import (
 from twfediag.errors import CollinearTreatment, DegenerateTreatment, NonFiniteOutcome
 
 from conftest import canonical_2x2, make_panel, random_panel, sample_keys
-from oracles import bacon_decomposition, balanced_residualized_treatment, dummy_ols_beta
+from oracles import (
+    bacon_decomposition,
+    balanced_residualized_treatment,
+    dummy_ols_beta,
+    from_observations,
+)
 
 
 def homogeneous_panel(delta=3.0, seed=0):
@@ -90,7 +95,7 @@ class TestFitTwfe:
         _, ds = random_panel(rng, noise_sd=1.0)
         fit = fit_twfe(ds)
         # rotate observations so a different unit/period pair leads
-        rotated = PanelDataset.from_observations(ds.observations[10:] + ds.observations[:10])
+        rotated = from_observations(ds.observations[10:] + ds.observations[:10])
         fit2 = fit_twfe(rotated)
         assert fit2.beta == pytest.approx(fit.beta, abs=1e-10)
         w1 = dict(zip(sample_keys(fit), fit.weights))
@@ -211,7 +216,7 @@ class TestInvariances:
         _, ds = random_panel(rng, noise_sd=1.0)
         beta = fit_twfe(ds).beta
         target = ds.periods[len(ds.periods) // 2]
-        shifted = PanelDataset.from_observations((
+        shifted = from_observations((
             Observation(o.unit, o.period,
                         o.outcome + (37.5 if o.period == target else 0.0), o.treated)
             for o in ds.observations
@@ -223,7 +228,7 @@ class TestInvariances:
         _, ds = random_panel(rng, noise_sd=1.0)
         beta = fit_twfe(ds).beta
         target = ds.units[0]
-        shifted = PanelDataset.from_observations((
+        shifted = from_observations((
             Observation(o.unit, o.period,
                         o.outcome + (-12.25 if o.unit == target else 0.0), o.treated)
             for o in ds.observations
@@ -235,7 +240,7 @@ class TestInvariances:
         _, ds = random_panel(rng, noise_sd=1.0)
         beta = fit_twfe(ds).beta
         a, b = 2.5, -7.0
-        scaled = PanelDataset.from_observations((
+        scaled = from_observations((
             Observation(o.unit, o.period, a * o.outcome + b, o.treated)
             for o in ds.observations
         ))

@@ -8,7 +8,9 @@ oracles in oracles.py, which share no code with the library's fit.
 Fixed panel families on which the float oracle is itself off by up to
 ~1e-7 (chains, blocks joined by one cell, disconnected blocks, levels near
 1e6) are checked against the exact rational oracle: beta at EXACT_REL, the
-residualized treatment and the weights at EXACT_VECTOR_REL.
+residualized treatment and the weights at EXACT_VECTOR_REL, the classical
+se**2 at EXACT_REL, dof exactly, and the residualized outcome and the
+clustered se**2 at the outcome's scale.
 
 The connected components that set the fixed effects' rank are checked
 against a plain union-find: the search itself on symmetric patterns, and
@@ -33,7 +35,8 @@ from oracles import (
     dummy_design,
     dummy_ols_beta,
     exact_dummy_ols_beta,
-    exact_residualized_treatment,
+    exact_residualized,
+    exact_variances,
     union_find_roots,
     unit_period_components,
 )
@@ -224,13 +227,39 @@ def test_exact_oracle_refuses_a_treatment_the_fixed_effects_absorb():
 @pytest.mark.parametrize("family", sorted(EXACT_FAMILIES))
 def test_residualized_treatment_and_weights_match_exact_oracle(family):
     dataset = EXACT_FAMILIES[family]()
-    exact = exact_residualized_treatment(dataset)
+    exact, _, _ = exact_residualized(dataset)
     ssd = sum(r * r for r in exact)
     fit = fit_twfe(dataset)
     for got, want in ((fit.residualized_treatment, exact), (fit.weights, [r / ssd for r in exact])):
         assert len(got) == len(want)
         error = max(abs(Fraction(g) - w) for g, w in zip(got.tolist(), want))
         assert error <= EXACT_VECTOR_REL * max(map(abs, want))
+
+
+@pytest.mark.parametrize("inference", ["classical", "cluster_by_unit"])
+@pytest.mark.parametrize("family", sorted(EXACT_FAMILIES))
+def test_residualized_outcome_and_variance_match_exact_oracle(family, inference):
+    """The residualized outcome, se**2 and dof against the exact oracle.
+    The residualized outcome is y less fitted values of y's own size, so
+    even correctly rounded fitted values leave an error of about eps *
+    max|y|: it is bounded by EXACT_VECTOR_REL of max|y|. The fitted
+    effects' errors are orthogonal to the residuals, so the classical
+    se**2 is bounded by EXACT_REL relative. A unit's clustered score is not
+    orthogonal to the period effects' errors, so clustered se**2 is
+    bounded at the outcome's scale: EXACT_REL times max|y| / max|residualized
+    outcome|, relative."""
+    dataset = EXACT_FAMILIES[family]()
+    d, want, _ = exact_residualized(dataset)
+    # the oracle's own check: the FWL slope is the full elimination's beta
+    assert sum(a * b for a, b in zip(d, want)) / sum(a * a for a in d) == exact_dummy_ols_beta(dataset)
+    se2, dof = exact_variances(dataset)[inference]
+    fit = fit_twfe(dataset, inference)
+    scale = float(np.abs(fit.outcome).max())
+    error = max(abs(Fraction(g) - w) for g, w in zip(fit.residualized_outcome.tolist(), want))
+    assert error <= EXACT_VECTOR_REL * scale
+    assert fit.dof == dof
+    rel = EXACT_REL if inference == "classical" else EXACT_REL * scale / max(map(abs, want))
+    assert abs(Fraction(fit.se) ** 2 - se2) <= rel * se2
 
 
 def _pattern(n: int, edges) -> np.ndarray:
