@@ -45,12 +45,9 @@ _EXPORTS = {
     ),
     "synth": (
         "EffectModel",
-        "EffectSummary",
         "SyntheticSpec",
         "generate_panel",
         "spec_from_json",
-        "spec_to_json",
-        "true_effect_summary",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

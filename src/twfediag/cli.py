@@ -113,7 +113,7 @@ def _load(args):
         args.data, args.unit, args.time, args.outcome, args.treatment
     )
     schedule = None
-    if args.adoption:
+    if args.adoption is not None:
         schedule = load_schedule_csv(args.adoption)
         if args.treat_from == "next-year":  # one period later; no int64 period follows 2**63-1
             schedule = AdoptionSchedule({u: None if a in (None, 2**63 - 1) else a + 1

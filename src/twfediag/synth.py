@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -78,12 +78,6 @@ class EffectModel:
         return np.array(column, dtype=np.float64)[:, None]
 
 
-class EffectSummary(NamedTuple):
-    minimum: float
-    maximum: float
-    mean: float
-
-
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Balanced-panel data-generating process.
@@ -140,9 +134,10 @@ class SyntheticSpec:
             raise InvalidSpec(f"seed must be non-negative, got {self.seed}")
 
 
-def _treated_effects(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Unit x period grids: the treated mask, and each treated cell's effect
-    (0 elsewhere, and over units with no treated cell)."""
+def generate_panel(spec: SyntheticSpec) -> PanelDataset:
+    """Materialize the spec as a balanced panel, rows by unit then period;
+    deterministic given the seed."""
+    cum = list(accumulate((spec.shocks[p] for p in spec.periods), initial=0.0))[1:]
     periods = np.array(spec.periods, dtype=np.int64)
     adopts, start = spec.schedule.by_unit(spec.units)
     event_time = periods - start[:, None]  # wraps only in cells before adoption
@@ -150,15 +145,6 @@ def _treated_effects(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     rows = np.flatnonzero(on.any(axis=1))  # only units with a treated cell need an effect
     effect = np.zeros(on.shape)
     effect[rows] = spec.effect.on_grid([spec.units[i] for i in rows.tolist()], event_time[rows])
-    return on, effect
-
-
-def generate_panel(spec: SyntheticSpec) -> PanelDataset:
-    """Materialize the spec as a balanced panel, rows by unit then period;
-    deterministic given the seed."""
-    cum = list(accumulate((spec.shocks[p] for p in spec.periods), initial=0.0))[1:]
-    n_units, n_periods = len(spec.units), len(spec.periods)
-    on, effect = _treated_effects(spec)
     # unit x period grids; each cell gets baseline + cumulative shock, then
     # its effect if treated, then its noise: the per-cell operations of
     # the unit-by-unit construction, in the same order
@@ -168,21 +154,10 @@ def generate_panel(spec: SyntheticSpec) -> PanelDataset:
         outcome += spec.noise_sd * np.random.default_rng(spec.seed).normal(size=outcome.shape)
     return PanelDataset(
         spec.units,
-        np.repeat(np.arange(n_units, dtype=np.int32), n_periods),
-        np.tile(np.array(spec.periods, dtype=np.int64), n_units),
+        np.repeat(np.arange(len(spec.units), dtype=np.int32), len(spec.periods)),
+        np.tile(periods, len(spec.units)),
         outcome.ravel(),
         on.ravel(),
-    )
-
-
-def true_effect_summary(spec: SyntheticSpec) -> EffectSummary:
-    """Exact min/max/mean of the effect over treated cells."""
-    on, effect = _treated_effects(spec)
-    effects = effect[on].tolist()  # unit by unit, periods ascending
-    if not effects:
-        raise InvalidSpec("schedule has no treated cells")
-    return EffectSummary(
-        minimum=min(effects), maximum=max(effects), mean=sum(effects) / len(effects)
     )
 
 
@@ -190,10 +165,20 @@ _KINDS = {"an object": (dict,), "an array": (list,), "a string": (str,),
           "an integer": (int,), "a number": (int, float)}  # so an integer is not true or 2.5
 
 
+def _object(pairs: list):
+    """A JSON object's dict, or (key,) for one that gives the key twice: no
+    JSON kind is a tuple, so _expect refuses it by name."""
+    seen = set()
+    repeated = [k for k, _ in pairs if k in seen or seen.add(k)]
+    return (repeated[0],) if repeated else dict(pairs)
+
+
 def _expect(value, kind: str, name: str):
     """value (a float if kind is "a number") when it has the JSON kind
     named, else InvalidSpec naming the field."""
     if type(value) not in _KINDS[kind]:
+        if type(value) is tuple:
+            raise InvalidSpec(f"{name} gives the key {value[0]!r} twice")
         shown = {dict: "an object", list: "an array"}.get(type(value)) or json.dumps(value)
         raise InvalidSpec(f"{name} must be {kind}, got {shown}")
     return float(value) if kind == "a number" else value
@@ -213,20 +198,13 @@ def _effect_from_dict(d) -> EffectModel:
     raise InvalidSpec(f"unknown effect kind {kind!r}")
 
 
-def _effect_to_dict(e: EffectModel) -> dict:
-    if e.kind == "constant":
-        return {"kind": "constant", "delta": e.delta}
-    if e.kind == "by_unit":
-        return {"kind": "by_unit", "per_unit": dict(e.per_unit)}
-    return {"kind": "event_time", "slope": e.slope, "intercept": e.intercept}
-
-
 def spec_from_json(path: str | Path, seed: Optional[int] = None) -> SyntheticSpec:
     """Load a generator spec from a JSON document; seed overrides the file's.
     A value of the wrong JSON type (true or 2.5 for an integer, an array
-    for an object) is InvalidSpec naming its field."""
+    for an object), an object that gives a key twice and a shock given
+    twice for one period are InvalidSpec naming the field."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_object)
     except UnicodeDecodeError as exc:
         raise InvalidSpec(f"not UTF-8 text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
@@ -239,8 +217,11 @@ def spec_from_json(path: str | Path, seed: Optional[int] = None) -> SyntheticSpe
                         for i, p in enumerate(_expect(doc["periods"], "an array", "periods")))
         baselines = {k: _expect(v, "a number", f"baselines[{k!r}]")
                      for k, v in _expect(doc["baselines"], "an object", "baselines").items()}
-        shocks = {int(k): _expect(v, "a number", f"shocks[{k!r}]")
-                  for k, v in _expect(doc["shocks"], "an object", "shocks").items()}
+        shocks = {}
+        for k, v in _expect(doc["shocks"], "an object", "shocks").items():
+            if int(k) in shocks:  # "2001", "2_001" and " 2001" are one period
+                raise InvalidSpec(f"shocks[{k!r}] gives period {int(k)} a second shock")
+            shocks[int(k)] = _expect(v, "a number", f"shocks[{k!r}]")
         schedule = AdoptionSchedule({
             k: None if v is None or str(v).lower() == "never"
             else _expect(v, "an integer", f"schedule[{k!r}]")
@@ -251,29 +232,6 @@ def spec_from_json(path: str | Path, seed: Optional[int] = None) -> SyntheticSpe
         file_seed = _expect(doc.get("seed", 0), "an integer", "seed")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidSpec(f"malformed spec document: {exc}")
-    return SyntheticSpec(
-        units=units,
-        periods=periods,
-        baselines=baselines,
-        shocks=shocks,
-        schedule=schedule,
-        effect=effect,
-        noise_sd=noise_sd,
-        seed=seed if seed is not None else file_seed,
-    )
+    return SyntheticSpec(units, periods, baselines, shocks, schedule, effect, noise_sd,
+                         seed if seed is not None else file_seed)
 
-
-def spec_to_json(spec: SyntheticSpec, path: str | Path) -> None:
-    doc = {
-        "units": list(spec.units),
-        "periods": list(spec.periods),
-        "baselines": dict(spec.baselines),
-        "shocks": {str(k): v for k, v in spec.shocks.items()},
-        "schedule": {
-            k: ("never" if v is None else v) for k, v in spec.schedule.entries.items()
-        },
-        "effect": _effect_to_dict(spec.effect),
-        "noise_sd": spec.noise_sd,
-        "seed": spec.seed,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")

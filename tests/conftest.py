@@ -1,4 +1,5 @@
 import importlib.resources
+import json
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,27 @@ def random_spec(rng: np.random.Generator, effect=None, noise_sd=0.0) -> Syntheti
             noise_sd=noise_sd,
             seed=int(rng.integers(0, 2**63 - 1)),
         )
+
+
+def write_spec(spec: SyntheticSpec, path) -> None:
+    """Write a spec as the JSON document that spec_from_json reads: its
+    fields by name, shocks keyed by the period's decimal string, a
+    never-treated unit's adoption as "never" and the effect as an object
+    holding its kind's fields."""
+    effect = spec.effect
+    fields = {"constant": {"delta": effect.delta}, "by_unit": {"per_unit": dict(effect.per_unit)},
+              "event_time": {"slope": effect.slope, "intercept": effect.intercept}}[effect.kind]
+    doc = {
+        "units": list(spec.units),
+        "periods": list(spec.periods),
+        "baselines": dict(spec.baselines),
+        "shocks": {str(k): v for k, v in spec.shocks.items()},
+        "schedule": {k: "never" if v is None else v for k, v in spec.schedule.entries.items()},
+        "effect": {"kind": effect.kind, **fields},
+        "noise_sd": spec.noise_sd,
+        "seed": spec.seed,
+    }
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def with_missing(dataset: PanelDataset, rng: np.random.Generator, frac=0.15) -> PanelDataset:

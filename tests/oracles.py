@@ -5,7 +5,8 @@ formed normal equations, sandwich covariance via naive loops, and the t
 p-value via numerical quadrature of the density. The panel CSV reader,
 the CSV row writer and the synthetic generator are kept here in their
 row-by-row and unit-by-unit forms, as references for the column passes,
-beside a panel constructor from row objects and the effect models' formulas.
+beside a panel constructor from row objects, the effect models' formulas
+and the summary of a spec's true effects.
 From the package they import only PanelDataset and the errors.
 """
 
@@ -167,6 +168,55 @@ def exact_variances(dataset) -> dict:
         "classical": (sum(r * r for r in e) / (n - k) / ssd, n - k),
         "cluster_by_unit": (Fraction(G, G - 1) * Fraction(n - 1, n - k)
                             * sum(s * s for s in scores.values()) / ssd ** 2, G - 1),
+    }
+
+
+def _exact_inverse(A: list) -> list:
+    """The inverse of a square matrix of Fractions by Gauss-Jordan
+    elimination. ValueError when it is singular."""
+    n = len(A)
+    M = [[*row, *(Fraction(int(i == j)) for j in range(n))] for i, row in enumerate(A)]
+    for c in range(n):
+        r = next((r for r in range(c, n) if M[r][c]), None)
+        if r is None:
+            raise ValueError("singular matrix")
+        M[c], M[r] = M[r], M[c]
+        M[c] = [v / M[c][c] for v in M[c]]
+        for i in range(n):
+            if i != c and M[i][c]:
+                M[i] = [a - M[i][c] * b for a, b in zip(M[i], M[c])]
+    return [row[n:] for row in M]
+
+
+def exact_homogeneity(dataset) -> tuple:
+    """(beta, bread, variances) of the homogeneity regression in exact
+    arithmetic, from exact_residualized: the residualized outcome y on X =
+    [1, d, g, g d], d the residualized treatment and g the treatment, by
+    the normal equations. beta holds the four coefficients (intercept, d,
+    group, interaction) and bread the diagonal of (X'X)^-1. variances is
+    {inference: (se**2 of each coefficient, dof)} with e = y - X beta and
+    K = 4: classical is sum e**2 / (N - 4) times bread on N - 4 degrees of
+    freedom; clustered by unit, with s_c = sum of X'e over unit c's rows,
+    it is [G/(G-1)] [(N-1)/(N-4)] times the diagonal of
+    (X'X)^-1 (sum s_c s_c') (X'X)^-1, on G - 1. ValueError when X'X is
+    singular."""
+    sample = [o for o in dataset.observations if o.outcome is not None]
+    d, y, _ = exact_residualized(dataset)
+    X = [[Fraction(1), a, Fraction(o.treated), o.treated * a] for o, a in zip(sample, d)]
+    inverse = _exact_inverse([[sum(r[i] * r[j] for r in X) for j in range(4)] for i in range(4)])
+    xy = [sum(r[i] * b for r, b in zip(X, y)) for i in range(4)]
+    beta = [sum(inverse[i][j] * xy[j] for j in range(4)) for i in range(4)]
+    e = [b - sum(c * x for c, x in zip(beta, r)) for r, b in zip(X, y)]
+    scores = {}
+    for o, r, res in zip(sample, X, e):
+        scores[o.unit] = [s + x * res for s, x in zip(scores.get(o.unit, [0] * 4), r)]
+    n, G = len(e), len(scores)
+    bread = [inverse[i][i] for i in range(4)]
+    factor = Fraction(G, G - 1) * Fraction(n - 1, n - 4)
+    return beta, bread, {
+        "classical": ([sum(r * r for r in e) / (n - 4) * b for b in bread], n - 4),
+        "cluster_by_unit": ([factor * sum(sum(inverse[i][j] * s[j] for j in range(4)) ** 2
+                                          for s in scores.values()) for i in range(4)], G - 1),
     }
 
 
@@ -564,6 +614,24 @@ def effect_reference(effect, unit, event_time):
     if effect.kind == "event_time":
         return effect.intercept + effect.slope * event_time
     raise InvalidSpec(f"unknown effect kind {effect.kind!r}")
+
+
+def effect_summary_reference(spec) -> tuple:
+    """(minimum, maximum, mean) of the effect over a spec's treated cells,
+    each cell's effect the float of effect_reference at its event time,
+    period less adoption period in Python integers, walking the units in
+    spec order and each unit's periods ascending. InvalidSpec when no cell
+    is treated. It reads the spec's fields and calls nothing of
+    twfediag.synth."""
+    effects = []
+    for u in spec.units:
+        adoption = spec.schedule.entries[u]
+        if adoption is not None:
+            effects += [float(effect_reference(spec.effect, u, p - adoption))
+                        for p in spec.periods if p >= adoption]
+    if not effects:
+        raise InvalidSpec("schedule has no treated cells")
+    return min(effects), max(effects), sum(effects) / len(effects)
 
 
 def generate_panel_reference(spec):

@@ -22,7 +22,6 @@ from twfediag import (
     spec_from_json,
     sweep_end_year,
     sweep_post_horizon,
-    true_effect_summary,
     weight_grid,
     weight_report,
 )
@@ -32,7 +31,12 @@ from twfediag.panel import Observation
 from twfediag.synth import EffectModel
 
 from conftest import FIXTURES, bundled_schedule, random_panel
-from oracles import balanced_residualized_treatment, dummy_ols_beta, from_observations
+from oracles import (
+    balanced_residualized_treatment,
+    dummy_ols_beta,
+    effect_summary_reference,
+    from_observations,
+)
 
 EARLY_FIVE = {"Malawi", "Ethiopia", "Ghana", "Uganda", "Cameroon"}
 
@@ -287,12 +291,10 @@ def test_c12_heterogeneity_bias_fixture(tmp_path):
     oracle_beta = dummy_ols_beta(panel)
     _close("oracle beta vs fixture", oracle_beta, expected["beta"], 1e-8, failures)
     _close("fit beta vs oracle", fit_twfe(panel).beta, oracle_beta, 1e-8, failures)
-    summary = true_effect_summary(spec)
-    if summary.minimum != expected["effect_min"] or summary.maximum != expected["effect_max"]:
-        failures.append(
-            f"effect range ({summary.minimum}, {summary.maximum}) != fixture"
-        )
-    _close("effect mean", summary.mean, expected["effect_mean"], 1e-12, failures)
+    minimum, maximum, mean = effect_summary_reference(spec)
+    if minimum != expected["effect_min"] or maximum != expected["effect_max"]:
+        failures.append(f"effect range ({minimum}, {maximum}) != fixture")
+    _close("effect mean", mean, expected["effect_mean"], 1e-12, failures)
     if expected["effect_min"] <= expected["beta"] <= expected["effect_max"]:
         failures.append("fixture beta does not exit the effect range")
     _verdict("C12", "pooled estimate exits the true-effect range", failures)

@@ -1,7 +1,8 @@
 """Repository checks that need no program run: the CI workflow runs the
 tier-1 command that ROADMAP.md names and the benchmark's oracle checks,
 the package parses as the lowest supported Python, the README's import
-block imports, every name the README lists as removed is gone, every
+block imports, every exported name is used by the package or listed in
+that block, every name the README lists as removed is gone, every
 `module.name` it names elsewhere exists, the
 installed script and `python -m twfediag.cli` start through one
 function, every CLI option and choice is passed by some other test file,
@@ -67,12 +68,42 @@ def test_workflow_runs_benchmark_oracle_checks():
     assert "python3 perfbench/run.py --report --seconds 5 --seed 5" in _workflow_commands()
 
 
-def test_readme_library_surface_imports():
+def _library_surface() -> str:
+    """README's "Library surface" import block."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library surface\n", 1)[1]
-    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def test_readme_library_surface_imports():
+    block = _library_surface()
     assert "from twfediag import" in block
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_every_exported_name_has_a_use():
+    """Every name in twfediag.__all__ is read by the program or offered to
+    users: a module of the package other than __init__.py refers to it (a
+    name, an attribute or an import, so not by its own def or class), or
+    README's "Library surface" imports it. A name that only the tests use
+    belongs in the tests."""
+    import twfediag
+
+    used = set()
+    for path in sorted((ROOT / "src" / "twfediag").glob("*.py")):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    used.update(alias.asname or alias.name for alias in node.names)
+    surface = {alias.name for node in ast.walk(ast.parse(_library_surface()))
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {"fit_twfe", "generate_panel"} <= surface
+    assert {"PanelDataset", "AdoptionSchedule", "TwfeFit"} <= used
+    assert [name for name in twfediag.__all__ if name not in used | surface] == []
 
 
 def _subcommands() -> dict:
@@ -150,7 +181,8 @@ def test_readme_removed_names_are_gone():
     assert {"twfediag.twfe.EncodedSample", "twfediag.twfe.fit_sample(sample, keep, inference)",
             "twfediag.apply_adoption_schedule(include_adoption_period=...)",
             "PanelDataset.from_observations", "EffectModel.effect",
-            "twfediag.homogeneity_test(inference=...)"} <= set(names)
+            "twfediag.homogeneity_test(inference=...)", "twfediag.true_effect_summary",
+            "twfediag.EffectSummary", "twfediag.spec_to_json"} <= set(names)
     for present in ("twfediag.fit_twfe",
                     "twfediag.lsq.standard_errors(X, residuals, bread, k, yy, inference, clusters)",
                     "TwfeFit.beta", "TwfeFit.p_value", "DegenerateGroup", "twfediag.errors.UnknownUnit",

@@ -15,7 +15,6 @@ from twfediag import (
     load_schedule_csv,
     residual_scatter,
     schedule_from_data,
-    spec_to_json,
     sweep_end_year,
     sweep_post_horizon,
     weight_grid,
@@ -25,8 +24,8 @@ from twfediag import (
 from twfediag.cli import BINS, GRID_POINTS, _digest, main
 from twfediag.diagnostics import STATUS
 
-from conftest import random_panel
-from test_synth import base_spec
+from conftest import random_panel, write_spec
+from test_synth import REPEATED_KEYS, base_spec, write_repeated_key_spec
 
 
 @pytest.fixture()
@@ -93,6 +92,17 @@ class TestEstimate:
         assert doc["interaction"]["se"] == homog.b_interaction.se
         assert doc["interaction"]["p_value"] == homog.b_interaction.p_value
 
+    @pytest.mark.parametrize("treatment", [True, False], ids=["with treatment", "schedule only"])
+    def test_empty_adoption_path_is_an_os_error(self, panel_files, tmp_path, capsys, treatment):
+        # an empty path is a path that cannot be read, not an absent option
+        _, data, _ = panel_files
+        out = tmp_path / "report.json"
+        argv = ["estimate", *data_args(data, treatment=treatment), "--adoption", "", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: [Errno ")
+        assert not out.exists()
+
     def test_schedule_route_matches_treatment_route(self, panel_files, tmp_path):
         ds, data, sched = panel_files
         out1 = tmp_path / "a.json"
@@ -120,7 +130,7 @@ class TestEstimate:
         """A noiseless 3x3 panel fits exactly: se 0, so the p-value and the
         homogeneity t statistics are nan, written as null (JSON has no nan)."""
         spec, data, out = tmp_path / "spec.json", tmp_path / "panel.csv", tmp_path / "report.json"
-        spec_to_json(base_spec(periods=(1, 2, 3), shocks={1: 0.0, 2: 1.0, 3: -2.0},
+        write_spec(base_spec(periods=(1, 2, 3), shocks={1: 0.0, 2: 1.0, 3: -2.0},
                                schedule=AdoptionSchedule({"A": 2, "B": 3, "C": None})), spec)
         assert main(["simulate", "--spec", str(spec), "--out", str(data)]) == 0
         assert main(["estimate", *data_args(data), "--cluster", cluster, "--out", str(out)]) == 0
@@ -490,7 +500,7 @@ class TestUnreadableInput:
             _append(sched, "C\u00f4te,never\r\n".encode("latin-1"))
         elif case == "utf-16 spec":
             spec = tmp_path / "spec.json"
-            spec_to_json(base_spec(), spec)
+            write_spec(base_spec(), spec)
             spec.write_bytes(spec.read_text(encoding="utf-8").encode("utf-16"))
             argv = ["simulate", "--spec", str(spec), "--out", str(out)]
         elif case == "oversized panel cell":
@@ -511,7 +521,7 @@ class TestUnreadableInput:
 class TestSimulate:
     def test_byte_identical_reruns(self, tmp_path):
         spec_path = tmp_path / "spec.json"
-        spec_to_json(base_spec(noise_sd=1.0), spec_path)
+        write_spec(base_spec(noise_sd=1.0), spec_path)
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         assert main(["simulate", "--spec", str(spec_path), "--seed", "7",
@@ -523,7 +533,7 @@ class TestSimulate:
 
     def test_seed_changes_output(self, tmp_path):
         spec_path = tmp_path / "spec.json"
-        spec_to_json(base_spec(noise_sd=1.0), spec_path)
+        write_spec(base_spec(noise_sd=1.0), spec_path)
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         main(["simulate", "--spec", str(spec_path), "--seed", "7", "--out", str(out1)])
@@ -545,7 +555,7 @@ class TestSimulate:
     ], ids=["baseline NaN", "shock Infinity", "delta NaN", "noise_sd NaN", "seed -1"])
     def test_invalid_spec_value_exit_1(self, tmp_path, capsys, path, value):
         spec_path = tmp_path / "spec.json"
-        spec_to_json(base_spec(noise_sd=1.0), spec_path)
+        write_spec(base_spec(noise_sd=1.0), spec_path)
         doc = json.loads(spec_path.read_text(encoding="utf-8"))
         *parents, key = path
         target = doc
@@ -562,7 +572,7 @@ class TestSimulate:
 
     def test_spec_field_of_wrong_json_type_exit_1(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
-        spec_to_json(base_spec(), spec_path)
+        write_spec(base_spec(), spec_path)
         doc = json.loads(spec_path.read_text(encoding="utf-8"))
         doc["baselines"] = list(doc["baselines"].values())
         spec_path.write_text(json.dumps(doc), encoding="utf-8")
@@ -570,6 +580,15 @@ class TestSimulate:
         assert main(["simulate", "--spec", str(spec_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == "error: baselines must be an object, got an array\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(REPEATED_KEYS))
+    def test_repeated_key_exit_1(self, tmp_path, capsys, case):
+        spec_path = tmp_path / "spec.json"
+        message = write_repeated_key_spec(spec_path, case)
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--spec", str(spec_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_adoption_span_beyond_64_bits_exit_1(self, tmp_path, capsys):
@@ -591,7 +610,7 @@ class TestSimulate:
 
     def test_negative_seed_usage_error(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
-        spec_to_json(base_spec(), spec_path)
+        write_spec(base_spec(), spec_path)
         out = tmp_path / "o.csv"
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--spec", str(spec_path), "--seed", "-1", "--out", str(out)])

@@ -5,9 +5,15 @@ cells, arbitrary or staggered treatment, one block or two disconnected
 blocks. The homogeneity regression is checked against normal equations on
 its 4-column design with the clusters taken from the Observation rows,
 and the weight grid's arrays against a dict built from those rows.
+
+On the TWFE suite's exact families, the homogeneity regression's
+coefficients and their classical and clustered se**2 are checked against
+the exact rational oracle, at bounds set from the fit's own exact bounds.
 """
 
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,11 +23,25 @@ from scipy import stats
 from twfediag import fit_twfe, homogeneity_test, schedule_from_data, weight_grid
 from twfediag.diagnostics import STATUS
 from twfediag.errors import CollinearTreatment, DegenerateGroup, DegenerateTreatment
-from twfediag.lsq import EXACT_FIT_TOL
+from twfediag.lsq import EXACT_FIT_TOL, t_test
 
 from conftest import make_panel
-from oracles import cluster_score_sandwich, naive_weight_grid, normal_equations_ols
-from test_twfe_oracle import BETA_FLOOR, REL, VARIANCE_FLOOR, panels
+from oracles import (
+    cluster_score_sandwich,
+    exact_homogeneity,
+    exact_residualized,
+    naive_weight_grid,
+    normal_equations_ols,
+)
+from test_twfe_oracle import (
+    BETA_FLOOR,
+    EXACT_FAMILIES,
+    EXACT_REL,
+    EXACT_VECTOR_REL,
+    REL,
+    VARIANCE_FLOOR,
+    panels,
+)
 
 REFUSED = (DegenerateTreatment, CollinearTreatment)
 
@@ -112,3 +132,38 @@ def test_weight_grid_matches_observation_rows(dataset):
             got_weight = float(grid.weight[i, j])
             assert STATUS[grid.status[i, j]] == status
             assert got_weight == weight or math.isnan(got_weight) and math.isnan(weight)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact(family: str):
+    """exact_homogeneity of an exact family, and the largest magnitude of
+    its exact residualized outcome."""
+    dataset = EXACT_FAMILIES[family]()
+    return exact_homogeneity(dataset), max(map(abs, exact_residualized(dataset)[1]))
+
+
+@pytest.mark.parametrize("inference", ["classical", "cluster_by_unit"])
+@pytest.mark.parametrize("family", sorted(EXACT_FAMILIES))
+def test_homogeneity_matches_exact_oracle(family, inference):
+    """The reported coefficients and se**2 against the exact oracle, and
+    the t statistics and p-values on the oracle's degrees of freedom. The
+    residualized outcome is within EXACT_VECTOR_REL of max|y| of exact in
+    every row, which moves coefficient j by at most
+    sqrt(N (X'X)^-1_jj) times that (Cauchy-Schwarz); the residualized
+    treatment's relative error moves it by EXACT_REL of itself. The group
+    column is not residualized, so the homogeneity residuals are not
+    orthogonal to the fitted effects' errors, and both kinds of se**2 are
+    bounded at the outcome's scale, as the fit's clustered se**2 is:
+    EXACT_REL times max|y| / max|residualized outcome|, relative."""
+    (beta, bread, variances), y_res = _exact(family)
+    fit = fit_twfe(EXACT_FAMILIES[family](), inference)
+    result = homogeneity_test(fit)
+    scale = float(np.abs(fit.outcome).max())
+    se2, dof = variances[inference]
+    rel = EXACT_REL * scale / y_res
+    rows = (result.b_resid_treatment, result.b_treat_group, result.b_interaction)
+    for j, row in enumerate(rows, start=1):
+        bound = EXACT_REL * abs(beta[j]) + EXACT_VECTOR_REL * scale * math.sqrt(fit.n_obs * bread[j])
+        assert abs(Fraction(row.estimate) - beta[j]) <= bound, j
+        assert abs(Fraction(row.se) ** 2 - se2[j]) <= rel * se2[j], j
+        assert (row.t_stat, row.p_value) == t_test(row.estimate, row.se, dof), j

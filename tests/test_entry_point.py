@@ -25,11 +25,11 @@ from twfediag import (
     EffectModel,
     PanelDataset,
     SyntheticSpec,
-    spec_to_json,
     write_panel_csv,
 )
 from twfediag.cli import main
 
+from conftest import write_spec
 from test_cli import data_args, panel_files  # noqa: F401 (a fixture)
 from test_cli_edge_cases import PANELS as EDGE_PANELS
 
@@ -205,7 +205,7 @@ def _write_inputs(directory: Path, n_units: int) -> None:
         seed=3,
     )
     directory.mkdir()
-    spec_to_json(spec, directory / "spec.json")
+    write_spec(spec, directory / "spec.json")
     with (directory / "schedule.csv").open("w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["unit", "adoption_period"])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -14,12 +15,11 @@ from twfediag import (
     generate_panel,
     homogeneity_test,
     spec_from_json,
-    spec_to_json,
-    true_effect_summary,
 )
 from twfediag.errors import InvalidSpec
 
-from oracles import dummy_ols_beta
+from conftest import write_spec
+from oracles import dummy_ols_beta, effect_summary_reference
 
 
 def base_spec(**overrides):
@@ -35,6 +35,29 @@ def base_spec(**overrides):
     )
     kwargs.update(overrides)
     return SyntheticSpec(**kwargs)
+
+
+# (text in write_spec(base_spec())'s document, what replaces it, message):
+# a JSON object giving one key twice, and two shocks keys naming one period
+REPEATED_KEYS = {
+    "baseline twice": ('"C": 5.0', '"C": 5.0, "A": 9.0', "baselines gives the key 'A' twice"),
+    "field twice": ('"seed": 7', '"seed": 7, "seed": 8', "the spec document gives the key 'seed' twice"),
+    "shock period with underscore": ('"3": -2.0', '"3": -2.0, "0_3": 50.0',
+                                     "shocks['0_3'] gives period 3 a second shock"),
+    "shock period with space": ('"3": -2.0', '"3": -2.0, " 3": 50.0',
+                                "shocks[' 3'] gives period 3 a second shock"),
+}
+
+
+def write_repeated_key_spec(path, case: str) -> str:
+    """Write base_spec()'s document with REPEATED_KEYS[case]'s edit; returns
+    the message that refuses it."""
+    old, new, message = REPEATED_KEYS[case]
+    write_spec(base_spec(), path)
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return message
 
 
 class TestGeneratePanel:
@@ -90,9 +113,9 @@ class TestGeneratePanel:
         )
         panel = generate_panel(spec)
         beta = dummy_ols_beta(panel)
-        summary = true_effect_summary(spec)
+        minimum, maximum, _ = effect_summary_reference(spec)
         assert fit_twfe(panel).beta == pytest.approx(beta, abs=1e-8)
-        assert beta < summary.minimum or beta > summary.maximum
+        assert beta < minimum or beta > maximum
 
     def test_heterogeneous_effects_produce_nonzero_interaction(self):
         spec = base_spec(
@@ -193,8 +216,12 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec, match=r"more than 2\*\*63-1 periods"):
             base_spec(schedule=AdoptionSchedule({"A": -2**62, "B": None}), **kwargs)
         at_limit = base_spec(schedule=AdoptionSchedule({"A": 2 - 2**62, "B": None}), **kwargs)
-        assert true_effect_summary(at_limit).minimum == float(2**63 - 2)
-        assert true_effect_summary(at_limit).maximum == float(2**63 - 1)
+        panel = generate_panel(at_limit)
+        # unit A's rows less its baseline of 0 and cumulative shocks 0 and 1:
+        # the effects at event times 2**63-2 and 2**63-1, negative had they wrapped
+        assert panel.treated[:2].tolist() == [1, 1]
+        effects = panel.outcome[:2] - np.array([0.0, 1.0])
+        assert effects.tolist() == [float(2**63 - 2), float(2**63 - 1)]
 
     @pytest.mark.parametrize("change, message", [
         (lambda d: d.update(baselines=[10.0, 20.0, 5.0]), "baselines must be an object, got an array"),
@@ -218,7 +245,7 @@ class TestSpecValidation:
             "baseline string", "delta null"])
     def test_field_of_wrong_json_type(self, tmp_path, change, message):
         path = tmp_path / "spec.json"
-        spec_to_json(base_spec(), path)
+        write_spec(base_spec(), path)
         doc = json.loads(path.read_text(encoding="utf-8"))
         change(doc)
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -227,44 +254,59 @@ class TestSpecValidation:
 
 
 class TestTrueEffectSummary:
+    """The oracle's summary of a spec's true effects, against hand values
+    and against the effects generate_panel adds to the treated cells: the
+    outcome less the same spec's outcome with a zero effect, exact at
+    these levels."""
+
+    @staticmethod
+    def _check_generated(spec, summary):
+        panel = generate_panel(spec)
+        untreated = generate_panel(dataclasses.replace(spec, effect=EffectModel.constant(0.0)))
+        effects = (panel.outcome - untreated.outcome)[panel.treated == 1].tolist()
+        assert summary == (min(effects), max(effects), sum(effects) / len(effects))
+
     def test_constant(self):
-        assert true_effect_summary(base_spec()) == (3.0, 3.0, 3.0)
+        assert effect_summary_reference(base_spec()) == (3.0, 3.0, 3.0)
+        self._check_generated(base_spec(), (3.0, 3.0, 3.0))
 
     def test_by_unit_mean(self):
         spec = base_spec(
             schedule=AdoptionSchedule({"A": 4, "B": 4, "C": None}),
             effect=EffectModel.by_unit({"A": 1.0, "B": 2.0, "C": 0.0}),
         )
-        summary = true_effect_summary(spec)
+        summary = effect_summary_reference(spec)
         assert summary == (1.0, 2.0, 1.5)
+        self._check_generated(spec, summary)
 
     def test_event_time_enumeration(self):
         spec = base_spec(
             schedule=AdoptionSchedule({"A": 2, "B": None, "C": None}),
             effect=EffectModel.event_time(slope=1.0, intercept=0.0),
         )
-        summary = true_effect_summary(spec)
-        assert summary.minimum == 0.0
-        assert summary.maximum == 3.0
-        assert summary.mean == pytest.approx(1.5)
+        minimum, maximum, mean = effect_summary_reference(spec)
+        assert minimum == 0.0
+        assert maximum == 3.0
+        assert mean == pytest.approx(1.5)
+        self._check_generated(spec, (minimum, maximum, mean))
 
     def test_no_treated_cells(self):
         spec = base_spec(schedule=AdoptionSchedule({"A": None, "B": None, "C": None}))
         with pytest.raises(InvalidSpec):
-            true_effect_summary(spec)
+            effect_summary_reference(spec)
 
 
 class TestJsonRoundTrip:
     def test_round_trip(self, tmp_path):
         spec = base_spec(noise_sd=0.5)
         path = tmp_path / "spec.json"
-        spec_to_json(spec, path)
+        write_spec(spec, path)
         back = spec_from_json(path)
         assert back == spec
 
     def test_seed_override(self, tmp_path):
         path = tmp_path / "spec.json"
-        spec_to_json(base_spec(seed=7), path)
+        write_spec(base_spec(seed=7), path)
         assert spec_from_json(path, seed=99).seed == 99
 
     def test_invalid_json(self, tmp_path):
@@ -275,7 +317,7 @@ class TestJsonRoundTrip:
 
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "spec.json"
-        spec_to_json(base_spec(), path)
+        write_spec(base_spec(), path)
         path.write_bytes(path.read_text(encoding="utf-8").encode("utf-16"))
         with pytest.raises(InvalidSpec, match="not UTF-8 text"):
             spec_from_json(path)
@@ -286,12 +328,28 @@ class TestJsonRoundTrip:
         with pytest.raises(InvalidSpec):
             spec_from_json(path)
 
+    @pytest.mark.parametrize("case", sorted(REPEATED_KEYS))
+    def test_repeated_key(self, tmp_path, case):
+        path = tmp_path / "spec.json"
+        message = write_repeated_key_spec(path, case)
+        with pytest.raises(InvalidSpec) as exc:
+            spec_from_json(path)
+        assert str(exc.value) == message
+
+    def test_repeated_key_in_an_array_element(self, tmp_path):
+        path = tmp_path / "spec.json"
+        write_spec(base_spec(), path)
+        text = path.read_text(encoding="utf-8").replace('"C"\n', '{"C": 1, "C": 2}\n', 1)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidSpec, match=r"^units\[2\] gives the key 'C' twice$"):
+            spec_from_json(path)
+
     @pytest.mark.parametrize("field", ["baselines", "seed"])
     def test_number_beyond_float_range(self, tmp_path, field):
         # an integer literal too large for a float: float(), and int() of
         # the float JSON makes of 1e400, raise OverflowError
         path = tmp_path / "spec.json"
-        spec_to_json(base_spec(), path)
+        write_spec(base_spec(), path)
         text = path.read_text(encoding="utf-8")
         if field == "baselines":
             text = text.replace('"A": 10.0', '"A": 1' + "0" * 400, 1)
