@@ -206,7 +206,7 @@ def cmd_estimate(args) -> int:
     if not args.no_timestamp:
         doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    if args.out:
+    if args.out is not None:
         _write_text(args.out, text)
         print(
             f"beta={fit.beta:.2f} se={fit.se:.2f} p={fit.p_value:.2f} "
@@ -230,10 +230,10 @@ def cmd_weights(args) -> int:
     dataset, schedule = _load(args)
     fit = fit_twfe(dataset)
     report = weight_report(fit, **_given(args, "bins"))
-    if args.out_hist:
+    if args.out_hist is not None:
         write_csv(args.out_hist, ["bin_low", "bin_high", "treated_count", "control_count"],
                   [list(column) for column in zip(*report.histogram)])  # a tuple is labels
-    if args.out_grid:
+    if args.out_grid is not None:
         if schedule is None:
             schedule = schedule_from_data(dataset)
         grid = weight_grid(fit, schedule)
@@ -301,10 +301,13 @@ def cmd_sweep_horizon(args) -> int:
 
 
 def cmd_jackknife(args) -> int:
+    from .panel import schedule_from_data
     from .robustness import leave_one_unit_out
 
-    dataset, _ = _load(args)
-    sweep = leave_one_unit_out(dataset, _inference(args), **_given(args, "level"))
+    dataset, schedule = _load(args)
+    if schedule is None:
+        schedule = schedule_from_data(dataset)
+    sweep = leave_one_unit_out(dataset, schedule, _inference(args), **_given(args, "level"))
     _sweep_csv(args.out, sweep)
     return 0
 
@@ -328,7 +331,7 @@ def cmd_validate(args) -> int:
     dataset, _ = _load(args)
     report = validate(dataset)
     text = json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n"
-    if args.out:
+    if args.out is not None:
         _write_text(args.out, text)
     else:
         sys.stdout.write(text)

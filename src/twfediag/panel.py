@@ -325,12 +325,12 @@ def _read_csv(path: str | Path, columns: tuple) -> tuple[dict[str, int], list[li
     (None entries ignored) not in the header. A ParseError names the first
     row (the header is row 1) with bytes that are not UTF-8 or a cell longer
     than the csv module's field limit."""
-    path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8-sig") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             header, *rows = _csv_lines(f)
     except UnicodeDecodeError:
-        text = path.read_bytes().decode("utf-8-sig", "surrogateescape")
+        with open(path, "rb") as f:
+            text = f.read().decode("utf-8-sig", "surrogateescape")
         bad = re.search("[\udc80-\udcff]", text).start()
         # the lines before the bad bytes, then a stand-in for them in the last
         lines = _csv_lines(io.StringIO(text[:bad] + "?", newline=""))
@@ -411,7 +411,7 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> Non
     labels = [[q + end for q in _quoted(c[0])] if isinstance(c, tuple) else None
               for c, end in zip(columns, ends)]
     columns = [c[1] if isinstance(c, tuple) else c for c in columns]  # codes or numbers
-    with Path(path).open("w", newline="", encoding="utf-8") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(",".join(_quoted(header)) + "\r\n")
         for start in range(0, len(columns[0]), _BLOCK):
             slots = []

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidSweep, NoFeasiblePoint, TwfeDiagError
 from .lsq import t_interval
-from .panel import AdoptionSchedule, PanelDataset, schedule_from_data
+from .panel import AdoptionSchedule, PanelDataset
 from .twfe import TwfeFit, fit_twfe, negative_treated
 
 DEFAULT_LEVEL = 0.95
@@ -34,7 +34,6 @@ class SweepPoint:
 class RobustnessSweep:
     kind: str  # "end_year" | "post_horizon" | "leave_one_out"
     points: tuple[SweepPoint, ...]
-    baseline: SweepPoint
     skipped: tuple[tuple[str, str], ...]  # (label, reason) for infeasible points
 
 
@@ -52,11 +51,9 @@ def _point(label: str, fit: TwfeFit, level: float) -> SweepPoint:
     )
 
 
-def _run_sweep(
-    kind: str, dataset: PanelDataset, inference: str, level: float, masks
-) -> RobustnessSweep:
-    """Fit the whole dataset, then each (label, row mask over the dataset)."""
-    baseline = _point("full_sample", fit_twfe(dataset, inference), level)
+def _run_sweep(kind: str, dataset: PanelDataset, inference: str, level: float,
+               masks) -> RobustnessSweep:
+    """Fit each (label, row mask over the dataset)."""
     points = []
     skipped = []
     for label, keep in masks:
@@ -67,10 +64,9 @@ def _run_sweep(
             continue
         points.append(_point(label, fit, level))
     if not points:
+        fit_twfe(dataset, inference)  # a panel that cannot be fit at all raises its own error
         raise NoFeasiblePoint(f"no feasible {kind} sweep point")
-    return RobustnessSweep(
-        kind=kind, points=tuple(points), baseline=baseline, skipped=tuple(skipped)
-    )
+    return RobustnessSweep(kind=kind, points=tuple(points), skipped=tuple(skipped))
 
 
 def sweep_end_year(
@@ -115,14 +111,15 @@ def sweep_post_horizon(
 
 def leave_one_unit_out(
     dataset: PanelDataset,
+    schedule: AdoptionSchedule,
     inference: str = "cluster_by_unit",
     level: float = DEFAULT_LEVEL,
 ) -> RobustnessSweep:
     """Refit dropping one unit at a time; points ordered by the dropped
-    unit's adoption period (never-treated last), then unit name."""
+    unit's adoption period in schedule (never-treated last), then unit name."""
     if len(dataset.units) < 3:
         raise InvalidSweep(f"leave-one-out needs at least 3 units, got {len(dataset.units)}")
-    order = schedule_from_data(dataset).ordered(dataset.units)
+    order = schedule.ordered(dataset.units)  # raises UnknownUnit
     code = {unit: i for i, unit in enumerate(dataset.units)}
     masks = ((unit, dataset.unit != code[unit]) for unit in order)
     return _run_sweep("leave_one_out", dataset, inference, level, masks)

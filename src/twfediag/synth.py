@@ -204,7 +204,8 @@ def spec_from_json(path: str | Path, seed: Optional[int] = None) -> SyntheticSpe
     for an object), an object that gives a key twice and a shock given
     twice for one period are InvalidSpec naming the field."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_object)
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f, object_pairs_hook=_object)
     except UnicodeDecodeError as exc:
         raise InvalidSpec(f"not UTF-8 text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:

@@ -31,8 +31,6 @@ class TwfeFit:
     outcome: np.ndarray  # the outcome over the estimation sample
     units: tuple[str, ...]  # sample units in order of first appearance
     periods: tuple[int, ...]  # sample periods, ascending
-    unit_effect: np.ndarray  # aligned with units
-    period_effect: np.ndarray  # aligned with periods; the first is 0
     unit: np.ndarray  # code of each sample row's unit, an index into units
     period: np.ndarray  # period of each sample row
     inference: str  # "cluster_by_unit" | "classical"
@@ -70,9 +68,9 @@ def _component_roots(linked: np.ndarray) -> list[int]:
 
 
 def _within(u: np.ndarray, p: np.ndarray, n_units: int, n_periods: int, v: np.ndarray):
-    """(residuals, unit effects, period effects, rank): least squares of
-    each column of v (N x k) on the unit and period dummies, whose codes
-    are u and p, and the rank of those dummies.
+    """(residuals, rank): the residuals of the least squares of each column
+    of v (N x k) on the unit and period dummies, whose codes are u and p,
+    and the rank of those dummies.
 
     The normal equations of both dummy sets are reduced to the smaller set
     (b) by eliminating the larger one (a): a Schur complement of the dummy
@@ -105,7 +103,7 @@ def _within(u: np.ndarray, p: np.ndarray, n_units: int, n_periods: int, v: np.nd
     eff_u, eff_p = (eff_a, eff_b) if units_eliminated else (eff_b, eff_a)
     # take, not eff_u[u]: a row gather that fancy indexing does several times slower
     residuals = v - eff_u.take(u, axis=0) - eff_p.take(p, axis=0)
-    return residuals, eff_u, eff_p, n_units + n_periods - len(roots)
+    return residuals, n_units + n_periods - len(roots)
 
 
 def fit_twfe(
@@ -123,7 +121,8 @@ def fit_twfe(
     Fitted by Frisch-Waugh-Lovell: the treatment and the outcome are
     residualized on the fixed effects, and the coefficient is the slope of
     one residual on the other. The residualized treatment also gives the
-    per-observation weights behind the coefficient.
+    per-observation weights behind the coefficient. Row i's fixed-effect part
+    is outcome - residualized_outcome - beta * (treatment - residualized_treatment).
 
     The standard error is lsq.standard_errors' on the one-column design of
     the residualized treatment, with K = the fixed effects' rank + 1: zero,
@@ -152,8 +151,7 @@ def fit_twfe(
 
     exponent = scale_exponent(y)  # fitted on y * 2**-exponent, scaled back below
     y_scaled = np.ldexp(y, -exponent)
-    resid, eff_u, eff_p, rank = _within(u, p, len(units), len(periods),
-                                        np.column_stack([d, y_scaled]))
+    resid, rank = _within(u, p, len(units), len(periods), np.column_stack([d, y_scaled]))
     d_resid, y_resid = resid[:, 0], resid[:, 1]
     ssd = inner(d_resid, d_resid)
     if ssd < COLLINEARITY_TOL * len(d):
@@ -162,12 +160,6 @@ def fit_twfe(
     e = y_resid - beta * d_resid
     se, dof = standard_errors(d_resid[:, None], e, np.array([[1 / ssd]]),
                               rank + 1, inner(y_scaled, y_scaled), inference, u)
-
-    # effects of y - beta*d, with the first period's effect set to 0 (on a
-    # disconnected panel the other components' levels stay arbitrary)
-    alpha = eff_u[:, 1] - beta * eff_u[:, 0]
-    gamma = eff_p[:, 1] - beta * eff_p[:, 0]
-    alpha, gamma = alpha + gamma[0], gamma - gamma[0]
     return TwfeFit(
         beta=float(np.ldexp(beta, exponent)),
         se=float(np.ldexp(se[0], exponent)),
@@ -181,8 +173,6 @@ def fit_twfe(
         outcome=y,
         units=tuple(units),
         periods=periods,
-        unit_effect=np.ldexp(alpha, exponent),
-        period_effect=np.ldexp(gamma, exponent),
         unit=u,
         period=dataset.period.take(rows),
         inference=inference,

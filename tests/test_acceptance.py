@@ -19,6 +19,7 @@ from twfediag import (
     generate_panel,
     homogeneity_test,
     leave_one_unit_out,
+    schedule_from_data,
     spec_from_json,
     sweep_end_year,
     sweep_post_horizon,
@@ -211,7 +212,7 @@ def test_c10_noiseless_homogeneous_recovery():
         sweeps = [
             sweep_end_year(ds, ds.periods[0], ds.periods[-1]),
             sweep_post_horizon(ds, spec.schedule, [0, 1, 2, 100]),
-            leave_one_unit_out(ds),
+            leave_one_unit_out(ds, schedule_from_data(ds)),
         ]
         for sweep in sweeps:
             for point in sweep.points:

@@ -2,7 +2,8 @@
 tier-1 command that ROADMAP.md names and the benchmark's oracle checks,
 the package parses as the lowest supported Python, the README's import
 block imports, every exported name is used by the package or listed in
-that block, every name the README lists as removed is gone, every
+that block, every result field is read by the package, every name the
+README lists as removed is gone, every
 `module.name` it names elsewhere exists, the
 installed script and `python -m twfediag.cli` start through one
 function, every CLI option and choice is passed by some other test file,
@@ -106,6 +107,30 @@ def test_every_exported_name_has_a_use():
     assert [name for name in twfediag.__all__ if name not in used | surface] == []
 
 
+def test_every_result_field_is_read():
+    """Every field of every dataclass that panel, twfe, diagnostics,
+    robustness and synth define is read somewhere in the package: its name
+    is an attribute (x.name) or a string constant (as getattr reads the
+    sweep CSV's columns) in a module under src/twfediag. A field that only
+    the tests read belongs in the tests. The check goes by name only, so a
+    field that shares its name with another attribute passes."""
+    read = set()
+    for path in sorted((ROOT / "src" / "twfediag").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    fields = []
+    for name in ("panel", "twfe", "diagnostics", "robustness", "synth"):
+        module = importlib.import_module(f"twfediag.{name}")
+        fields += [f"{cls.__name__}.{field.name}" for cls in vars(module).values()
+                   if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                   and cls.__module__ == module.__name__ for field in dataclasses.fields(cls)]
+    assert {"TwfeFit.beta", "SweepPoint.ci_low", "RobustnessSweep.skipped"} <= set(fields)
+    assert [field for field in fields if field.split(".")[1] not in read] == []
+
+
 def _subcommands() -> dict:
     """The CLI's subcommand name -> its argument parser."""
     from twfediag.cli import build_parser
@@ -182,7 +207,8 @@ def test_readme_removed_names_are_gone():
             "twfediag.apply_adoption_schedule(include_adoption_period=...)",
             "PanelDataset.from_observations", "EffectModel.effect",
             "twfediag.homogeneity_test(inference=...)", "twfediag.true_effect_summary",
-            "twfediag.EffectSummary", "twfediag.spec_to_json"} <= set(names)
+            "twfediag.EffectSummary", "twfediag.spec_to_json", "TwfeFit.unit_effect",
+            "TwfeFit.period_effect", "RobustnessSweep.baseline"} <= set(names)
     for present in ("twfediag.fit_twfe",
                     "twfediag.lsq.standard_errors(X, residuals, bread, k, yy, inference, clusters)",
                     "TwfeFit.beta", "TwfeFit.p_value", "DegenerateGroup", "twfediag.errors.UnknownUnit",
@@ -283,8 +309,8 @@ def test_benchmark_span_names_resolve():
 
 def test_sweep_points_run_under_the_benchmark_span(monkeypatch):
     """The benchmark times sweep fits through the twfe.fit_twfe span: each
-    sweep fits its baseline and every point, skipped or not, by that one
-    function."""
+    sweep fits every point, skipped or not, by that one function, and
+    makes no other fit while some point can be fit."""
     import numpy as np
 
     from twfediag import robustness, schedule_from_data
@@ -306,13 +332,14 @@ def test_sweep_points_run_under_the_benchmark_span(monkeypatch):
                                                       dataset.periods[-1]),
         "post_horizon": lambda: robustness.sweep_post_horizon(
             dataset, schedule_from_data(dataset), [0, 1, 2, 4]),
-        "leave_one_out": lambda: robustness.leave_one_unit_out(dataset),
+        "leave_one_out": lambda: robustness.leave_one_unit_out(dataset,
+                                                               schedule_from_data(dataset)),
     }
     for kind, run in sweeps.items():
         calls.clear()
         sweep = run()
         assert sweep.skipped or kind != "end_year"  # the first end year has one period
-        assert len(calls) == 1 + len(sweep.points) + len(sweep.skipped), kind
+        assert len(calls) == len(sweep.points) + len(sweep.skipped), kind
         assert all(args[0] is dataset for args in calls), kind
 
 

@@ -266,10 +266,60 @@ class TestSweeps:
         out = tmp_path / "jk.csv"
         code = main(["jackknife", *data_args(data), "--out", str(out)])
         assert code == 0
-        sweep = leave_one_unit_out(ds)
+        sweep = leave_one_unit_out(ds, schedule_from_data(ds))
         with out.open() as f:
             rows = list(csv.DictReader(f))
         assert [r["label"] for r in rows] == [p.label for p in sweep.points]
+
+    def test_jackknife_orders_points_by_the_adoption_file(self, tmp_path):
+        # B and C adopt before the panel starts: the treated column alone
+        # would date both adoptions to 2000, but the file orders C before B
+        adoption = {"A": 2003, "B": 1995, "C": 1990, "D": None, "E": 2002}
+        data, sched = tmp_path / "panel.csv", tmp_path / "schedule.csv"
+        data.write_text("unit,period,outcome\n" + "".join(
+            f"{u},{t},{1.5 * i + 0.3 * t + (i * t) % 3}\n"
+            for i, u in enumerate(adoption) for t in range(2000, 2006)))
+        sched.write_text("unit,adoption_period\n" + "".join(
+            f"{u},{'never' if a is None else a}\n" for u, a in adoption.items()))
+        args = data_args(data, sched, treatment=False)
+        grid, out = tmp_path / "grid.csv", tmp_path / "jk.csv"
+        assert main(["weights", *args, "--out-grid", str(grid)]) == 0
+        assert main(["jackknife", *args, "--out", str(out)]) == 0
+        with grid.open() as f:
+            grid_units = list(dict.fromkeys(r["unit"] for r in csv.DictReader(f)))
+        with out.open() as f:
+            labels = [r["label"] for r in csv.DictReader(f)]
+        assert grid_units == ["C", "B", "E", "A", "D"]
+        assert labels == grid_units
+
+
+class TestEmptyPath:
+    """An empty path is a path that cannot be opened, not an absent option
+    and not the current directory: exit 1 with one error line naming ''."""
+
+    @pytest.mark.parametrize("command, option", [
+        ("estimate", "--out"), ("validate", "--out"), ("weights", "--out-hist"),
+        ("weights", "--out-grid"), ("sweep-endyear", "--out"), ("sweep-endyear", "--data"),
+        ("sweep-endyear", "--adoption"), ("simulate", "--spec"), ("simulate", "--out"),
+    ])
+    def test_exit_1_naming_the_empty_path(self, panel_files, tmp_path, capsys, monkeypatch,
+                                          command, option):
+        _, data, sched = panel_files
+        spec = tmp_path / "spec.json"
+        write_spec(base_spec(), spec)
+        given = {"--spec": str(spec)} if command == "simulate" else {
+            "--data": str(data), "--unit": "unit", "--time": "period", "--outcome": "outcome",
+            "--adoption": str(sched)}
+        if command != "weights":  # weights writes only the files it is given
+            given["--out"] = str(tmp_path / "out")
+        given[option] = ""
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert main([command, *(word for pair in given.items() for word in pair)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestUsageErrors:

@@ -339,7 +339,8 @@ def test_cli_csv_files_match_row_writer(tmp_path):
         str(tmp_path / "scatter_smooth.csv"): (
             ["group", "x", "y"],
             ([group, repr(x), repr(y)] for group, c in curves for x, y in c.smoothed)),
-        out["jackknife"]: (SWEEP_HEADER, _sweep_rows(leave_one_unit_out(dataset))),
+        out["jackknife"]: (SWEEP_HEADER, _sweep_rows(
+            leave_one_unit_out(dataset, schedule_from_data(dataset)))),
         out["endyear"]: (SWEEP_HEADER, _sweep_rows(
             sweep_end_year(dataset, dataset.periods[0], dataset.periods[-1]))),
         out["horizon"]: (SWEEP_HEADER, _sweep_rows(
@@ -355,7 +356,7 @@ def test_cli_sweeps_write_nan_intervals_as_the_row_writer(tmp_path):
     out = {name: str(tmp_path / f"{name}.csv") for name in ("jackknife", "endyear")}
     assert main(["jackknife", *data, "--cluster", "none", "--out", out["jackknife"]]) == 0
     assert main(["sweep-endyear", *data, "--cluster", "none", "--out", out["endyear"]]) == 0
-    jackknife = leave_one_unit_out(dataset, "classical")
+    jackknife = leave_one_unit_out(dataset, schedule_from_data(dataset), "classical")
     assert all(np.isnan([p.ci_low for p in jackknife.points]))
     assert_written_as_rows({
         out["jackknife"]: (SWEEP_HEADER, _sweep_rows(jackknife)),

@@ -49,7 +49,6 @@ class TestEndYearSweep:
         assert last.label == str(ds.periods[-1])
         assert last.beta == full.beta
         assert last.n_obs == full.n_obs
-        assert sweep.baseline.beta == full.beta
 
     def test_degenerate_truncation_skipped(self):
         sweep = sweep_end_year(canonical_2x2(), 1, 2)
@@ -84,7 +83,8 @@ class TestEndYearSweep:
     def test_saturated_classical_fit_has_nan_interval(self):
         # 4 observations, 4 parameters: no residual degrees of freedom
         sweep = sweep_end_year(canonical_2x2(), 1, 2, inference="classical")
-        for point in (sweep.baseline, *sweep.points):
+        assert [(p.label, p.n_obs) for p in sweep.points] == [("2", 4)]  # the full sample
+        for point in sweep.points:
             assert point.beta == pytest.approx(5.0)
             assert math.isnan(point.ci_low) and math.isnan(point.ci_high)
 
@@ -93,7 +93,8 @@ class TestEndYearSweep:
         ds = homogeneous_panel(delta=3.0)
         assert fit_twfe(ds).se == 0.0
         sweep = sweep_end_year(ds, ds.periods[0], ds.periods[-1])
-        for point in (sweep.baseline, *sweep.points):
+        assert sweep.points[-1].n_obs == len(ds)  # the full sample
+        for point in sweep.points:
             assert math.isnan(point.ci_low) and math.isnan(point.ci_high)
 
     def test_constant_effect_stable(self):
@@ -171,29 +172,40 @@ class TestLeaveOneOut:
             schedule=AdoptionSchedule({"a": 4, "b": 4, "c": 4, "d": None}),
             effect=EffectModel.constant(2.0),
         )
-        sweep = leave_one_unit_out(generate_panel(spec))
+        sweep = leave_one_unit_out(generate_panel(spec), spec.schedule)
         betas = {p.label: p.beta for p in sweep.points}
         assert betas["a"] == pytest.approx(betas["b"], abs=1e-8)
         assert betas["b"] == pytest.approx(betas["c"], abs=1e-8)
 
     def test_constant_effect_every_point(self):
-        sweep = leave_one_unit_out(homogeneous_panel(delta=3.0))
+        sweep = leave_one_unit_out(homogeneous_panel(delta=3.0), homogeneous_schedule())
         assert len(sweep.points) == 4
         for point in sweep.points:
             assert point.beta == pytest.approx(3.0, abs=1e-8)
 
     def test_points_ordered_by_adoption(self):
-        sweep = leave_one_unit_out(homogeneous_panel())
+        sweep = leave_one_unit_out(homogeneous_panel(), homogeneous_schedule())
         assert [p.label for p in sweep.points] == ["u1", "u2", "u4", "u3"]
+
+    def test_points_follow_the_given_schedule(self):
+        # u3 adopts before the panel starts and u2 never: the schedule
+        # orders the points, not the treated column
+        schedule = AdoptionSchedule({"u1": 3, "u2": None, "u3": -5, "u4": 7})
+        sweep = leave_one_unit_out(homogeneous_panel(), schedule)
+        assert [p.label for p in sweep.points] == ["u3", "u1", "u4", "u2"]
+
+    def test_unknown_unit(self):
+        with pytest.raises(UnknownUnit):
+            leave_one_unit_out(homogeneous_panel(), AdoptionSchedule({"u1": 3}))
 
     def test_needs_three_units(self):
         with pytest.raises(ValueError):
-            leave_one_unit_out(canonical_2x2())
+            leave_one_unit_out(canonical_2x2(), schedule_from_data(canonical_2x2()))
 
     def test_points_match_manual_subsample(self):
         rng = np.random.default_rng(62)
         _, ds = random_panel(rng, missing=True, noise_sd=1.0)
-        sweep = leave_one_unit_out(ds)
+        sweep = leave_one_unit_out(ds, schedule_from_data(ds))
         for point in sweep.points:
             sub = ds.restrict(np.array([o.unit != point.label for o in ds.observations]))
             fit = fit_twfe(sub)
@@ -209,5 +221,5 @@ def test_replication_end_year_negative_share(replication_primary):
 
 
 def test_replication_jackknife_point_count(replication_primary):
-    sweep = leave_one_unit_out(replication_primary)
+    sweep = leave_one_unit_out(replication_primary, schedule_from_data(replication_primary))
     assert len(sweep.points) == 15

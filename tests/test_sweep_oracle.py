@@ -9,9 +9,14 @@ skip the same points for the same reason.
 Panels come from the TWFE property suite's strategy (missing cells, one
 block or two disconnected blocks), with their rows shuffled, so a
 restricted sample's units need not appear in the order of their codes.
+
+On five small families (a bridging unit, an emptied period, a chain,
+disconnected blocks, levels near 1e6) every point of every sweep is also
+checked against the exact rational fit of its restricted panel.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +36,8 @@ from twfediag.errors import InvalidSweep, NoFeasiblePoint, TwfeDiagError
 from twfediag.lsq import t_critical
 
 from conftest import make_panel, random_panel
-from test_twfe_oracle import panels
+from oracles import exact_dummy_ols_beta, exact_residualized, exact_variances
+from test_twfe_oracle import EXACT_REL, blocks, chain, levels_near_1e6, panels
 
 HORIZONS = [0, 1, 2, 4]
 LEVEL = 0.9
@@ -87,7 +93,7 @@ def _sweep(kind: str, dataset: PanelDataset, inference: str):
     if kind == "post_horizon":
         schedule = schedule_from_data(dataset)
         return sweep_post_horizon(dataset, schedule, HORIZONS, inference, LEVEL)
-    return leave_one_unit_out(dataset, inference, LEVEL)
+    return leave_one_unit_out(dataset, schedule_from_data(dataset), inference, LEVEL)
 
 
 def _expected_point(label: str, fit) -> tuple:
@@ -111,7 +117,7 @@ def _assert_same_fit(got, want):
         (want.beta, want.se, want.dof, want.n_obs, want.n_treated)
     assert (got.units, got.periods) == (want.units, want.periods)
     for name in ("unit", "period", "treatment", "outcome", "weights",
-                 "residualized_treatment", "residualized_outcome", "unit_effect", "period_effect"):
+                 "residualized_treatment", "residualized_outcome"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
@@ -152,11 +158,71 @@ def test_every_point_equals_refit_of_restricted_panel(kind, inference, dataset):
             _sweep(kind, dataset, inference)
         return
     sweep = _sweep(kind, dataset, inference)
-    assert _same(_fields(sweep.baseline), _expected_point("full_sample", fit_twfe(dataset, inference)))
     assert [p.label for p in sweep.points] == [p[0] for p in points]
     for point, want in zip(sweep.points, points):
         assert _same(_fields(point), want), point.label
     assert list(sweep.skipped) == skipped
+
+
+# small families for the exact sweep-point check: a bridging unit, an
+# emptied period, a chain, disconnected blocks, and levels near 1e6 with
+# missing cells
+SWEEP_FAMILIES = {
+    "bridged": lambda: BRIDGED,
+    "lone_period": lambda: LONE_PERIOD,
+    "chain8": lambda: chain(8, 3),
+    "blocks_disconnected": lambda: blocks(joined=False),
+    "levels_1e6": levels_near_1e6,
+}
+
+
+def _exact_point(restricted):
+    """(beta, n_obs, n_treated, {inference: (se**2, dof)}, max |residualized
+    outcome|) of a restricted panel, in exact arithmetic."""
+    observed = restricted.observed
+    _, y, _ = exact_residualized(restricted)
+    return (exact_dummy_ols_beta(restricted), int(observed.sum()),
+            int(restricted.treated[observed].sum()), exact_variances(restricted),
+            max(map(abs, y)))
+
+
+@pytest.mark.parametrize("kind", ["end_year", "post_horizon", "leave_one_out"])
+@pytest.mark.parametrize("family", sorted(SWEEP_FAMILIES))
+def test_every_point_matches_exact_oracle(family, kind):
+    """Each point of a sweep against the exact fit of its restricted panel,
+    under both inference kinds, at test_twfe_oracle's bounds: beta within
+    EXACT_REL relative; n_obs, n_treated and dof exact; the interval's
+    half-width within the se**2 bound of t_critical(level, exact dof) times
+    the exact se, that is EXACT_REL relative for classical errors and
+    EXACT_REL times max|y| / max|residualized outcome| clustered.
+
+    A point whose exact beta is itself round-off of the outcome's scale,
+    at most EXACT_REL * max|y| (bridged's end year 6: 1.6e-16), has no
+    relative accuracy to check: its beta is bounded by EXACT_REL * max|y|,
+    as test_twfe_oracle bounds the residualized outcome."""
+    dataset = SWEEP_FAMILIES[family]()
+    masks = dict(_masks(kind, dataset))
+    exact = {}
+    for inference in ("classical", "cluster_by_unit"):
+        sweep = _sweep(kind, dataset, inference)
+        assert sweep.points
+        for point in sweep.points:
+            keep = masks[point.label]
+            if point.label not in exact:
+                exact[point.label] = _exact_point(dataset.restrict(keep))
+            beta, n_obs, n_treated, variances, y_res = exact[point.label]
+            se2, dof = variances[inference]
+            fit = fit_twfe(dataset, inference, keep)
+            scale = float(np.abs(fit.outcome).max())
+            round_off = abs(beta) <= EXACT_REL * scale
+            bound = EXACT_REL * (scale if round_off else abs(beta))
+            assert abs(Fraction(point.beta) - beta) <= bound, point.label
+            assert (point.n_obs, point.n_treated) == (n_obs, n_treated), point.label
+            assert fit.dof == dof, point.label
+            rel = EXACT_REL if inference == "classical" else EXACT_REL * scale / float(y_res)
+            half = (point.ci_high - point.ci_low) / 2
+            want = t_critical(LEVEL, dof) * math.sqrt(se2)
+            assert abs(half - want) <= rel * want, (point.label, inference)
 
 
 def test_bridge_and_lone_period_examples_change_the_sample_structure():
@@ -167,8 +233,8 @@ def test_bridge_and_lone_period_examples_change_the_sample_structure():
     assert bridged.dof == 32 - (7 + 8 - 1 + 1)
     assert split.dof == 24 - (6 + 8 - 2 + 1)
     lone = LONE_PERIOD.restrict(LONE_PERIOD.unit != LONE_PERIOD.units.index("x0"))
-    assert len(fit_twfe(LONE_PERIOD).period_effect) == 5
-    assert len(fit_twfe(lone).period_effect) == 4
+    assert len(fit_twfe(LONE_PERIOD).periods) == 5
+    assert len(fit_twfe(lone).periods) == 4
 
 
 def test_sweeps_build_no_dataset(monkeypatch):
@@ -187,7 +253,7 @@ def test_sweeps_build_no_dataset(monkeypatch):
     sweeps = (
         sweep_end_year(dataset, dataset.periods[0], dataset.periods[-1]),
         sweep_post_horizon(dataset, schedule, HORIZONS, "classical"),
-        leave_one_unit_out(dataset),
+        leave_one_unit_out(dataset, schedule),
     )
     for sweep in sweeps:
         assert sweep.points

@@ -106,19 +106,18 @@ class TestFitTwfe:
     def test_fixed_effect_reporting(self):
         ds = homogeneous_panel()
         fit = fit_twfe(ds)
-        # reported effects + beta reconstruct fitted values
+        # each row's fixed-effect part + beta * treatment reconstructs its fitted value
         assert fit.periods == ds.periods
-        assert fit.unit_effect.shape == (len(fit.units),)
-        assert fit.period_effect.shape == (len(fit.periods),)
+        effect = fit.outcome - fit.residualized_outcome \
+            - fit.beta * (fit.treatment - fit.residualized_treatment)
         by_key = {(o.unit, o.period): o for o in ds.observations}
-        for (unit, period), y in zip(sample_keys(fit), ds.outcome[ds.observed]):
-            obs = by_key[(unit, period)]
-            pred = (
-                fit.unit_effect[fit.units.index(unit)]
-                + fit.period_effect[fit.periods.index(period)]
-                + fit.beta * obs.treated
-            )
-            assert pred == pytest.approx(y, abs=1e-8)
+        grid = np.full((len(fit.units), len(fit.periods)), np.nan)
+        for (unit, period), y, fe in zip(sample_keys(fit), ds.outcome[ds.observed], effect):
+            assert fe + fit.beta * by_key[(unit, period)].treated == pytest.approx(y, abs=1e-8)
+            grid[fit.units.index(unit), fit.periods.index(period)] = fe
+        # and the parts are a unit effect plus a period effect
+        interaction = grid - grid[:, :1] - grid[:1, :] + grid[0, 0]
+        np.testing.assert_allclose(interaction, 0.0, atol=1e-8)
 
 
     def test_sample_arrays_match_dataset(self):

@@ -131,18 +131,12 @@ def test_fit_matches_dummy_oracles(inference, dataset):
     else:
         assert 0.0 <= fit.p_value <= 1.0
 
-    # the reported effects rebuild the oracle's fitted values
+    # each row's fixed-effect part + beta * treatment rebuilds the oracle's fitted values
     sample = [o for o in dataset.observations if o.outcome is not None]
     assert fit.periods == tuple(sorted({o.period for o in sample}))
-    assert fit.unit_effect.shape == (len(fit.units),)
-    assert fit.period_effect.shape == (len(fit.periods),)
-    assert fit.period_effect[0] == 0.0
-    unit = {u: i for i, u in enumerate(fit.units)}
-    period = {p: j for j, p in enumerate(fit.periods)}
-    rebuilt = np.array([
-        fit.unit_effect[unit[o.unit]] + fit.period_effect[period[o.period]] + fit.beta * o.treated
-        for o in sample
-    ])
+    effect = fit.outcome - fit.residualized_outcome \
+        - fit.beta * (fit.treatment - fit.residualized_treatment)
+    rebuilt = effect + fit.beta * np.array([o.treated for o in sample])
     np.testing.assert_allclose(rebuilt, fitted, rtol=0, atol=1e-8 * (1 + np.abs(y).max()))
 
 
