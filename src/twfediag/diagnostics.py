@@ -74,7 +74,7 @@ def weight_report(fit: TwfeFit, bins: int = DEFAULT_BINS) -> WeightReport:
     treatment status."""
     w = fit.weights
     treated = fit.treatment == 1
-    n_treated, n_treated_negative, share = negative_treated(fit)
+    n_treated_negative, share = negative_treated(fit)
     n_control_positive = int((~treated & (w > -NEGATIVE_WEIGHT_TOL)).sum())
 
     lo, hi = float(w.min()), float(w.max())
@@ -88,7 +88,7 @@ def weight_report(fit: TwfeFit, bins: int = DEFAULT_BINS) -> WeightReport:
         for i in range(bins)
     )
     return WeightReport(
-        n_treated=n_treated,
+        n_treated=fit.n_treated,
         n_treated_negative=n_treated_negative,
         share_treated_negative=share,
         n_control_positive=n_control_positive,

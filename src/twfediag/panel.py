@@ -29,14 +29,11 @@ class Observation:
     treated: int  # 0 or 1, checked when a PanelDataset is built
 
 
-def first_appearance(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, renumbered): the distinct codes in order of first appearance,
-    and `codes` renumbered to positions in that order."""
-    present, first = np.unique(codes, return_index=True)
-    order = present[np.argsort(first)]
-    renumber = np.zeros(int(present[-1]) + 1 if len(present) else 0, dtype=np.int32)
-    renumber[order] = np.arange(len(order), dtype=np.int32)
-    return order, renumber[codes]
+def renumber(codes: np.ndarray, labels: Sequence) -> tuple[tuple, np.ndarray]:
+    """(used, renumbered): the labels that codes use, in labels' order, and
+    codes renumbered to positions among them: a subsample's keys."""
+    present = np.bincount(codes, minlength=len(labels)) > 0
+    return tuple(labels[i] for i in np.flatnonzero(present).tolist()), (np.cumsum(present) - 1)[codes]
 
 
 def coded(labels: list) -> tuple[tuple, np.ndarray]:
@@ -51,8 +48,10 @@ def coded(labels: list) -> tuple[tuple, np.ndarray]:
 class PanelDataset:
     """Immutable long-format panel as columns, one entry per row in file order.
 
-    units: labels in order of first appearance in the rows, including units
+    units: the unit labels, each with at least one row, including units
       whose outcomes are all missing; `unit` holds int32 codes into it.
+      Loading and encode number them by first appearance, and restrict
+      keeps its dataset's order.
     period: int64. outcome: float64, NaN where missing. treated: int8, 0/1.
 
     Rows with a missing outcome stay in the dataset but are excluded from
@@ -78,16 +77,10 @@ class PanelDataset:
             raise ValueError("treated must be 0 or 1")
         if len(set(self.units)) != len(self.units):
             raise ValueError("unit labels must be distinct")
-        # codes number the labels by first appearance iff the running maximum
-        # starts at 0, grows by at most 1 per row and ends at the last label
-        if n:
-            reach = np.maximum.accumulate(self.unit)
-            canonical = (self.unit[0] == 0 and self.unit.min() >= 0
-                         and not (np.diff(reach) > 1).any() and reach[-1] == len(self.units) - 1)
-        else:
-            canonical = not self.units
-        if not canonical:
-            raise ValueError("unit codes must number the labels in order of first appearance")
+        if n and not 0 <= self.unit.min() <= self.unit.max() < len(self.units):
+            raise ValueError("unit codes must index the unit labels")
+        if not np.bincount(self.unit, minlength=len(self.units)).all():
+            raise ValueError("every unit label must have a row")
         infinite = np.flatnonzero(np.isinf(self.outcome))
         if infinite.size:
             row = infinite[0]
@@ -160,13 +153,11 @@ class PanelDataset:
 
     def restrict(self, keep: np.ndarray) -> "PanelDataset":
         """New dataset of the rows where the boolean row mask `keep` is true,
-        in the same order; units left without rows are dropped."""
+        in the same order; units left without rows are dropped, and the rest
+        keep their order."""
         keep = self._row_mask(keep)
-        order, unit = first_appearance(self.unit[keep])
-        return PanelDataset(
-            tuple(self.units[i] for i in order.tolist()),
-            unit, self.period[keep], self.outcome[keep], self.treated[keep],
-        )
+        return PanelDataset(*renumber(self.unit[keep], self.units), self.period[keep],
+                            self.outcome[keep], self.treated[keep])
 
 
 @dataclass(frozen=True)

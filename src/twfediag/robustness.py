@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidSweep, NoFeasiblePoint, TwfeDiagError
 from .lsq import t_interval
-from .panel import AdoptionSchedule, PanelDataset
+from .panel import AdoptionSchedule, PanelDataset, renumber
 from .twfe import TwfeFit, fit_twfe, negative_treated
 
 DEFAULT_LEVEL = 0.95
@@ -32,13 +32,12 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class RobustnessSweep:
-    kind: str  # "end_year" | "post_horizon" | "leave_one_out"
     points: tuple[SweepPoint, ...]
     skipped: tuple[tuple[str, str], ...]  # (label, reason) for infeasible points
 
 
 def _point(label: str, fit: TwfeFit, level: float) -> SweepPoint:
-    n_treated, _, share = negative_treated(fit)
+    _, share = negative_treated(fit)
     ci_low, ci_high = t_interval(fit.beta, fit.se, fit.dof, level)
     return SweepPoint(
         label=label,
@@ -47,7 +46,7 @@ def _point(label: str, fit: TwfeFit, level: float) -> SweepPoint:
         ci_high=ci_high,
         share_negative_treated=share,
         n_obs=fit.n_obs,
-        n_treated=n_treated,
+        n_treated=fit.n_treated,
     )
 
 
@@ -66,7 +65,7 @@ def _run_sweep(kind: str, dataset: PanelDataset, inference: str, level: float,
     if not points:
         fit_twfe(dataset, inference)  # a panel that cannot be fit at all raises its own error
         raise NoFeasiblePoint(f"no feasible {kind} sweep point")
-    return RobustnessSweep(kind=kind, points=tuple(points), skipped=tuple(skipped))
+    return RobustnessSweep(points=tuple(points), skipped=tuple(skipped))
 
 
 def sweep_end_year(
@@ -115,11 +114,13 @@ def leave_one_unit_out(
     inference: str = "cluster_by_unit",
     level: float = DEFAULT_LEVEL,
 ) -> RobustnessSweep:
-    """Refit dropping one unit at a time; points ordered by the dropped
-    unit's adoption period in schedule (never-treated last), then unit name."""
-    if len(dataset.units) < 3:
-        raise InvalidSweep(f"leave-one-out needs at least 3 units, got {len(dataset.units)}")
-    order = schedule.ordered(dataset.units)  # raises UnknownUnit
+    """Refit dropping, one at a time, each unit with an observed outcome;
+    points ordered by the dropped unit's adoption period in schedule
+    (never-treated last), then unit name."""
+    units = renumber(dataset.unit[dataset.observed], dataset.units)[0]
+    if len(units) < 3:
+        raise InvalidSweep(f"leave-one-out needs at least 3 units, got {len(units)}")
+    order = schedule.ordered(units)  # raises UnknownUnit
     code = {unit: i for i, unit in enumerate(dataset.units)}
     masks = ((unit, dataset.unit != code[unit]) for unit in order)
     return _run_sweep("leave_one_out", dataset, inference, level, masks)

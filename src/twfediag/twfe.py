@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import CollinearTreatment, DegenerateTreatment
 from .lsq import inner, scale_exponent, standard_errors, t_test
-from .panel import PanelDataset, first_appearance
+from .panel import PanelDataset, renumber
 
 COLLINEARITY_TOL = 1e-12
 NEGATIVE_WEIGHT_TOL = -1e-12  # weights below this count as negative
@@ -29,7 +29,7 @@ class TwfeFit:
     weights: np.ndarray
     treatment: np.ndarray  # 0/1 over the estimation sample
     outcome: np.ndarray  # the outcome over the estimation sample
-    units: tuple[str, ...]  # sample units in order of first appearance
+    units: tuple[str, ...]  # sample units, in the dataset's order
     periods: tuple[int, ...]  # sample periods, ascending
     unit: np.ndarray  # code of each sample row's unit, an index into units
     period: np.ndarray  # period of each sample row
@@ -42,12 +42,10 @@ class TwfeFit:
         return t_test(self.beta, self.se, self.dof)[1]
 
 
-def negative_treated(fit: TwfeFit) -> tuple[int, int, float]:
-    """(treated cells, treated cells with a negative weight, their share)."""
-    treated = fit.treatment == 1
-    n_treated = int(treated.sum())
-    n_negative = int((treated & (fit.weights < NEGATIVE_WEIGHT_TOL)).sum())
-    return n_treated, n_negative, n_negative / n_treated if n_treated else 0.0
+def negative_treated(fit: TwfeFit) -> tuple[int, float]:
+    """(treated cells with a negative weight, their share of fit.n_treated)."""
+    n_negative = int(((fit.treatment == 1) & (fit.weights < NEGATIVE_WEIGHT_TOL)).sum())
+    return n_negative, n_negative / fit.n_treated  # a fit has a treated cell
 
 
 def _component_roots(linked: np.ndarray) -> list[int]:
@@ -113,8 +111,8 @@ def fit_twfe(
     the dataset's rows with an observed outcome, or on those of them where
     the boolean row mask keep is true.
 
-    The kept rows are coded afresh, units in order of first appearance and
-    periods ascending, as encoding the restricted panel would code them:
+    The kept rows' units and periods are renumbered as restrict renumbers
+    them, keeping the dataset's order and dropping those left without rows:
     fit_twfe(dataset, inference, keep) is bit for bit
     fit_twfe(dataset.restrict(keep), inference).
 
@@ -132,15 +130,10 @@ def fit_twfe(
     kept = dataset.observed if keep is None else dataset.observed & dataset._row_mask(keep)
     # row indices, gathered with take: a boolean gather per column costs more
     rows = np.flatnonzero(kept)
-    order, u = first_appearance(dataset.unit.take(rows))
-    u = u.astype(np.intp)
-    period_code = dataset._period_code.take(rows)
-    present = np.bincount(period_code, minlength=len(dataset.periods)) > 0
-    p = (np.cumsum(present) - 1)[period_code]  # the kept periods renumbered from 0
-    periods = tuple(dataset.periods[i] for i in np.flatnonzero(present).tolist())
+    units, u = renumber(dataset.unit.take(rows), dataset.units)
+    periods, p = renumber(dataset._period_code.take(rows), dataset.periods)
     y = dataset.outcome.take(rows)
     d = dataset.treated.take(rows).astype(float)
-    units = [dataset.units[i] for i in order.tolist()]
     if len(units) < 2 or len(periods) < 2:
         raise DegenerateTreatment(
             f"estimation sample needs >= 2 units and >= 2 periods, "
@@ -171,7 +164,7 @@ def fit_twfe(
         weights=d_resid / ssd,
         treatment=d.astype(int),
         outcome=y,
-        units=tuple(units),
+        units=units,
         periods=periods,
         unit=u,
         period=dataset.period.take(rows),

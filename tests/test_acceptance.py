@@ -209,16 +209,16 @@ def test_c10_noiseless_homogeneous_recovery():
                 failures.append(f"spec {i}: interaction {homog.b_interaction.estimate}")
         except Exception as exc:
             failures.append(f"spec {i}: homogeneity test failed: {exc}")
-        sweeps = [
-            sweep_end_year(ds, ds.periods[0], ds.periods[-1]),
-            sweep_post_horizon(ds, spec.schedule, [0, 1, 2, 100]),
-            leave_one_unit_out(ds, schedule_from_data(ds)),
-        ]
-        for sweep in sweeps:
+        sweeps = {
+            "end_year": sweep_end_year(ds, ds.periods[0], ds.periods[-1]),
+            "post_horizon": sweep_post_horizon(ds, spec.schedule, [0, 1, 2, 100]),
+            "leave_one_out": leave_one_unit_out(ds, schedule_from_data(ds)),
+        }
+        for kind, sweep in sweeps.items():
             for point in sweep.points:
                 if abs(point.beta - delta) > 1e-8:
                     failures.append(
-                        f"spec {i}: {sweep.kind} point {point.label} beta {point.beta}"
+                        f"spec {i}: {kind} point {point.label} beta {point.beta}"
                     )
     _verdict("C10", "noiseless constant-effect recovery incl. all sweeps", failures)
 

@@ -107,20 +107,39 @@ def test_every_exported_name_has_a_use():
     assert [name for name in twfediag.__all__ if name not in used | surface] == []
 
 
+def _field_reads(source: str) -> set:
+    """What a module's source reads of result fields: each attribute name
+    read as x.name, each string element of a list or tuple literal (as
+    getattr reads the sweep CSV's columns from SWEEP_HEADER), and
+    "Class.name" for each self.name read in a class's body."""
+    reads = set()
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                own = cls and isinstance(child.value, ast.Name) and child.value.id == "self"
+                reads.add(f"{cls}.{child.attr}" if own else child.attr)
+            elif isinstance(child, (ast.List, ast.Tuple)):
+                reads.update(e.value for e in child.elts
+                             if isinstance(e, ast.Constant) and isinstance(e.value, str))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    visit(ast.parse(source), None)
+    return reads
+
+
 def test_every_result_field_is_read():
     """Every field of every dataclass that panel, twfe, diagnostics,
-    robustness and synth define is read somewhere in the package: its name
-    is an attribute (x.name) or a string constant (as getattr reads the
-    sweep CSV's columns) in a module under src/twfediag. A field that only
-    the tests read belongs in the tests. The check goes by name only, so a
-    field that shares its name with another attribute passes."""
+    robustness and synth define is read somewhere in the package, by
+    _field_reads' rules: as x.name, as a string in a list or tuple
+    literal, or as self.name in its own class. A field that only the tests
+    read belongs in the tests."""
+    assert _field_reads(
+        "class A:\n    def f(self):\n        return self.kind, d.get('mode'), x.beta, ['col']\n"
+    ) == {"A.kind", "get", "beta", "col"}  # no bare kind, so no other class's; no 'mode'
     read = set()
     for path in sorted((ROOT / "src" / "twfediag").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                read.add(node.value)
+        read |= _field_reads(path.read_text(encoding="utf-8"))
     fields = []
     for name in ("panel", "twfe", "diagnostics", "robustness", "synth"):
         module = importlib.import_module(f"twfediag.{name}")
@@ -128,7 +147,8 @@ def test_every_result_field_is_read():
                    if isinstance(cls, type) and dataclasses.is_dataclass(cls)
                    and cls.__module__ == module.__name__ for field in dataclasses.fields(cls)]
     assert {"TwfeFit.beta", "SweepPoint.ci_low", "RobustnessSweep.skipped"} <= set(fields)
-    assert [field for field in fields if field.split(".")[1] not in read] == []
+    assert [field for field in fields
+            if field not in read and field.split(".")[1] not in read] == []
 
 
 def _subcommands() -> dict:
@@ -208,7 +228,8 @@ def test_readme_removed_names_are_gone():
             "PanelDataset.from_observations", "EffectModel.effect",
             "twfediag.homogeneity_test(inference=...)", "twfediag.true_effect_summary",
             "twfediag.EffectSummary", "twfediag.spec_to_json", "TwfeFit.unit_effect",
-            "TwfeFit.period_effect", "RobustnessSweep.baseline"} <= set(names)
+            "TwfeFit.period_effect", "RobustnessSweep.baseline",
+            "RobustnessSweep.kind"} <= set(names)
     for present in ("twfediag.fit_twfe",
                     "twfediag.lsq.standard_errors(X, residuals, bread, k, yy, inference, clusters)",
                     "TwfeFit.beta", "TwfeFit.p_value", "DegenerateGroup", "twfediag.errors.UnknownUnit",

@@ -293,6 +293,28 @@ class TestSweeps:
         assert labels == grid_units
 
 
+    def test_jackknife_drops_only_units_with_an_observed_outcome(self, tmp_path, capsys):
+        # D has no observed outcome: it is in no estimation sample, so
+        # dropping it is no point, and it does not count towards the 3 units
+        data = tmp_path / "panel.csv"
+
+        def write(units):
+            data.write_text("unit,period,outcome,treated\n" + "".join(
+                f"{u},{t},{'' if u == 'D' else 1.5 * i + 0.3 * t + (i * t) % 3},"
+                f"{int(i < 2 and t >= 2 + i)}\n" for i, u in enumerate(units) for t in range(1, 4)))
+
+        write("ABCD")
+        out = tmp_path / "jk.csv"
+        assert main(["jackknife", *data_args(data), "--out", str(out)]) == 0
+        with out.open() as f:
+            rows = list(csv.DictReader(f))
+        assert [(r["label"], r["n_obs"]) for r in rows] == [("A", "6"), ("B", "6"), ("C", "6")]
+        write("ABD")
+        capsys.readouterr()
+        assert main(["jackknife", *data_args(data), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: leave-one-out needs at least 3 units, got 2\n"
+
+
 class TestEmptyPath:
     """An empty path is a path that cannot be opened, not an absent option
     and not the current directory: exit 1 with one error line naming ''."""

@@ -258,18 +258,24 @@ class TestColumns:
     def test_restrict_takes_a_row_mask(self):
         ds = make_panel([("B", 2, 1.0, 0), ("A", 1, None, 0), ("B", 1, 2.0, 1), ("A", 2, 3.0, 1)])
         sub = ds.restrict(ds.period == 1)
-        assert sub.units == ("A", "B")  # first appearance among the kept rows
+        assert sub.units == ("B", "A")  # the parent's order, not first appearance among the kept rows
         assert sub.observations == (ds.observations[1], ds.observations[2])
         with pytest.raises(ValueError):
             ds.restrict(lambda o: o.period == 1)
         with pytest.raises(ValueError):
             ds.restrict(np.array([0, 1, 1, 0]))
 
-    def test_codes_must_follow_first_appearance(self):
-        with pytest.raises(ValueError):
-            PanelDataset(("A", "B"), [1, 0], [1, 1], [1.0, 2.0], [0, 0])
-        with pytest.raises(ValueError):
+    def test_codes_must_index_labels_that_each_have_a_row(self):
+        permuted = PanelDataset(("A", "B"), [1, 0], [1, 1], [1.0, 2.0], [0, 0])
+        assert [permuted.units[c] for c in permuted.unit.tolist()] == ["B", "A"]
+        assert PanelDataset((), [], [], [], []).units == ()
+        with pytest.raises(ValueError, match="^every unit label must have a row$"):
             PanelDataset(("A", "B", "C"), [0, 1], [1, 1], [1.0, 2.0], [0, 0])
+        with pytest.raises(ValueError, match="^every unit label must have a row$"):
+            PanelDataset(("A",), [], [], [], [])
+        for codes in ([0, 2], [-1, 0]):
+            with pytest.raises(ValueError, match="^unit codes must index the unit labels$"):
+                PanelDataset(("A", "B"), codes, [1, 1], [1.0, 2.0], [0, 0])
 
     def test_columns_of_a_loaded_panel(self, tmp_path):
         f = write_csv(tmp_path / "p.csv", "c,y,out,d\nB,2001,1.0,0\nA,2000,,1\nB,2000,2.5,1\n")

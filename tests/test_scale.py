@@ -59,13 +59,14 @@ def _rows(result):
             for r in (result.b_resid_treatment, result.b_treat_group, result.b_interaction)]
 
 
-def _sweeps(dataset, inference, schedule=None):
+def _sweeps(dataset, inference, schedule=None) -> dict:
+    """Each sweep kind -> its sweep of dataset."""
     schedule = schedule_from_data(dataset) if schedule is None else schedule
-    return [
-        sweep_end_year(dataset, dataset.periods[0], dataset.periods[-1], inference),
-        sweep_post_horizon(dataset, schedule, [0, 1, 3], inference),
-        leave_one_unit_out(dataset, schedule, inference),
-    ]
+    return {
+        "end_year": sweep_end_year(dataset, dataset.periods[0], dataset.periods[-1], inference),
+        "post_horizon": sweep_post_horizon(dataset, schedule, [0, 1, 3], inference),
+        "leave_one_out": leave_one_unit_out(dataset, schedule, inference),
+    }
 
 
 def _same(a, b) -> bool:
@@ -102,7 +103,8 @@ def test_power_of_two_scales_every_output_exactly(seed, k, inference):
     for curve, curve_k in ((scatter.control, scatter_k.control), (scatter.treated, scatter_k.treated)):
         assert (curve_k.slope, curve_k.intercept) == (up(curve.slope), up(curve.intercept))
 
-    for sweep, sweep_k in zip(_sweeps(base, inference), _sweeps(scaled, inference)):
+    for sweep, sweep_k in zip(_sweeps(base, inference).values(),
+                              _sweeps(scaled, inference).values()):
         assert sweep_k.skipped == sweep.skipped
         assert len(sweep_k.points) == len(sweep.points)
         for point, point_k in zip(sweep.points, sweep_k.points):
@@ -166,9 +168,11 @@ def test_period_shift_moves_only_the_labels(seed, shift, inference):
 
     sweeps = _sweeps(base, inference, schedule)
     sweeps_c = _sweeps(moved, inference, moved_schedule)
-    for sweep, sweep_c in zip(sweeps, sweeps_c):
+    for kind, sweep in sweeps.items():
+        sweep_c = sweeps_c[kind]
+
         def label(text):  # an end year moves with the periods
-            return str(int(text) + shift) if sweep.kind == "end_year" else text
+            return str(int(text) + shift) if kind == "end_year" else text
         assert sweep_c.skipped == tuple((label(lb), why) for lb, why in sweep.skipped)
         assert [p.label for p in sweep_c.points] == [label(p.label) for p in sweep.points]
         for point, point_c in zip(sweep.points, sweep_c.points):
@@ -192,10 +196,12 @@ def test_renaming_units_in_order_moves_only_the_labels(seed, inference):
     assert fit_r.units == tuple(name[u] for u in fit.units)
     assert (fit_r.periods, fit_r.period.tolist()) == (fit.periods, fit.period.tolist())
 
-    for sweep, sweep_r in zip(_sweeps(base, inference, schedule),
-                              _sweeps(renamed, inference, renamed_schedule)):
+    sweeps_r = _sweeps(renamed, inference, renamed_schedule)
+    for kind, sweep in _sweeps(base, inference, schedule).items():
+        sweep_r = sweeps_r[kind]
+
         def label(text):
-            return name[text] if sweep.kind == "leave_one_out" else text
+            return name[text] if kind == "leave_one_out" else text
         assert dict(sweep_r.skipped) == {label(lb): why for lb, why in sweep.skipped}
         points = {label(p.label): _numbers(p) for p in sweep.points}
         assert sorted(p.label for p in sweep_r.points) == sorted(points)
@@ -226,11 +232,11 @@ def _outputs(dataset, inference) -> tuple[dict, list]:
         numbers[f"{group} line"] = ((curve.slope, curve.intercept), True)
         numbers[f"{group} smoothed x"] = (smoothed[:, 0], False)
         numbers[f"{group} smoothed y"] = (smoothed[:, 1], True)
-    for sweep in _sweeps(dataset, inference):
+    for kind, sweep in _sweeps(dataset, inference).items():
         points = sweep.points
-        numbers[f"{sweep.kind} beta"] = ([p.beta for p in points], True)
-        numbers[f"{sweep.kind} interval"] = ([[p.ci_low, p.ci_high] for p in points], True)
-        numbers[f"{sweep.kind} share"] = ([p.share_negative_treated for p in points], False)
+        numbers[f"{kind} beta"] = ([p.beta for p in points], True)
+        numbers[f"{kind} interval"] = ([[p.ci_low, p.ci_high] for p in points], True)
+        numbers[f"{kind} share"] = ([p.share_negative_treated for p in points], False)
         exact.append([(p.label, p.n_obs, p.n_treated) for p in points])
         exact.append(sweep.skipped)
     return numbers, exact

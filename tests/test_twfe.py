@@ -122,14 +122,19 @@ class TestFitTwfe:
 
     def test_sample_arrays_match_dataset(self):
         rng = np.random.default_rng(24)
+        reordered = 0
         for _ in range(10):
             _, ds = random_panel(rng, missing=True, noise_sd=1.0)
+            ds = from_observations(ds.observations[i] for i in rng.permutation(len(ds)))
             fit = fit_twfe(ds)
             sample = [o for o in ds.observations if o.outcome is not None]
             assert sample_keys(fit) == [(o.unit, o.period) for o in sample]
             assert fit.treatment.tolist() == [o.treated for o in sample]
-            # codes number the units by first appearance in the sample
-            assert fit.units == tuple(dict.fromkeys(o.unit for o in sample))
+            # the sample's units keep the dataset's order
+            in_sample = {o.unit for o in sample}
+            assert fit.units == tuple(u for u in ds.units if u in in_sample)
+            reordered += fit.units != tuple(dict.fromkeys(o.unit for o in sample))
+        assert reordered  # some sample's first appearances differ from that order
 
     @pytest.mark.parametrize("inference", ["cluster_by_unit", "classical"])
     def test_noiseless_fit_is_exact(self, inference):
