@@ -178,10 +178,15 @@ class AdoptionSchedule:
         start = np.array([0 if a is None else a for a in adoption], dtype=np.int64)
         return adopts, start
 
-    def by_row(self, dataset: PanelDataset) -> tuple[np.ndarray, np.ndarray]:
-        """by_unit of each row's unit; UnknownUnit names the first in row order."""
-        adopts, start = self.by_unit(dataset.units)
-        return adopts[dataset.unit], start[dataset.unit]
+    def timing(self, labels: Sequence[str], codes: np.ndarray,
+               period: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(treated, event_time) of the cells of unit labels[codes] in int64
+        period, codes and period broadcast together: whether each cell is at
+        or after its unit's adoption period, and period less adoption period
+        in uint64, exact on every treated cell. The one rule of who is
+        treated when; UnknownUnit as by_unit."""
+        adopts, start = (a[codes] for a in self.by_unit(labels))
+        return adopts & (period >= start), period.view(np.uint64) - start.view(np.uint64)
 
     def ordered(self, labels: Sequence[str]) -> tuple[str, ...]:
         """labels sorted by adoption period, never-treated last, then by label.
@@ -463,8 +468,7 @@ def apply_adoption_schedule(dataset: PanelDataset, schedule: AdoptionSchedule) -
     from its adoption period onward. Idempotent: reapplying the same
     schedule changes nothing.
     """
-    adopts, start = schedule.by_row(dataset)
-    treated = (adopts & (dataset.period >= start)).astype(np.int8)
+    treated, _ = schedule.timing(dataset.units, dataset.unit, dataset.period)
     return PanelDataset(dataset.units, dataset.unit, dataset.period, dataset.outcome, treated)
 
 
@@ -484,14 +488,10 @@ def validate(dataset: PanelDataset) -> ValidationReport:
     """Structural checks: absorbing treatment, minimum size, balance,
     and the grouping of units by adoption period."""
     violations: list[tuple[str, str, Optional[int], str]] = []
-
-    # rows sorted by (unit, period); the running maximum of 2*unit + treated
-    # never carries over between units, so minus 2*unit it is the unit's own
-    # running maximum of treatment: 1 from its first treated row on
+    schedule = schedule_from_data(dataset)
+    ever, _ = schedule.timing(dataset.units, dataset.unit, dataset.period)
     order = dataset._row_order
-    unit, treated = dataset.unit[order].astype(np.int64), dataset.treated[order]
-    ever = np.maximum.accumulate(2 * unit + treated) - 2 * unit
-    off = order[(ever == 1) & (treated == 0)]
+    off = order[(ever & (dataset.treated == 0))[order]]  # by (unit, period)
     for code, period in zip(dataset.unit[off].tolist(), dataset.period[off].tolist()):
         label = dataset.units[code]
         violations.append(
@@ -505,7 +505,7 @@ def validate(dataset: PanelDataset) -> ValidationReport:
         violations.append(("TooFewPeriods", "", None, "dataset has fewer than 2 periods"))
 
     groups: dict[Optional[int], list[str]] = {}
-    for unit_label, adoption in schedule_from_data(dataset).entries.items():
+    for unit_label, adoption in schedule.entries.items():
         groups.setdefault(adoption, []).append(unit_label)
     timing_groups = {a: tuple(groups[a]) for a in sorted(a for a in groups if a is not None)}
     if None in groups:

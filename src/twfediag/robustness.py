@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidSweep, NoFeasiblePoint, TwfeDiagError
 from .lsq import t_interval
 from .panel import AdoptionSchedule, PanelDataset, renumber
@@ -100,11 +98,9 @@ def sweep_post_horizon(
         raise ValueError("horizons must be non-empty")
     if any(h < 0 for h in horizons):
         raise ValueError("horizons must be non-negative")
-    adopts, start = schedule.by_row(dataset)  # raises UnknownUnit
-    before = ~adopts | (dataset.period < start)
-    # from adoption on, period - start lies in [0, 2**64): exact in uint64
-    event_time = dataset.period.view(np.uint64) - start.view(np.uint64)
-    masks = ((str(h), before | (event_time <= h)) for h in horizons)
+    # raises UnknownUnit; event_time is exact where treated
+    treated, event_time = schedule.timing(dataset.units, dataset.unit, dataset.period)
+    masks = ((str(h), ~treated | (event_time <= h)) for h in horizons)
     return _run_sweep("post_horizon", dataset, inference, level, masks)
 
 

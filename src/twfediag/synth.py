@@ -114,13 +114,6 @@ class SyntheticSpec:
         for p in (*self.periods, *self.schedule.entries.values()):
             if p is not None and p not in _INT64:
                 raise InvalidSpec(f"period {p} is not a 64-bit integer")
-        for u in self.units:  # event times are int64 differences
-            start = self.schedule.entries[u]
-            if start is not None and self.periods[-1] - start > _INT64[-1]:
-                raise InvalidSpec(
-                    f"unit {u!r} adopts at {start}, more than 2**63-1 periods "
-                    f"before the last period {self.periods[-1]}"
-                )
         if self.shocks[self.periods[0]] != 0.0:
             raise InvalidSpec("first-period shock must be zero")
         values = [(f"baseline for unit {u!r}", v) for u, v in self.baselines.items()]
@@ -139,9 +132,9 @@ def generate_panel(spec: SyntheticSpec) -> PanelDataset:
     deterministic given the seed."""
     cum = list(accumulate((spec.shocks[p] for p in spec.periods), initial=0.0))[1:]
     periods = np.array(spec.periods, dtype=np.int64)
-    adopts, start = spec.schedule.by_unit(spec.units)
-    event_time = periods - start[:, None]  # wraps only in cells before adoption
-    on = adopts[:, None] & (periods >= start[:, None])
+    unit = np.arange(len(spec.units), dtype=np.int32)
+    on, event_time = spec.schedule.timing(spec.units, unit[:, None], periods)
+    event_time[~on] = 0  # wrapped before adoption, where an unused effect could overflow
     rows = np.flatnonzero(on.any(axis=1))  # only units with a treated cell need an effect
     effect = np.zeros(on.shape)
     effect[rows] = spec.effect.on_grid([spec.units[i] for i in rows.tolist()], event_time[rows])
@@ -154,7 +147,7 @@ def generate_panel(spec: SyntheticSpec) -> PanelDataset:
         outcome += spec.noise_sd * np.random.default_rng(spec.seed).normal(size=outcome.shape)
     return PanelDataset(
         spec.units,
-        np.repeat(np.arange(len(spec.units), dtype=np.int32), len(spec.periods)),
+        np.repeat(unit, len(spec.periods)),
         np.tile(periods, len(spec.units)),
         outcome.ravel(),
         on.ravel(),

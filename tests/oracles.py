@@ -637,7 +637,9 @@ def effect_summary_reference(spec) -> tuple:
 def generate_panel_reference(spec):
     """The unit-by-unit synthetic generator: each unit's row of outcomes is
     baseline + cumulative shocks, plus effect_reference on its treated
-    cells, plus its row of noise; rows coded by a per-row label dictionary.
+    cells at their event times (period less adoption period in Python
+    integers, then a float, as effect_summary_reference takes them), plus
+    its row of noise; rows coded by a per-row label dictionary.
     It reads the spec's fields and calls nothing of twfediag.synth."""
     cum = []
     total = 0.0
@@ -655,7 +657,8 @@ def generate_panel_reference(spec):
         if adoption is not None:
             on = periods >= adoption
             if on.any():
-                y[on] += effect_reference(spec.effect, u, periods[on] - adoption)
+                event_time = np.array([float(p - adoption) for p in spec.periods if p >= adoption])
+                y[on] += effect_reference(spec.effect, u, event_time)
             treated[i] = on
         if spec.noise_sd > 0:
             y += spec.noise_sd * noise[i]

@@ -229,7 +229,7 @@ def test_readme_removed_names_are_gone():
             "twfediag.homogeneity_test(inference=...)", "twfediag.true_effect_summary",
             "twfediag.EffectSummary", "twfediag.spec_to_json", "TwfeFit.unit_effect",
             "TwfeFit.period_effect", "RobustnessSweep.baseline",
-            "RobustnessSweep.kind"} <= set(names)
+            "RobustnessSweep.kind", "AdoptionSchedule.by_row(dataset)"} <= set(names)
     for present in ("twfediag.fit_twfe",
                     "twfediag.lsq.standard_errors(X, residuals, bread, k, yy, inference, clusters)",
                     "TwfeFit.beta", "TwfeFit.p_value", "DegenerateGroup", "twfediag.errors.UnknownUnit",

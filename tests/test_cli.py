@@ -440,8 +440,8 @@ class TestTreatFrom:
     @staticmethod
     def _next_year_column(ds, sched, path):
         """Write ds with treated 1 strictly after each unit's adoption period."""
-        adopts, start = sched.by_row(ds)
-        treated = adopts & (ds.period > start)
+        on, event_time = sched.timing(ds.units, ds.unit, ds.period)
+        treated = on & (event_time > 0)
         write_panel_csv(PanelDataset(ds.units, ds.unit, ds.period, ds.outcome, treated), path)
 
     @staticmethod
@@ -663,22 +663,25 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_adoption_span_beyond_64_bits_exit_1(self, tmp_path, capsys):
+    def test_adoption_span_beyond_64_bits_generates(self, tmp_path, capsys):
+        # A is treated from the first int64 period to the last, at event
+        # times 0, 2**63 and 2**64-1
+        top = 2**63 - 1
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({
             "units": ["A", "B"],
-            "periods": [2**62, 2**62 + 1],
+            "periods": [-top - 1, 0, top],
             "baselines": {"A": 0.0, "B": 1.0},
-            "shocks": {str(2**62): 0.0, str(2**62 + 1): 1.0},
-            "schedule": {"A": -2**62, "B": "never"},
+            "shocks": {str(-top - 1): 0.0, "0": 0.0, str(top): 0.0},
+            "schedule": {"A": -top - 1, "B": "never"},
             "effect": {"kind": "event_time", "slope": 1.0},
         }), encoding="utf-8")
         out = tmp_path / "o.csv"
-        assert main(["simulate", "--spec", str(spec_path), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert "more than 2**63-1 periods" in err
-        assert not out.exists()
+        assert main(["simulate", "--spec", str(spec_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == f"wrote 6 observations to {out}\n"
+        panel = load_panel_csv(out, "unit", "period", "outcome", "treated")
+        assert panel.treated.tolist() == [1, 1, 1, 0, 0, 0]
+        assert panel.outcome.tolist() == [0.0, float(2**63), float(2**64 - 1), 1.0, 1.0, 1.0]
 
     def test_negative_seed_usage_error(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -2,10 +2,10 @@
 
 Panels are drawn with rows in shuffled order, unsorted unit labels,
 missing outcomes, an all-missing unit, absent cells, treatment that
-switches off and on again, and down to a single unit or period. Each is
-built from Observation rows and read back from a CSV, and its validation
-report must equal validate_reference in oracles.py, which rescans the
-rows once per unit.
+switches off and on again, periods at both ends of int64, and down to a
+single unit or period. Each is built from Observation rows and read back
+from a CSV, and its validation report must equal validate_reference in
+oracles.py, which rescans the rows once per unit.
 """
 
 import csv
@@ -24,12 +24,14 @@ from oracles import first_repeated_key, from_observations, validate_reference
 
 labels = st.text(alphabet="zyXW10ab_", min_size=1, max_size=3)
 outcomes = st.one_of(st.none(), st.floats(-1e6, 1e6, allow_nan=False))
+INT64_ENDS = (-2**63, -2**63 + 1, 2**63 - 2, 2**63 - 1)  # period - adoption needs 64 bits
 
 
 @st.composite
 def rows(draw):
     units = draw(st.lists(labels, min_size=1, max_size=5, unique=True))
-    periods = draw(st.lists(st.integers(-3, 2030), min_size=1, max_size=6, unique=True))
+    period = st.one_of(st.integers(-3, 2030), st.sampled_from(INT64_ENDS))
+    periods = draw(st.lists(period, min_size=1, max_size=6, unique=True))
     all_missing = draw(st.one_of(st.none(), st.sampled_from(units)))
     out = []
     for unit in units:

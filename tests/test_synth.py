@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from twfediag import (
 from twfediag.errors import InvalidSpec
 
 from conftest import write_spec
-from oracles import dummy_ols_beta, effect_summary_reference
+from oracles import dummy_ols_beta, effect_summary_reference, generate_panel_reference
 
 
 def base_spec(**overrides):
@@ -205,23 +206,38 @@ class TestSpecValidation:
 
 
     def test_adoption_span_beyond_64_bits(self):
-        # event times are period - adoption period in int64
-        kwargs = dict(
+        # A adopts at the first int64 period and is treated through the last,
+        # at event times up to 2**64-1: past int64, where they used to wrap
+        periods = (-2**63, 0, 2**63 - 1)
+        for effect in (EffectModel.event_time(1.0), EffectModel.event_time(1e-18, 3.0)):
+            spec = base_spec(
+                units=("A", "B"),
+                periods=periods,
+                baselines={"A": 0.0, "B": 1.0},
+                shocks=dict.fromkeys(periods, 0.0),
+                schedule=AdoptionSchedule({"A": -2**63, "B": None}),
+                effect=effect,
+            )
+            panel = generate_panel(spec)
+            assert panel.treated.tolist() == [1, 1, 1, 0, 0, 0]
+            # A's outcomes less its baseline and shocks of 0: the effects at
+            # event times 0, 2**63 and 2**64-1, as the reference has them
+            want = [effect.intercept + effect.slope * float(e) for e in (0, 2**63, 2**64 - 1)]
+            assert panel.outcome.tolist() == [*want, 1.0, 1.0, 1.0]
+            assert generate_panel_reference(spec).outcome.tolist() == panel.outcome.tolist()
+        # before adoption, event times wrap (A's two to 2**63 and 2**64-2**62),
+        # and no effect there may overflow
+        wrapped = base_spec(
             units=("A", "B"),
-            periods=(2**62, 2**62 + 1),
+            periods=(-2**62, 0, 2**62),
             baselines={"A": 0.0, "B": 1.0},
-            shocks={2**62: 0.0, 2**62 + 1: 1.0},
-            effect=EffectModel.event_time(1.0),
+            shocks={-2**62: 0.0, 0: 1.0, 2**62: 2.0},
+            schedule=AdoptionSchedule({"A": 2**62, "B": None}),
+            effect=EffectModel.event_time(1e300),
         )
-        with pytest.raises(InvalidSpec, match=r"more than 2\*\*63-1 periods"):
-            base_spec(schedule=AdoptionSchedule({"A": -2**62, "B": None}), **kwargs)
-        at_limit = base_spec(schedule=AdoptionSchedule({"A": 2 - 2**62, "B": None}), **kwargs)
-        panel = generate_panel(at_limit)
-        # unit A's rows less its baseline of 0 and cumulative shocks 0 and 1:
-        # the effects at event times 2**63-2 and 2**63-1, negative had they wrapped
-        assert panel.treated[:2].tolist() == [1, 1]
-        effects = panel.outcome[:2] - np.array([0.0, 1.0])
-        assert effects.tolist() == [float(2**63 - 2), float(2**63 - 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert generate_panel(wrapped).outcome.tolist() == [0.0, 1.0, 3.0, 1.0, 2.0, 4.0]
 
     @pytest.mark.parametrize("change, message", [
         (lambda d: d.update(baselines=[10.0, 20.0, 5.0]), "baselines must be an object, got an array"),
