@@ -123,16 +123,17 @@ def _groups(fit: TwfeFit):
     scale = max(float(np.abs(d).max()), 1e-300)
     lines = []
     for name, mask in (("control", ~treated), ("treated", treated)):
-        n = int(mask.sum())
+        dg, yg = d[mask], y[mask]
+        n = len(dg)
         if n < 2:
             raise DegenerateGroup(f"{name} group has fewer than 2 observations")
-        mean_d, mean_y = np.add.reduce(d[mask]) / n, np.add.reduce(y[mask]) / n
-        dc, yc = d[mask] - mean_d, y[mask] - mean_y
+        mean_d, mean_y = np.add.reduce(dg) / n, np.add.reduce(yg) / n
+        dc, yc = dg - mean_d, yg - mean_y
         s_dd = inner(dc, dc)
-        if np.sqrt(s_dd / n) <= 1e-10 * scale:  # np.std(d[mask]), by the same sums
+        if np.sqrt(s_dd / n) <= 1e-10 * scale:  # np.std(dg), by the same sums
             raise DegenerateGroup(f"{name} group has no residual-treatment variation")
         slope = inner(dc, yc) / s_dd
-        lines.append(SimpleNamespace(mask=mask, n=n, mean_d=mean_d, s_dd=s_dd, slope=slope,
+        lines.append(SimpleNamespace(mask=mask, d=dg, n=n, mean_d=mean_d, s_dd=s_dd, slope=slope,
                                      intercept=mean_y - slope * mean_d, residuals=yc - slope * dc))
     return exponent, *lines
 
@@ -180,22 +181,17 @@ def _local_linear(
     x: np.ndarray, y: np.ndarray, bandwidth: float, grid_points: int
 ) -> tuple[tuple[float, float], ...]:
     """Tricube-kernel local linear smoother on an equally spaced grid over
-    the support of x; grid points with fewer than 3 in-window points are
-    omitted."""
+    the support of x. A grid point is omitted if its window is singular or
+    holds fewer than 3 points, as every window of a zero-width support does."""
     lo, hi = float(x.min()), float(x.max())
-    span = hi - lo
-    h = bandwidth * span
-    grid = np.linspace(lo, hi, grid_points)
+    h = bandwidth * (hi - lo)
     out = []
-    for x0 in grid:
-        dist = np.abs(x - x0)
-        in_window = dist < h if h > 0 else dist == 0
-        if in_window.sum() < 3:
+    for x0 in np.linspace(lo, hi, grid_points):
+        in_window = np.abs(x - x0) < h
+        xs, ys = x[in_window] - x0, y[in_window]
+        if len(xs) < 3:
             continue
-        u = dist[in_window] / h if h > 0 else np.zeros(int(in_window.sum()))
-        k = (1 - u**3) ** 3
-        xs = x[in_window] - x0
-        ys = y[in_window]
+        k = (1 - (np.abs(xs) / h) ** 3) ** 3
         # weighted least squares of ys on (1, xs); value at x0 is the intercept
         s0, s1, s2 = k.sum(), (k * xs).sum(), (k * xs * xs).sum()
         t0, t1 = (k * ys).sum(), (k * xs * ys).sum()
@@ -218,8 +214,8 @@ def residual_scatter(
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
     exponent, *lines = _groups(fit)
-    d, y = fit.residualized_treatment, fit.residualized_outcome
+    y = fit.residualized_outcome
     return ResidualScatter(*(
         GroupCurve(float(np.ldexp(line.slope, exponent)), float(np.ldexp(line.intercept, exponent)),
-                   _local_linear(d[line.mask], y[line.mask], bandwidth, grid_points))
+                   _local_linear(line.d, y[line.mask], bandwidth, grid_points))
         for line in lines))

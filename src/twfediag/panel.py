@@ -68,7 +68,14 @@ class PanelDataset:
     def __post_init__(self):
         for name, dtype in (("unit", np.int32), ("period", np.int64),
                             ("outcome", np.float64), ("treated", np.int8)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+            raw = np.asarray(getattr(self, name))
+            with np.errstate(invalid="ignore"):  # a cast of nan; refused below
+                column = raw.astype(dtype, copy=False)
+            if dtype is not np.float64 and raw.dtype.kind not in "biu":
+                changed = np.flatnonzero(column != raw)
+                if changed.size:
+                    raise ValueError(f"{name} value {raw.flat[changed[0]]} is not an {np.dtype(dtype)}")
+            object.__setattr__(self, name, column)
         object.__setattr__(self, "units", tuple(self.units))
         n = len(self.unit)
         if any(c.shape != (n,) for c in (self.unit, self.period, self.outcome, self.treated)):

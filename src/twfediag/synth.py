@@ -65,7 +65,8 @@ class EffectModel:
         unknown kind when the grid has a row: a spec with no treated cell
         never evaluates its effect."""
         if self.kind == "event_time":
-            return self.intercept + self.slope * event_time
+            with np.errstate(over="ignore"):  # generate_panel refuses the inf
+                return self.intercept + self.slope * event_time
         if self.kind == "by_unit":
             missing = [u for u in units if u not in self.per_unit]
             if missing:
@@ -129,7 +130,8 @@ class SyntheticSpec:
 
 def generate_panel(spec: SyntheticSpec) -> PanelDataset:
     """Materialize the spec as a balanced panel, rows by unit then period;
-    deterministic given the seed."""
+    deterministic given the seed. InvalidSpec names the first treated cell
+    whose effect overflows."""
     cum = list(accumulate((spec.shocks[p] for p in spec.periods), initial=0.0))[1:]
     periods = np.array(spec.periods, dtype=np.int64)
     unit = np.arange(len(spec.units), dtype=np.int32)
@@ -138,6 +140,11 @@ def generate_panel(spec: SyntheticSpec) -> PanelDataset:
     rows = np.flatnonzero(on.any(axis=1))  # only units with a treated cell need an effect
     effect = np.zeros(on.shape)
     effect[rows] = spec.effect.on_grid([spec.units[i] for i in rows.tolist()], event_time[rows])
+    non_finite = np.argwhere(~np.isfinite(effect))
+    if non_finite.size:
+        i, j = non_finite[0]
+        raise InvalidSpec(f"effect {effect[i, j]} for unit {spec.units[i]!r}, "
+                          f"period {spec.periods[j]} is not finite")
     # unit x period grids; each cell gets baseline + cumulative shock, then
     # its effect if treated, then its noise: the per-cell operations of
     # the unit-by-unit construction, in the same order

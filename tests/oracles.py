@@ -5,8 +5,9 @@ formed normal equations, sandwich covariance via naive loops, and the t
 p-value via numerical quadrature of the density. The panel CSV reader,
 the CSV row writer and the synthetic generator are kept here in their
 row-by-row and unit-by-unit forms, as references for the column passes,
-beside a panel constructor from row objects, the effect models' formulas
-and the summary of a spec's true effects.
+beside a panel constructor from row objects, the effect models' formulas,
+the summary of a spec's true effects and the scatter's smoother with a
+separate branch for a zero-width support.
 From the package they import only PanelDataset and the errors.
 """
 
@@ -667,3 +668,32 @@ def generate_panel_reference(spec):
     unit = [codes.setdefault(u, len(codes)) for u in spec.units for _ in spec.periods]
     return PanelDataset(tuple(codes), np.array(unit, dtype=np.int32), np.tile(periods, len(spec.units)),
                         outcome.ravel(), treated.ravel())
+
+
+def local_linear_reference(x: np.ndarray, y: np.ndarray, bandwidth: float, grid_points: int):
+    """The scatter's tricube local linear smoother in a two-branch form: a
+    zero-width support (h == 0) takes the points at distance 0 as its
+    window, with unit kernel weights, and each window's distances and
+    offsets are gathered separately."""
+    lo, hi = float(x.min()), float(x.max())
+    span = hi - lo
+    h = bandwidth * span
+    grid = np.linspace(lo, hi, grid_points)
+    out = []
+    for x0 in grid:
+        dist = np.abs(x - x0)
+        in_window = dist < h if h > 0 else dist == 0
+        if in_window.sum() < 3:
+            continue
+        u = dist[in_window] / h if h > 0 else np.zeros(int(in_window.sum()))
+        k = (1 - u**3) ** 3
+        xs = x[in_window] - x0
+        ys = y[in_window]
+        # weighted least squares of ys on (1, xs); value at x0 is the intercept
+        s0, s1, s2 = k.sum(), (k * xs).sum(), (k * xs * xs).sum()
+        t0, t1 = (k * ys).sum(), (k * xs * ys).sum()
+        det = s0 * s2 - s1 * s1
+        if det <= 0:
+            continue
+        out.append((float(x0), float((s2 * t0 - s1 * t1) / det)))
+    return tuple(out)

@@ -9,6 +9,10 @@ and the weight grid's arrays against a dict built from those rows.
 On the TWFE suite's exact families, the homogeneity regression's
 coefficients and their classical and clustered se**2 are checked against
 the exact rational oracle, at bounds set from the fit's own exact bounds.
+
+The scatter's smoother is checked on random groups for equality with its
+two-branch form in the oracles, and each kept grid point against a
+weighted least-squares solve of its window by np.linalg.lstsq.
 """
 
 import functools
@@ -18,10 +22,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from twfediag import fit_twfe, homogeneity_test, schedule_from_data, weight_grid
-from twfediag.diagnostics import STATUS
+from twfediag.diagnostics import STATUS, _local_linear
 from twfediag.errors import CollinearTreatment, DegenerateGroup, DegenerateTreatment
 from twfediag.lsq import EXACT_FIT_TOL, t_test
 
@@ -30,6 +35,7 @@ from oracles import (
     cluster_score_sandwich,
     exact_homogeneity,
     exact_residualized,
+    local_linear_reference,
     naive_weight_grid,
     normal_equations_ols,
 )
@@ -167,3 +173,57 @@ def test_homogeneity_matches_exact_oracle(family, inference):
         assert abs(Fraction(row.estimate) - beta[j]) <= bound, j
         assert abs(Fraction(row.se) ** 2 - se2[j]) <= rel * se2[j], j
         assert (row.t_stat, row.p_value) == t_test(row.estimate, row.se, dof), j
+
+
+@st.composite
+def smoother_groups(draw):
+    """(x, y, bandwidth, grid_points) of one scatter group: 2 to 300 rows
+    whose x are spread, repeated (a few distinct values), on the grid
+    points, or all equal (a zero-width support), at scales 1e-6 to 1e6."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 300))
+    bandwidth = draw(st.floats(1e-3, 1.0))
+    grid_points = draw(st.integers(2, 60))
+    kind = draw(st.sampled_from(["spread", "repeated", "on grid", "zero width"]))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    if kind == "spread":
+        x = scale * rng.normal(size=n)
+    elif kind == "repeated":
+        x = scale * rng.integers(0, draw(st.integers(1, 6)), n)
+    elif kind == "on grid":
+        grid = np.linspace(-scale, scale, grid_points)
+        x = grid[rng.integers(0, grid_points, n)]
+        x[:2] = grid[0], grid[-1]  # so the smoother's grid is this grid
+    else:
+        x = np.full(n, scale * rng.normal())
+    return x, rng.normal(size=n) + 0.5 * x / scale, bandwidth, grid_points
+
+
+ZERO_WIDTH = (np.full(5, 2.5), np.arange(5.0), 0.8, 50)
+REPEATED_AT_GRID = (np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.5]), np.arange(7.0), 0.001, 3)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(group=smoother_groups())
+@example(group=ZERO_WIDTH)
+@example(group=REPEATED_AT_GRID)
+def test_smoother_matches_reference_and_weighted_least_squares(group):
+    x, y, bandwidth, grid_points = group
+    smoothed = _local_linear(x, y, bandwidth, grid_points)
+    assert smoothed == local_linear_reference(x, y, bandwidth, grid_points)
+    h = bandwidth * (x.max() - x.min())
+    if h == 0:
+        assert smoothed == ()
+    for x0, value in smoothed:
+        window = np.abs(x - x0) < h
+        assert window.sum() >= 3
+        offset = x[window] - x0
+        root_k = np.sqrt((1 - (np.abs(offset) / h) ** 3) ** 3)
+        # the offset column scaled to max 1, which leaves the intercept as it is
+        design = root_k[:, None] * np.column_stack([np.ones(len(offset)), offset / np.abs(offset).max()])
+        (intercept, _), *_ = np.linalg.lstsq(design, root_k * y[window], rcond=None)
+        # the smoother solves the normal equations, whose round-off grows
+        # with the square of the design's condition number; for a window
+        # whose x take one value (which det <= 0 can miss) it says nothing
+        tol = 1e-12 * np.linalg.cond(design) ** 2 * np.abs(y[window]).max()
+        assert abs(value - intercept) <= tol

@@ -89,6 +89,20 @@ class TestProcess:
         assert message in proc.stderr
         assert not out.exists()
 
+    def test_overflowing_effect_exit_1(self, tmp_path):
+        # the effect, not the outcome, is at fault, and numpy's overflow
+        # warning must not reach stderr
+        spec = SyntheticSpec(units=("A", "B"), periods=(0, 10**9), baselines={"A": 0.0, "B": 0.0},
+                             shocks={0: 0.0, 10**9: 0.0}, schedule=AdoptionSchedule({"A": 0, "B": None}),
+                             effect=EffectModel.event_time(slope=1e300))
+        write_spec(spec, tmp_path / "spec.json")
+        out = tmp_path / "panel.csv"
+        proc = cli_process(["simulate", "--spec", tmp_path / "spec.json", "--out", out], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: effect inf for unit 'A', period 1000000000 is not finite\n"
+        assert not out.exists()
+
     def test_invalid_panel_validate_exit_1(self, tmp_path):
         # a verdict, not an error: the report names the violation and
         # stderr stays empty

@@ -277,6 +277,24 @@ class TestColumns:
             with pytest.raises(ValueError, match="^unit codes must index the unit labels$"):
                 PanelDataset(("A", "B"), codes, [1, 1], [1.0, 2.0], [0, 0])
 
+    @pytest.mark.parametrize("column, values, message", [
+        ("period", [2000.0, np.nan], "^period value nan is not an int64$"),
+        ("treated", [0.4, 1.0], "^treated value 0.4 is not an int8$"),
+        ("unit", [0.0, 1.9], "^unit value 1.9 is not an int32$"),
+    ], ids=["nan period", "fractional treated", "fractional unit code"])
+    def test_integer_column_refuses_a_value_it_cannot_hold(self, column, values, message):
+        columns = {"unit": [0, 1], "period": [2000, 2000], "outcome": [1.0, 2.0], "treated": [0, 1]}
+        columns[column] = np.array(values)
+        with pytest.raises(ValueError, match=message):
+            PanelDataset(("A", "B"), **columns)
+
+    def test_integral_floats_are_integer_columns(self):
+        ds = PanelDataset(("A", "B"), np.array([1.0, 0.0]), np.array([2000.0, 2001.0]),
+                          [1.0, 2.0], np.array([0.0, 1.0]))
+        assert ds.unit.dtype == np.int32 and ds.unit.tolist() == [1, 0]
+        assert ds.period.dtype == np.int64 and ds.period.tolist() == [2000, 2001]
+        assert ds.treated.dtype == np.int8 and ds.treated.tolist() == [0, 1]
+
     def test_columns_of_a_loaded_panel(self, tmp_path):
         f = write_csv(tmp_path / "p.csv", "c,y,out,d\nB,2001,1.0,0\nA,2000,,1\nB,2000,2.5,1\n")
         ds = load_panel_csv(f, "c", "y", "out", "d")
