@@ -114,26 +114,27 @@ def _groups(fit: TwfeFit):
     """(exponent, control, treated): each group's least-squares line of the
     residualized outcome, scaled by 2**-exponent as fit_twfe scales it, on
     the residualized treatment d, from its count n, means and centred sums
-    S_dd and S_dy. The one singularity rule: a group needs 2 rows and a d
-    whose standard deviation exceeds 1e-10 of max|d|."""
-    d = fit.residualized_treatment
+    S_dd and S_dy, with its rows of d and of the unscaled outcome. The one
+    singularity rule: a group needs 2 rows and a d whose standard deviation
+    exceeds 1e-10 of max|d|."""
+    d, y = fit.residualized_treatment, fit.residualized_outcome
     exponent = scale_exponent(fit.outcome)
-    y = np.ldexp(fit.residualized_outcome, -exponent)
     treated = fit.treatment == 1
     scale = max(float(np.abs(d).max()), 1e-300)
     lines = []
     for name, mask in (("control", ~treated), ("treated", treated)):
         dg, yg = d[mask], y[mask]
+        ys = np.ldexp(yg, -exponent)
         n = len(dg)
         if n < 2:
             raise DegenerateGroup(f"{name} group has fewer than 2 observations")
-        mean_d, mean_y = np.add.reduce(dg) / n, np.add.reduce(yg) / n
-        dc, yc = dg - mean_d, yg - mean_y
+        mean_d, mean_y = np.add.reduce(dg) / n, np.add.reduce(ys) / n
+        dc, yc = dg - mean_d, ys - mean_y
         s_dd = inner(dc, dc)
         if np.sqrt(s_dd / n) <= 1e-10 * scale:  # np.std(dg), by the same sums
             raise DegenerateGroup(f"{name} group has no residual-treatment variation")
         slope = inner(dc, yc) / s_dd
-        lines.append(SimpleNamespace(mask=mask, d=dg, n=n, mean_d=mean_d, s_dd=s_dd, slope=slope,
+        lines.append(SimpleNamespace(mask=mask, d=dg, y=yg, n=n, mean_d=mean_d, s_dd=s_dd, slope=slope,
                                      intercept=mean_y - slope * mean_d, residuals=yc - slope * dc))
     return exponent, *lines
 
@@ -181,8 +182,8 @@ def _local_linear(
     x: np.ndarray, y: np.ndarray, bandwidth: float, grid_points: int
 ) -> tuple[tuple[float, float], ...]:
     """Tricube-kernel local linear smoother on an equally spaced grid over
-    the support of x. A grid point is omitted if its window is singular or
-    holds fewer than 3 points, as every window of a zero-width support does."""
+    the support of x. A grid point is omitted if its window holds fewer than
+    3 points, as every window of a zero-width support does, or det <= 0."""
     lo, hi = float(x.min()), float(x.max())
     h = bandwidth * (hi - lo)
     out = []
@@ -214,8 +215,7 @@ def residual_scatter(
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
     exponent, *lines = _groups(fit)
-    y = fit.residualized_outcome
     return ResidualScatter(*(
         GroupCurve(float(np.ldexp(line.slope, exponent)), float(np.ldexp(line.intercept, exponent)),
-                   _local_linear(line.d, y[line.mask], bandwidth, grid_points))
+                   _local_linear(line.d, line.y, bandwidth, grid_points))
         for line in lines))

@@ -71,7 +71,7 @@ class PanelDataset:
             raw = np.asarray(getattr(self, name))
             with np.errstate(invalid="ignore"):  # a cast of nan; refused below
                 column = raw.astype(dtype, copy=False)
-            if dtype is not np.float64 and raw.dtype.kind not in "biu":
+            if dtype is not np.float64 and not np.can_cast(raw.dtype, dtype):
                 changed = np.flatnonzero(column != raw)
                 if changed.size:
                     raise ValueError(f"{name} value {raw.flat[changed[0]]} is not an {np.dtype(dtype)}")

@@ -281,10 +281,16 @@ class TestColumns:
         ("period", [2000.0, np.nan], "^period value nan is not an int64$"),
         ("treated", [0.4, 1.0], "^treated value 0.4 is not an int8$"),
         ("unit", [0.0, 1.9], "^unit value 1.9 is not an int32$"),
-    ], ids=["nan period", "fractional treated", "fractional unit code"])
+        ("treated", [0, 257], "^treated value 257 is not an int8$"),
+        ("period", [0, 2**63], "^period value 9.223372036854776e\\+18 is not an int64$"),
+        ("unit", [0, 2**32 + 1], "^unit value 4294967297 is not an int32$"),
+        ("treated", np.array([0, 257], np.int16), "^treated value 257 is not an int8$"),
+        ("period", np.array([0, 2**63], np.uint64), "^period value 9223372036854775808 is not an int64$"),
+    ], ids=["nan period", "fractional treated", "fractional unit code", "int list past int8",
+            "int list past int64", "int list past int32", "int16 array past int8", "uint64 array past int64"])
     def test_integer_column_refuses_a_value_it_cannot_hold(self, column, values, message):
         columns = {"unit": [0, 1], "period": [2000, 2000], "outcome": [1.0, 2.0], "treated": [0, 1]}
-        columns[column] = np.array(values)
+        columns[column] = values
         with pytest.raises(ValueError, match=message):
             PanelDataset(("A", "B"), **columns)
 
