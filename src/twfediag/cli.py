@@ -102,10 +102,12 @@ def _given(args, *names: str) -> dict:
     return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
-def _load(args):
-    """(dataset, adoption schedule or None) from the data options."""
+def _load(args, schedule_needed: bool = False):
+    """(dataset, adoption schedule) from the data options: --adoption's schedule,
+    else the treated column's (schedule_from_data) if schedule_needed, else None."""
     from .errors import TwfeDiagError
-    from .panel import AdoptionSchedule, apply_adoption_schedule, load_panel_csv, load_schedule_csv
+    from .panel import (AdoptionSchedule, apply_adoption_schedule, load_panel_csv,
+                        load_schedule_csv, schedule_from_data)
 
     if args.treatment is None and args.adoption is None:
         raise TwfeDiagError("provide --treatment and/or --adoption")
@@ -119,6 +121,8 @@ def _load(args):
             schedule = AdoptionSchedule({u: None if a in (None, 2**63 - 1) else a + 1
                                          for u, a in schedule.entries.items()})
         dataset = apply_adoption_schedule(dataset, schedule)
+    elif schedule_needed:
+        schedule = schedule_from_data(dataset)
     return dataset, schedule
 
 
@@ -224,18 +228,16 @@ def cmd_weights(args) -> int:
     import numpy as np
 
     from .diagnostics import STATUS, weight_grid, weight_report
-    from .panel import schedule_from_data, write_csv
+    from .panel import write_csv
     from .twfe import fit_twfe
 
-    dataset, schedule = _load(args)
+    dataset, schedule = _load(args, schedule_needed=args.out_grid is not None)
     fit = fit_twfe(dataset)
     report = weight_report(fit, **_given(args, "bins"))
     if args.out_hist is not None:
         write_csv(args.out_hist, ["bin_low", "bin_high", "treated_count", "control_count"],
                   [list(column) for column in zip(*report.histogram)])  # a tuple is labels
     if args.out_grid is not None:
-        if schedule is None:
-            schedule = schedule_from_data(dataset)
         grid = weight_grid(fit, schedule)
         # each cell's row and column code, row by row
         row, column = np.divmod(np.arange(grid.weight.size, dtype=np.int32), len(grid.periods))
@@ -287,12 +289,9 @@ def cmd_sweep_endyear(args) -> int:
 
 
 def cmd_sweep_horizon(args) -> int:
-    from .panel import schedule_from_data
     from .robustness import sweep_post_horizon
 
-    dataset, schedule = _load(args)
-    if schedule is None:
-        schedule = schedule_from_data(dataset)
+    dataset, schedule = _load(args, schedule_needed=True)
     sweep = sweep_post_horizon(
         dataset, schedule, args.horizons, _inference(args), **_given(args, "level")
     )
@@ -301,12 +300,9 @@ def cmd_sweep_horizon(args) -> int:
 
 
 def cmd_jackknife(args) -> int:
-    from .panel import schedule_from_data
     from .robustness import leave_one_unit_out
 
-    dataset, schedule = _load(args)
-    if schedule is None:
-        schedule = schedule_from_data(dataset)
+    dataset, schedule = _load(args, schedule_needed=True)
     sweep = leave_one_unit_out(dataset, schedule, _inference(args), **_given(args, "level"))
     _sweep_csv(args.out, sweep)
     return 0

@@ -77,10 +77,8 @@ def weight_report(fit: TwfeFit, bins: int = DEFAULT_BINS) -> WeightReport:
     n_treated_negative, share = negative_treated(fit)
     n_control_positive = int((~treated & (w > -NEGATIVE_WEIGHT_TOL)).sum())
 
-    lo, hi = float(w.min()), float(w.max())
-    if hi == lo:
-        hi = lo + 1.0  # degenerate support; one catch-all bin range
-    edges = np.linspace(lo, hi, bins + 1)
+    # the weights sum to 0 and a fit's treatment is not collinear, so min < max
+    edges = np.linspace(float(w.min()), float(w.max()), bins + 1)
     treated_counts, _ = np.histogram(w[treated], bins=edges)
     control_counts, _ = np.histogram(w[~treated], bins=edges)
     histogram = tuple(
@@ -99,14 +97,13 @@ def weight_report(fit: TwfeFit, bins: int = DEFAULT_BINS) -> WeightReport:
 def weight_grid(fit: TwfeFit, schedule: AdoptionSchedule) -> WeightGrid:
     """Full unit-by-period rectangle of weight cells, rows sorted by adoption
     period (never-treated last), then unit name."""
-    units = schedule.ordered(fit.units)
-    row = dict(zip(units, range(len(units))))
-    r = np.array([row[u] for u in fit.units], dtype=np.intp)[fit.unit]  # each sample row's grid row
-    p = np.searchsorted(fit.periods, fit.period)
-    weight = np.full((len(units), len(fit.periods)), nan)
+    order = schedule.ordered(fit.units)  # grid row i holds unit code order[i]
+    r, p = np.argsort(order)[fit.unit], fit.period  # each sample row's grid cell
+    weight = np.full((len(order), len(fit.periods)), nan)
     weight[r, p] = fit.weights
     status = np.zeros(weight.shape, dtype=np.int8)  # 0: no observed outcome
     status[r, p] = np.where(fit.treatment == 0, 1, np.where(fit.weights < NEGATIVE_WEIGHT_TOL, 2, 3))
+    units = tuple(fit.units[i] for i in order.tolist())
     return WeightGrid(units=units, periods=fit.periods, status=status, weight=weight)
 
 

@@ -195,12 +195,12 @@ class AdoptionSchedule:
         adopts, start = (a[codes] for a in self.by_unit(labels))
         return adopts & (period >= start), period.view(np.uint64) - start.view(np.uint64)
 
-    def ordered(self, labels: Sequence[str]) -> tuple[str, ...]:
-        """labels sorted by adoption period, never-treated last, then by label.
-        UnknownUnit names the alphabetically first label with no entry."""
-        labels = sorted(labels)
-        adopts, start = self.by_unit(labels)  # lexsort is stable: ties stay in label order
-        return tuple(labels[i] for i in np.lexsort((start, ~adopts)).tolist())
+    def ordered(self, labels: Sequence[str]) -> np.ndarray:
+        """The positions of labels by adoption period, never-treated last, then by
+        label. UnknownUnit names the alphabetically first label with no entry."""
+        by_label = np.array(sorted(range(len(labels)), key=labels.__getitem__), dtype=np.intp)
+        adopts, start = self.by_unit([labels[i] for i in by_label.tolist()])
+        return by_label[np.lexsort((start, ~adopts))]  # stable: ties stay in label order
 
 
 @dataclass(frozen=True)

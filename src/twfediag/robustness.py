@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidSweep, NoFeasiblePoint, TwfeDiagError
 from .lsq import t_interval
-from .panel import AdoptionSchedule, PanelDataset, renumber
+from .panel import AdoptionSchedule, PanelDataset
 from .twfe import TwfeFit, fit_twfe, negative_treated
 
 DEFAULT_LEVEL = 0.95
@@ -113,10 +115,9 @@ def leave_one_unit_out(
     """Refit dropping, one at a time, each unit with an observed outcome;
     points ordered by the dropped unit's adoption period in schedule
     (never-treated last), then unit name."""
-    units = renumber(dataset.unit[dataset.observed], dataset.units)[0]
-    if len(units) < 3:
-        raise InvalidSweep(f"leave-one-out needs at least 3 units, got {len(units)}")
-    order = schedule.ordered(units)  # raises UnknownUnit
-    code = {unit: i for i, unit in enumerate(dataset.units)}
-    masks = ((unit, dataset.unit != code[unit]) for unit in order)
+    codes = np.flatnonzero(np.bincount(dataset.unit[dataset.observed], minlength=len(dataset.units)))
+    if len(codes) < 3:
+        raise InvalidSweep(f"leave-one-out needs at least 3 units, got {len(codes)}")
+    codes = codes[schedule.ordered([dataset.units[c] for c in codes.tolist()])]  # raises UnknownUnit
+    masks = ((dataset.units[c], dataset.unit != c) for c in codes.tolist())
     return _run_sweep("leave_one_out", dataset, inference, level, masks)

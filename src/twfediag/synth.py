@@ -128,10 +128,20 @@ class SyntheticSpec:
             raise InvalidSpec(f"seed must be non-negative, got {self.seed}")
 
 
+def _refuse_non_finite(name: str, grid: np.ndarray, spec: SyntheticSpec) -> None:
+    """InvalidSpec naming the first cell of a unit x period grid that is not finite."""
+    non_finite = np.argwhere(~np.isfinite(grid))
+    if non_finite.size:
+        i, j = non_finite[0]
+        raise InvalidSpec(f"{name} {grid[i, j]} for unit {spec.units[i]!r}, "
+                          f"period {spec.periods[j]} is not finite")
+
+
 def generate_panel(spec: SyntheticSpec) -> PanelDataset:
     """Materialize the spec as a balanced panel, rows by unit then period;
     deterministic given the seed. InvalidSpec names the first treated cell
-    whose effect overflows."""
+    whose effect overflows, else the first cell whose outcome does (an inf,
+    or the nan of opposite infinities), which is never read as missing."""
     cum = list(accumulate((spec.shocks[p] for p in spec.periods), initial=0.0))[1:]
     periods = np.array(spec.periods, dtype=np.int64)
     unit = np.arange(len(spec.units), dtype=np.int32)
@@ -140,18 +150,16 @@ def generate_panel(spec: SyntheticSpec) -> PanelDataset:
     rows = np.flatnonzero(on.any(axis=1))  # only units with a treated cell need an effect
     effect = np.zeros(on.shape)
     effect[rows] = spec.effect.on_grid([spec.units[i] for i in rows.tolist()], event_time[rows])
-    non_finite = np.argwhere(~np.isfinite(effect))
-    if non_finite.size:
-        i, j = non_finite[0]
-        raise InvalidSpec(f"effect {effect[i, j]} for unit {spec.units[i]!r}, "
-                          f"period {spec.periods[j]} is not finite")
+    _refuse_non_finite("effect", effect, spec)
     # unit x period grids; each cell gets baseline + cumulative shock, then
     # its effect if treated, then its noise: the per-cell operations of
     # the unit-by-unit construction, in the same order
-    outcome = np.array([spec.baselines[u] for u in spec.units], dtype=np.float64)[:, None] + np.array(cum)
-    outcome[on] += effect[on]
-    if spec.noise_sd > 0:
-        outcome += spec.noise_sd * np.random.default_rng(spec.seed).normal(size=outcome.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan cell is refused below
+        outcome = np.array([spec.baselines[u] for u in spec.units], dtype=np.float64)[:, None] + np.array(cum)
+        outcome[on] += effect[on]
+        if spec.noise_sd > 0:
+            outcome += spec.noise_sd * np.random.default_rng(spec.seed).normal(size=outcome.shape)
+    _refuse_non_finite("outcome", outcome, spec)
     return PanelDataset(
         spec.units,
         np.repeat(unit, len(spec.periods)),

@@ -32,7 +32,7 @@ class TwfeFit:
     units: tuple[str, ...]  # sample units, in the dataset's order
     periods: tuple[int, ...]  # sample periods, ascending
     unit: np.ndarray  # code of each sample row's unit, an index into units
-    period: np.ndarray  # period of each sample row
+    period: np.ndarray  # code of each sample row's period, an index into periods
     inference: str  # "cluster_by_unit" | "classical"
 
     @cached_property
@@ -167,6 +167,6 @@ def fit_twfe(
         units=units,
         periods=periods,
         unit=u,
-        period=dataset.period.take(rows),
+        period=p,
         inference=inference,
     )

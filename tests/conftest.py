@@ -124,8 +124,9 @@ def random_panel(rng: np.random.Generator, missing=False, effect=None, noise_sd=
 
 def sample_keys(fit) -> list:
     """(unit label, period) of each estimation-sample row of a fit, built
-    from its unit codes and periods."""
-    return list(zip([fit.units[c] for c in fit.unit.tolist()], fit.period.tolist()))
+    from its unit and period codes."""
+    return list(zip([fit.units[c] for c in fit.unit.tolist()],
+                    [fit.periods[c] for c in fit.period.tolist()]))
 
 
 def bundled_schedule() -> AdoptionSchedule:

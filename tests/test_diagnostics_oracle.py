@@ -30,7 +30,7 @@ from twfediag.diagnostics import STATUS, _local_linear
 from twfediag.errors import CollinearTreatment, DegenerateGroup, DegenerateTreatment
 from twfediag.lsq import EXACT_FIT_TOL, t_test
 
-from conftest import make_panel
+from conftest import make_panel, random_panel
 from oracles import (
     cluster_score_sandwich,
     exact_homogeneity,
@@ -138,6 +138,29 @@ def test_weight_grid_matches_observation_rows(dataset):
             got_weight = float(grid.weight[i, j])
             assert STATUS[grid.status[i, j]] == status
             assert got_weight == weight or math.isnan(got_weight) and math.isnan(weight)
+
+
+def _weights_span_a_range(fit) -> None:
+    """The weights d~/sum(d~**2) sum to 0, as d~ is orthogonal to the unit
+    dummies, and are not all equal: equal weights summing to 0 would need
+    sum(d~**2) = 0, a collinear treatment fit_twfe refuses. So the weight
+    histogram's range is never empty."""
+    w = fit.weights
+    assert abs(np.add.reduce(w)) <= 1e-12 * np.add.reduce(np.abs(w))
+    assert w.max() > w.min()
+
+
+@pytest.mark.parametrize("inference", ["cluster_by_unit", "classical"])
+@pytest.mark.parametrize("family", sorted(EXACT_FAMILIES))
+def test_weights_sum_to_zero_on_exact_families(family, inference):
+    _weights_span_a_range(fit_twfe(EXACT_FAMILIES[family](), inference))
+
+
+def test_weights_sum_to_zero_on_random_panels():
+    rng = np.random.default_rng(44)
+    for _ in range(300):
+        _, dataset = random_panel(rng, missing=True, noise_sd=1.0)
+        _weights_span_a_range(fit_twfe(dataset))
 
 
 @functools.lru_cache(maxsize=None)

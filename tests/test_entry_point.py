@@ -103,6 +103,22 @@ class TestProcess:
         assert proc.stderr == "error: effect inf for unit 'A', period 1000000000 is not finite\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_overflowing_outcome_exit_1(self, tmp_path, seed):
+        # baselines and shock of 1e308 overflow the outcome; the noise adds
+        # an overflow of its own, or an inf of the opposite sign (nan)
+        spec = SyntheticSpec(units=("A", "B"), periods=(0, 1), baselines={"A": 1e308, "B": 1e308},
+                             shocks={0: 0.0, 1: 1e308}, schedule=AdoptionSchedule({"A": 1, "B": None}),
+                             effect=EffectModel.constant(1.0), noise_sd=1.7e308)
+        write_spec(spec, tmp_path / "spec.json")
+        out = tmp_path / "panel.csv"
+        proc = cli_process(["simulate", "--spec", tmp_path / "spec.json", "--seed", seed,
+                            "--out", out], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: outcome ") and len(proc.stderr.splitlines()) == 1
+        assert not out.exists()
+
     def test_invalid_panel_validate_exit_1(self, tmp_path):
         # a verdict, not an error: the report names the violation and
         # stderr stays empty

@@ -277,6 +277,23 @@ class TestColumns:
             with pytest.raises(ValueError, match="^unit codes must index the unit labels$"):
                 PanelDataset(("A", "B"), codes, [1, 1], [1.0, 2.0], [0, 0])
 
+    @pytest.mark.parametrize("units, columns, message", [
+        (("A", "B"), {"unit": [0, 1, 1]}, "^panel columns must be 1-dimensional and of equal length$"),
+        (("A", "B"), {"outcome": [1.0]}, "^panel columns must be 1-dimensional and of equal length$"),
+        (("A", "B"), {"outcome": [[1.0], [2.0]]},
+         "^panel columns must be 1-dimensional and of equal length$"),
+        (("A", "B"), {"unit": [[0, 1]], "period": [[2000, 2000]], "outcome": [[1.0, 2.0]],
+                      "treated": [[0, 1]]}, "^panel columns must be 1-dimensional and of equal length$"),
+        (("A", "B"), {"treated": [0, 2]}, "^treated must be 0 or 1$"),
+        (("A", "A"), {}, "^unit labels must be distinct$"),
+    ], ids=["unit longer", "outcome shorter", "outcome 2-d", "every column 2-d", "treated 2",
+            "repeated unit label"])
+    def test_refused_columns(self, units, columns, message):
+        columns = {"unit": [0, 1], "period": [2000, 2000], "outcome": [1.0, 2.0], "treated": [0, 1],
+                   **columns}
+        with pytest.raises(ValueError, match=message):
+            PanelDataset(units, **columns)
+
     @pytest.mark.parametrize("column, values, message", [
         ("period", [2000.0, np.nan], "^period value nan is not an int64$"),
         ("treated", [0.4, 1.0], "^treated value 0.4 is not an int8$"),

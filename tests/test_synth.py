@@ -239,6 +239,15 @@ class TestSpecValidation:
             warnings.simplefilter("error")
             assert generate_panel(wrapped).outcome.tolist() == [0.0, 1.0, 3.0, 1.0, 2.0, 4.0]
 
+    def test_outcome_that_overflows_is_refused_not_missing(self):
+        # A's treated cell is 1.5e308 + 1.5e308 = inf, and its noise
+        # overflows to -inf: their sum is nan, which a panel reads as missing
+        spec = base_spec(units=("A", "B"), periods=(0, 1), baselines={"A": 1.5e308, "B": 0.0},
+                         shocks={0: 0.0, 1: 0.0}, schedule=AdoptionSchedule({"A": 1, "B": None}),
+                         effect=EffectModel.constant(1.5e308), noise_sd=1e308, seed=101)
+        with pytest.raises(InvalidSpec, match="^outcome nan for unit 'A', period 1 is not finite$"):
+            generate_panel(spec)
+
     @pytest.mark.parametrize("change, message", [
         (lambda d: d.update(baselines=[10.0, 20.0, 5.0]), "baselines must be an object, got an array"),
         (lambda d: d.update(shocks=[0.0, 1.0]), "shocks must be an object, got an array"),
@@ -319,6 +328,27 @@ class TestJsonRoundTrip:
         write_spec(spec, path)
         back = spec_from_json(path)
         assert back == spec
+
+    def test_by_unit_round_trip(self, tmp_path):
+        spec = base_spec(effect=EffectModel.by_unit({"A": 1.5, "B": -2.0, "C": 0.25}), noise_sd=0.5)
+        path = tmp_path / "spec.json"
+        write_spec(spec, path)
+        back = spec_from_json(path)
+        assert back == spec
+        assert generate_panel(back).outcome.tolist() == generate_panel(spec).outcome.tolist()
+
+    @pytest.mark.parametrize("effect, message", [
+        ({"kind": "quadratic"}, "^unknown effect kind 'quadratic'$"),
+        ({"delta": 3.0}, "^unknown effect kind None$"),
+    ], ids=["unknown kind", "no kind"])
+    def test_unknown_effect_kind(self, tmp_path, effect, message):
+        path = tmp_path / "spec.json"
+        write_spec(base_spec(), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["effect"] = effect
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(InvalidSpec, match=message):
+            spec_from_json(path)
 
     def test_seed_override(self, tmp_path):
         path = tmp_path / "spec.json"
