@@ -254,6 +254,9 @@ class TestValidate:
         assert groups[None] == ("C",)
 
 
+SHAPE = "^panel columns must be 1-dimensional and of equal length$"
+
+
 class TestColumns:
     def test_restrict_takes_a_row_mask(self):
         ds = make_panel([("B", 2, 1.0, 0), ("A", 1, None, 0), ("B", 1, 2.0, 1), ("A", 2, 3.0, 1)])
@@ -278,12 +281,11 @@ class TestColumns:
                 PanelDataset(("A", "B"), codes, [1, 1], [1.0, 2.0], [0, 0])
 
     @pytest.mark.parametrize("units, columns, message", [
-        (("A", "B"), {"unit": [0, 1, 1]}, "^panel columns must be 1-dimensional and of equal length$"),
-        (("A", "B"), {"outcome": [1.0]}, "^panel columns must be 1-dimensional and of equal length$"),
-        (("A", "B"), {"outcome": [[1.0], [2.0]]},
-         "^panel columns must be 1-dimensional and of equal length$"),
+        (("A", "B"), {"unit": [0, 1, 1]}, SHAPE),
+        (("A", "B"), {"outcome": [1.0]}, SHAPE),
+        (("A", "B"), {"outcome": [[1.0], [2.0]]}, SHAPE),
         (("A", "B"), {"unit": [[0, 1]], "period": [[2000, 2000]], "outcome": [[1.0, 2.0]],
-                      "treated": [[0, 1]]}, "^panel columns must be 1-dimensional and of equal length$"),
+                      "treated": [[0, 1]]}, SHAPE),
         (("A", "B"), {"treated": [0, 2]}, "^treated must be 0 or 1$"),
         (("A", "A"), {}, "^unit labels must be distinct$"),
     ], ids=["unit longer", "outcome shorter", "outcome 2-d", "every column 2-d", "treated 2",
