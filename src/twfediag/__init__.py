@@ -17,7 +17,6 @@ _EXPORTS = {
         "Observation",
         "PanelDataset",
         "ValidationReport",
-        "apply_adoption_schedule",
         "load_panel_csv",
         "load_schedule_csv",
         "schedule_from_data",

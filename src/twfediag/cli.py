@@ -106,22 +106,18 @@ def _load(args, schedule_needed: bool = False):
     """(dataset, adoption schedule) from the data options: --adoption's schedule,
     else the treated column's (schedule_from_data) if schedule_needed, else None."""
     from .errors import TwfeDiagError
-    from .panel import (AdoptionSchedule, apply_adoption_schedule, load_panel_csv,
-                        load_schedule_csv, schedule_from_data)
+    from .panel import AdoptionSchedule, load_panel_csv, load_schedule_csv, schedule_from_data
 
     if args.treatment is None and args.adoption is None:
         raise TwfeDiagError("provide --treatment and/or --adoption")
-    dataset = load_panel_csv(
-        args.data, args.unit, args.time, args.outcome, args.treatment
-    )
     schedule = None
-    if args.adoption is not None:
+    if args.adoption is not None:  # read first: the loader takes the treatment from it
         schedule = load_schedule_csv(args.adoption)
         if args.treat_from == "next-year":  # one period later; no int64 period follows 2**63-1
             schedule = AdoptionSchedule({u: None if a in (None, 2**63 - 1) else a + 1
                                          for u, a in schedule.entries.items()})
-        dataset = apply_adoption_schedule(dataset, schedule)
-    elif schedule_needed:
+    dataset = load_panel_csv(args.data, args.unit, args.time, args.outcome, args.treatment, schedule)
+    if schedule is None and schedule_needed:
         schedule = schedule_from_data(dataset)
     return dataset, schedule
 

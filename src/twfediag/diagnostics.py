@@ -72,6 +72,8 @@ class ResidualScatter:
 def weight_report(fit: TwfeFit, bins: int = DEFAULT_BINS) -> WeightReport:
     """Counts and a histogram of the per-observation weights, split by
     treatment status."""
+    if bins < 1:
+        raise ValueError("bins must be at least 1")
     w = fit.weights
     treated = fit.treatment == 1
     n_treated_negative, share = negative_treated(fit)

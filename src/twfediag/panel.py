@@ -350,13 +350,16 @@ def load_panel_csv(
     period_col: str,
     outcome_col: str,
     treatment_col: Optional[str] = None,
+    schedule: Optional[AdoptionSchedule] = None,
 ) -> PanelDataset:
     """Read a long-format panel from a UTF-8 CSV with a header row; a
     leading byte-order mark is skipped, and so are blank lines.
 
     Empty outcome cells are kept as missing; nan and infinite outcomes are
-    rejected. Without a treatment column all rows start untreated, pending
-    apply_adoption_schedule. A ParseError names the first bad row, counting
+    rejected. The treatment is the schedule's timing when a schedule is
+    given (UnknownUnit for a unit it lacks, before any DuplicateKey), else
+    the treatment column, else 0 on every row; a treatment column is
+    checked either way. A ParseError names the first bad row, counting
     the header as row 1 and skipping blank lines. Cells a short row lacks
     read as empty; a missing unit or period cell is a ParseError.
     """
@@ -386,7 +389,12 @@ def load_panel_csv(
         index, _, col, message = min(errors)
         raise ParseError(index + 2, col, message)
     (units, unit), period, outcome, *treated = parsed
-    treated = treated[0] if treated else np.zeros(len(rows), dtype=np.int8)
+    if schedule is not None:
+        treated, _ = schedule.timing(units, unit, period)
+    elif treated:
+        treated = treated[0]
+    else:
+        treated = np.zeros(len(rows), dtype=np.int8)
     return PanelDataset(units, unit, period, outcome, treated)
 
 
@@ -468,15 +476,6 @@ def load_schedule_csv(path: str | Path) -> AdoptionSchedule:
             if entries[unit] not in _INT64:
                 raise ParseError(rownum, "adoption_period", f"not a 64-bit integer: {raw!r}")
     return AdoptionSchedule(entries)
-
-
-def apply_adoption_schedule(dataset: PanelDataset, schedule: AdoptionSchedule) -> PanelDataset:
-    """Recode treatment from an adoption schedule: a unit counts as treated
-    from its adoption period onward. Idempotent: reapplying the same
-    schedule changes nothing.
-    """
-    treated, _ = schedule.timing(dataset.units, dataset.unit, dataset.period)
-    return PanelDataset(dataset.units, dataset.unit, dataset.period, dataset.outcome, treated)
 
 
 def schedule_from_data(dataset: PanelDataset) -> AdoptionSchedule:

@@ -11,7 +11,6 @@ from twfediag import (
     Observation,
     PanelDataset,
     SyntheticSpec,
-    apply_adoption_schedule,
     fit_twfe,
     generate_panel,
     load_panel_csv,
@@ -136,8 +135,8 @@ def bundled_schedule() -> AdoptionSchedule:
 
 
 def _load_replication(outcome_col: str) -> PanelDataset:
-    dataset = load_panel_csv(REPLICATION_CSV, "country", "year", outcome_col)
-    return apply_adoption_schedule(dataset, bundled_schedule())
+    return load_panel_csv(REPLICATION_CSV, "country", "year", outcome_col,
+                          schedule=bundled_schedule())
 
 
 @pytest.fixture(scope="session")

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's solver paths: OLS via explicitly
 formed normal equations, sandwich covariance via naive loops, and the t
-p-value via numerical quadrature of the density. The panel CSV reader,
-the CSV row writer and the synthetic generator are kept here in their
-row-by-row and unit-by-unit forms, as references for the column passes,
+p-value via numerical quadrature of the density. The panel CSV reader
+(with its recoding from an adoption schedule), the CSV row writer and the
+synthetic generator are kept here in their row-by-row and unit-by-unit
+forms, as references for the column passes,
 beside a panel constructor from row objects, the effect models' formulas,
 the summary of a spec's true effects and the scatter's smoother with a
 separate branch for a zero-width support.
@@ -19,7 +20,8 @@ import numpy as np
 import scipy.integrate
 
 from twfediag import PanelDataset
-from twfediag.errors import InvalidSpec, MissingColumn, NonFiniteOutcome, ParseError
+from twfediag.errors import (InvalidSpec, MissingColumn, NonFiniteOutcome, ParseError,
+                             UnknownUnit)
 
 
 def from_observations(rows) -> PanelDataset:
@@ -547,10 +549,27 @@ def _reference_cell(cell, kind):
     return int(raw)
 
 
-def load_panel_csv_reference(path, unit_col, period_col, outcome_col, treatment_col=None):
+def adoption_treatment_reference(labels, periods, schedule) -> list:
+    """Each row's treatment under an adoption schedule, row by row from
+    schedule.entries: 1 iff the row's unit label has an adoption period,
+    not None, at or before the row's period. UnknownUnit names the first
+    row's label that has no entry."""
+    treated = []
+    for label, period in zip(labels, periods):
+        if label not in schedule.entries:
+            raise UnknownUnit(label)
+        adoption = schedule.entries[label]
+        treated.append(int(adoption is not None and adoption <= period))
+    return treated
+
+
+def load_panel_csv_reference(path, unit_col, period_col, outcome_col, treatment_col=None,
+                             schedule=None):
     """The row-by-row panel loader: every row's cells parsed one at a time
     in column order (unit, period, outcome, treatment), the first bad cell
-    raising ParseError; unit codes by dict.setdefault."""
+    raising ParseError; unit codes by dict.setdefault. With a schedule, the
+    treatment is adoption_treatment_reference's, worked out once every
+    row has parsed."""
     with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         header = next(reader, [])
@@ -574,6 +593,10 @@ def load_panel_csv_reference(path, unit_col, period_col, outcome_col, treatment_
             columns[kind].append(codes.setdefault(value, len(codes)) if kind == "unit" else value)
         if treatment_col is None:
             columns["treated"].append(0)
+    if schedule is not None:
+        labels = list(codes)
+        columns["treated"] = adoption_treatment_reference(
+            [labels[c] for c in columns["unit"]], columns["period"], schedule)
     return PanelDataset(
         tuple(codes),
         np.array(columns["unit"], dtype=np.int32),

@@ -1,7 +1,8 @@
 """Repository checks that need no program run: the CI workflow runs the
 tier-1 command that ROADMAP.md names and the benchmark's oracle checks,
 the package parses as the lowest supported Python, the README's import
-block imports, every exported name is used by the package or listed in
+block imports, the package-data globs match every file under
+src/twfediag/data, every exported name is used by the package or listed in
 that block, every result field is read by the package, every name the
 README lists as removed is gone, every
 `module.name` it names elsewhere exists, the
@@ -30,6 +31,7 @@ STALE_BENCHMARK_NAMES = {
     "lsq.solve_least_squares",
     "lsq.classical_covariance",
     "lsq.cluster_robust_covariance",
+    "panel.apply_adoption_schedule",
 }
 
 
@@ -63,6 +65,22 @@ def test_workflow_matrix_includes_lowest_supported_python():
     text = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
     matrix = re.search(r"python-version: \[(.*)\]", text).group(1)
     assert lowest in re.findall(r'"([\d.]+)"', matrix)
+
+
+def test_package_data_globs_cover_the_data_directory():
+    """CI installs the package editable, so a wheel that dropped a data file
+    would still pass: the `[tool.setuptools.package-data]` globs must match
+    exactly the files under src/twfediag/data, each glob at least one."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = pyproject.split("\n[tool.setuptools.package-data]\n", 1)[1].split("\n[", 1)[0]
+    globs = re.findall(r'"([^"]+)"', re.search(r"^twfediag\s*=\s*\[(.*)\]$", section,
+                                                 re.MULTILINE).group(1))
+    package = ROOT / "src" / "twfediag"
+    matched = [set(package.glob(pattern)) for pattern in globs]
+    assert all(matched), globs
+    files = {path for path in (package / "data").rglob("*") if path.is_file()}
+    assert package / "data" / "fpe_adoption_years.csv" in files
+    assert set().union(*matched) == files
 
 
 def test_workflow_runs_benchmark_oracle_checks():
@@ -225,6 +243,7 @@ def test_readme_removed_names_are_gone():
     assert "twfediag.residualize_treatment(ds)" in names and "TwfeFit.unit_effects" in names
     assert {"twfediag.twfe.EncodedSample", "twfediag.twfe.fit_sample(sample, keep, inference)",
             "twfediag.apply_adoption_schedule(include_adoption_period=...)",
+            "twfediag.apply_adoption_schedule",
             "PanelDataset.from_observations", "EffectModel.effect",
             "twfediag.homogeneity_test(inference=...)", "twfediag.true_effect_summary",
             "twfediag.EffectSummary", "twfediag.spec_to_json", "TwfeFit.unit_effect",

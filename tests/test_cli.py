@@ -504,6 +504,107 @@ class TestTreatFrom:
             assert units == ["A", "C", "D", "Z"]
 
 
+DATA_COMMANDS = {
+    "estimate": lambda out: ["--out", str(out), "--no-timestamp"],
+    "weights": lambda out: ["--out-grid", str(out)],
+    "scatter": lambda out: ["--out-prefix", str(out)],
+    "sweep-endyear": lambda out: ["--out", str(out)],
+    "sweep-horizon": lambda out: ["--horizons", "0,1,3", "--out", str(out)],
+    "jackknife": lambda out: ["--out", str(out)],
+    "validate": lambda out: ["--out", str(out)],
+}
+
+
+class TestAdoptionLoad:
+    """With --adoption the loader takes the treatment from the schedule and
+    builds the one panel; a --treatment column given too is checked, and
+    the schedule decides."""
+
+    @staticmethod
+    def _run(argv, out, capsys):
+        """Exit code, stdout, stderr and the bytes of every file written at out."""
+        code = main(argv)
+        captured = capsys.readouterr()
+        files = sorted(out.parent.glob(out.name + "*"))
+        written = [(f.name, f.read_bytes()) for f in files]
+        for f in files:
+            f.unlink()
+        return code, captured.out, captured.err, written
+
+    @pytest.mark.parametrize("treat_from", ["adoption-year", "next-year"])
+    @pytest.mark.parametrize("command", list(DATA_COMMANDS))
+    def test_one_panel_per_command(self, panel_files, tmp_path, monkeypatch, command, treat_from):
+        _, data, sched = panel_files
+        post_init = PanelDataset.__post_init__
+        built = []
+
+        def counting(self):
+            built.append(len(self))
+            post_init(self)
+
+        monkeypatch.setattr(PanelDataset, "__post_init__", counting)
+        argv = [command, *data_args(data, sched, treatment=False), "--treat-from", treat_from,
+                *DATA_COMMANDS[command](tmp_path / "out")]
+        assert main(argv) == 0
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("command", list(DATA_COMMANDS))
+    def test_treatment_column_with_adoption(self, panel_files, tmp_path, capsys, command):
+        # the column is the schedule's treatment flipped, so it is valid 0/1
+        # but decides nothing: the output is --adoption's alone
+        ds, _, sched = panel_files
+        data = tmp_path / "flipped.csv"
+        write_panel_csv(PanelDataset(ds.units, ds.unit, ds.period, ds.outcome, 1 - ds.treated), data)
+        out = tmp_path / "out"
+        tail = DATA_COMMANDS[command](out)
+        alone = self._run([command, *data_args(data, sched, treatment=False), *tail], out, capsys)
+        both = self._run([command, *data_args(data, sched), *tail], out, capsys)
+        if command == "estimate":  # the config block names the options given
+            (name, text), = both[3]
+            both = (*both[:3], [(name, text.replace(b'"treatment": "treated"', b'"treatment": null'))])
+        assert alone[0] == 0 and both == alone
+        assert self._run([command, *data_args(data), *tail], out, capsys) != alone
+
+    @pytest.mark.parametrize("command", list(DATA_COMMANDS))
+    def test_bad_treatment_cell_with_adoption(self, panel_files, tmp_path, capsys, command):
+        _, data, sched = panel_files
+        lines = data.read_text(encoding="utf-8").splitlines()
+        lines[4] = lines[4][:-1] + "2"  # row 5's treated cell
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        tail = DATA_COMMANDS[command](out)
+        assert self._run([command, *data_args(data, sched, treatment=False), *tail], out,
+                         capsys)[0] == 0
+        code, stdout, err, written = self._run([command, *data_args(data, sched), *tail], out, capsys)
+        assert (code, stdout, written) == (1, "", [])
+        assert err == "error: row 5, column 'treated': treatment must be 0 or 1, got '2'\n"
+
+    @pytest.mark.parametrize("schedule_fault, panel_fault, message", [
+        ("drop a unit", "repeat a key", "has no adoption-schedule entry"),
+        ("bad period", "repeat a key", "not an integer or 'never'"),
+        ("bad period", "latin-1 row", "column 'adoption_period'"),
+    ])
+    def test_schedule_error_first(self, panel_files, tmp_path, capsys, schedule_fault,
+                                  panel_fault, message):
+        # the schedule file is read first, and applied before the panel is built
+        _, data, sched = panel_files
+        lines = sched.read_text(encoding="utf-8").splitlines()
+        if schedule_fault == "drop a unit":
+            del lines[1]
+        else:
+            lines[1] = lines[1].split(",")[0] + ",soon"
+        sched.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if panel_fault == "repeat a key":
+            _append(data, data.read_text(encoding="utf-8").splitlines()[1].encode() + b"\r\n")
+        else:
+            _append(data, "C\u00f4te,1,1.0,0\r\n".encode("latin-1"))
+        out = tmp_path / "out.json"
+        assert main(["estimate", *data_args(data, sched, treatment=False), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+        assert not out.exists()
+
+
 class TestDataConflicts:
     """Options that clash with the data: exit 1 with one error line."""
 

@@ -17,14 +17,9 @@ import json
 import pytest
 
 from twfediag.cli import main
-from twfediag.panel import (
-    AdoptionSchedule,
-    apply_adoption_schedule,
-    load_panel_csv,
-    load_schedule_csv,
-)
+from twfediag.panel import AdoptionSchedule, load_schedule_csv
 
-from oracles import dummy_ols_beta
+from oracles import dummy_ols_beta, load_panel_csv_reference
 
 LOW, HIGH = -2**63, 2**63 - 1
 
@@ -115,18 +110,18 @@ def _cases():
 
 
 def _dataset(argv):
-    """The panel an invocation estimates on, loaded as the CLI loads it:
-    under --treat-from next-year, each adoption one period later (never,
-    after the last int64 period)."""
+    """The panel an invocation estimates on, loaded by the row-by-row
+    reference loader: under --treat-from next-year, each adoption one period
+    later (never, after the last int64 period)."""
     option = dict(zip(argv[1::2], argv[2::2]))
-    dataset = load_panel_csv(option["--data"], "unit", "period", "outcome", option.get("--treatment"))
+    schedule = None
     if "--adoption" in option:
         schedule = load_schedule_csv(option["--adoption"])
         if option.get("--treat-from") == "next-year":
             schedule = AdoptionSchedule({u: None if a is None or a == HIGH else a + 1
                                          for u, a in schedule.entries.items()})
-        dataset = apply_adoption_schedule(dataset, schedule)
-    return dataset
+    return load_panel_csv_reference(option["--data"], "unit", "period", "outcome",
+                                    option.get("--treatment"), schedule)
 
 
 @pytest.mark.parametrize("panel, command", _cases())

@@ -358,6 +358,13 @@ class TestResidualScatter:
         with pytest.raises(ValueError):
             residual_scatter(fit, grid_points=1)
 
+    @pytest.mark.parametrize("bins", [0, -1])
+    def test_bins_validation(self, bins):
+        fit = fit_twfe(homogeneous_panel())
+        with pytest.raises(ValueError, match="bins must be at least 1"):
+            weight_report(fit, bins=bins)
+        assert len(weight_report(fit, bins=1).histogram) == 1
+
     def test_sparse_window_grid_points_omitted(self):
         fit = fit_twfe(homogeneous_panel())
         scatter = residual_scatter(fit, bandwidth=0.01, grid_points=50)

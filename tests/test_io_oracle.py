@@ -3,8 +3,9 @@ against their row-by-row references in oracles.py.
 
 - load_panel_csv reads CSVs built from a cell grammar of valid, padded,
   odd-but-valid and bad cells, with short rows, blank lines, a byte-order
-  mark and quoted fields holding commas and line breaks. It must give the
-  reference loader's columns bit for bit, or raise the same error.
+  mark and quoted fields holding commas and line breaks, with and without
+  an adoption schedule. It must give the reference loader's columns bit
+  for bit, or raise the same error.
 - write_panel_csv must write the bytes a csv.writer row loop writes, on
   labels that need quoting, and read back to the same columns. So must
   write_csv on random label and number columns, and every CSV file the
@@ -145,6 +146,26 @@ def test_load_matches_reference(case):
     data, columns = case
     got = with_file(data, lambda path: outcome(lambda: load_panel_csv(path, *columns)))
     want = with_file(data, lambda path: outcome(lambda: load_panel_csv_reference(path, *columns)))
+    if isinstance(want, PanelDataset):
+        assert isinstance(got, PanelDataset), got
+        assert_same_columns(got, want)
+    else:
+        assert got == want
+
+
+# schedules over the grammar's unit cells: a cell without an entry is an unknown unit
+schedules = st.dictionaries(st.sampled_from(UNIT_CELLS), st.one_of(
+    st.none(), st.sampled_from([-2**63, -3, 0, 1999, 2000, 2001, 2**63 - 1])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=panel_files(), entries=schedules)
+def test_load_with_schedule_matches_reference(case, entries):
+    data, columns = case
+    schedule = AdoptionSchedule(entries)
+    got = with_file(data, lambda path: outcome(lambda: load_panel_csv(path, *columns, schedule)))
+    want = with_file(data, lambda path: outcome(
+        lambda: load_panel_csv_reference(path, *columns, schedule)))
     if isinstance(want, PanelDataset):
         assert isinstance(got, PanelDataset), got
         assert_same_columns(got, want)

@@ -5,7 +5,6 @@ from twfediag import (
     AdoptionSchedule,
     Observation,
     PanelDataset,
-    apply_adoption_schedule,
     fit_twfe,
     load_panel_csv,
     load_schedule_csv,
@@ -15,7 +14,8 @@ from twfediag import (
 from twfediag.errors import DuplicateKey, MissingColumn, ParseError, UnknownUnit
 
 from conftest import bundled_schedule, canonical_2x2, make_panel, random_panel
-from oracles import from_observations
+from oracles import from_observations, load_panel_csv_reference
+from test_io_oracle import assert_same_columns
 
 
 def write_csv(path, text):
@@ -140,39 +140,76 @@ class TestLoadPanelCsv:
         assert ds.observations[0].treated == 0
 
 
+def panel_file(path, rows, header="unit,period,outcome"):
+    return write_csv(path, header + "\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
+
+
+def load_with_schedule(path, schedule, treatment_col=None) -> PanelDataset:
+    """load_panel_csv of a unit,period,outcome file with the schedule, checked
+    column for column against the row-by-row reference."""
+    got = load_panel_csv(path, "unit", "period", "outcome", treatment_col, schedule)
+    want = load_panel_csv_reference(path, "unit", "period", "outcome", treatment_col, schedule)
+    assert_same_columns(got, want)
+    return got
+
+
 class TestAdoptionSchedule:
-    def test_adoption_year_counts_as_treated(self):
-        ds = make_panel([("Malawi", y, 1.0, 0) for y in range(1981, 2016)]
-                        + [("Kenya", y, 1.0, 0) for y in range(1981, 2016)])
-        out = apply_adoption_schedule(ds, bundled_schedule())
+    def test_adoption_year_counts_as_treated(self, tmp_path):
+        f = panel_file(tmp_path / "p.csv", [(u, y, 1.0) for u in ("Malawi", "Kenya")
+                                            for y in range(1981, 2016)])
+        out = load_with_schedule(f, bundled_schedule())
         treated = {o.period: o.treated for o in out.observations if o.unit == "Malawi"}
         assert all(treated[y] == 0 for y in range(1981, 1994))
         assert all(treated[y] == 1 for y in range(1994, 2016))
 
-    def test_next_year_coding(self):
+    def test_next_year_coding(self, tmp_path):
         # treated from the period after adoption: the schedule shifted one period later
-        ds = make_panel([("A", y, 1.0, 0) for y in (1993, 1994, 1995)])
-        sched = AdoptionSchedule({"A": 1994 + 1})
-        out = apply_adoption_schedule(ds, sched)
-        assert [o.treated for o in out.observations] == [0, 0, 1]
+        f = panel_file(tmp_path / "p.csv", [("A", y, 1.0) for y in (1993, 1994, 1995)])
+        out = load_with_schedule(f, AdoptionSchedule({"A": 1994 + 1}))
+        assert out.treated.tolist() == [0, 0, 1]
 
-    def test_never_treated(self):
-        ds = make_panel([("A", y, 1.0, 0) for y in (1, 2, 3)])
-        out = apply_adoption_schedule(ds, AdoptionSchedule({"A": None}))
-        assert all(o.treated == 0 for o in out.observations)
+    def test_never_treated(self, tmp_path):
+        f = panel_file(tmp_path / "p.csv", [("A", y, 1.0) for y in (1, 2, 3)])
+        out = load_with_schedule(f, AdoptionSchedule({"A": None}))
+        assert out.treated.tolist() == [0, 0, 0]
 
-    def test_unknown_unit(self):
-        ds = make_panel([("A", 1, 1.0, 0), ("A", 2, 1.0, 0)])
-        with pytest.raises(UnknownUnit):
-            apply_adoption_schedule(ds, AdoptionSchedule({"B": 1}))
+    def test_unknown_unit(self, tmp_path):
+        f = panel_file(tmp_path / "p.csv", [("A", 1, 1.0), ("A", 2, 1.0), ("C", 1, 1.0)])
+        for loader in (load_panel_csv, load_panel_csv_reference):
+            with pytest.raises(UnknownUnit, match="unit 'A' has no adoption-schedule entry"):
+                loader(f, "unit", "period", "outcome", schedule=AdoptionSchedule({"B": 1}))
 
-    def test_idempotent(self):
-        ds = make_panel([("A", y, 1.0, 0) for y in (1, 2, 3)]
-                        + [("B", y, 1.0, 0) for y in (1, 2, 3)])
-        sched = AdoptionSchedule({"A": 2, "B": None})
-        once = apply_adoption_schedule(ds, sched)
-        twice = apply_adoption_schedule(once, sched)
-        assert once.observations == twice.observations
+    def test_unknown_unit_before_duplicate_key(self, tmp_path):
+        # the schedule is applied before the one panel is built
+        f = panel_file(tmp_path / "p.csv", [("A", 1, 1.0), ("A", 1, 2.0), ("B", 1, 1.0)])
+        with pytest.raises(DuplicateKey):
+            load_panel_csv(f, "unit", "period", "outcome")
+        for loader in (load_panel_csv, load_panel_csv_reference):
+            with pytest.raises(UnknownUnit, match="'B'"):
+                loader(f, "unit", "period", "outcome", schedule=AdoptionSchedule({"A": 1}))
+
+    def test_parse_error_before_unknown_unit(self, tmp_path):
+        f = panel_file(tmp_path / "p.csv", [("B", 1, 1.0), ("A", "x", 1.0)])
+        for loader in (load_panel_csv, load_panel_csv_reference):
+            with pytest.raises(ParseError, match="row 3, column 'period'"):
+                loader(f, "unit", "period", "outcome", schedule=AdoptionSchedule({"A": 1}))
+
+    def test_schedule_decides_a_given_treatment_column(self, tmp_path):
+        rows = [("A", y, 1.0, 1) for y in (1, 2, 3)] + [("B", y, 2.0, 0) for y in (1, 2, 3)]
+        f = panel_file(tmp_path / "p.csv", rows, "unit,period,outcome,treated")
+        out = load_with_schedule(f, AdoptionSchedule({"A": None, "B": 2}), "treated")
+        assert out.treated.tolist() == [0, 0, 0, 0, 1, 1]
+
+    def test_schedule_still_checks_the_treatment_column(self, tmp_path):
+        rows = [("A", 1, 1.0, 0), ("A", 2, 1.0, 2)]
+        f = panel_file(tmp_path / "p.csv", rows, "unit,period,outcome,treated")
+        for loader in (load_panel_csv, load_panel_csv_reference):
+            with pytest.raises(ParseError, match="row 3, column 'treated'"):
+                loader(f, "unit", "period", "outcome", "treated", AdoptionSchedule({"A": 1}))
+
+    def test_schedule_with_no_rows(self, tmp_path):
+        out = load_with_schedule(panel_file(tmp_path / "p.csv", []), AdoptionSchedule({}))
+        assert len(out) == 0 and out.treated.dtype == np.int8
 
     def test_schedule_csv_parsing(self, tmp_path):
         f = write_csv(tmp_path / "s.csv", "unit,adoption_period\nA,2001\nB,NEVER\n")
